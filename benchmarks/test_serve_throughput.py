@@ -152,9 +152,10 @@ def test_serve_throughput(programs):
 # ---- plan-optimizer pass pipeline -------------------------------------------
 #
 # The optimizer acceptance floor: a plan-optimized session (step fusion,
-# weight hoisting, in-place elision, matmul specialization, wave
-# scheduling) must serve single requests >= OPT_FLOOR_SPEEDUP times faster
-# than the unoptimized plan, on BERT and MMoE.
+# weight hoisting, in-place elision, matmul specialization, task-graph
+# replay where a plan has parallel work) must serve single requests
+# >= OPT_FLOOR_SPEEDUP times faster than the unoptimized plan, on BERT and
+# MMoE.
 
 OPT_FLOOR_SPEEDUP = 1.3
 
@@ -372,112 +373,6 @@ def test_batched_serve_throughput(programs):
             f"{name}: batched replay only {speedups[name]:.2f}x faster than "
             f"sequential singles (floor {BATCH_FLOOR_SPEEDUP}x)"
         )
-
-
-# ---- task-graph executor ----------------------------------------------------
-#
-# The mega-step acceptance floor: where dispatch overhead dominates, the
-# task-graph executor (one compiled dependency table, no per-wave barriers)
-# must beat the wave scheduler *in its dispatching regime* by
-# >= GRAPH_FLOOR_SPEEDUP on single-request latency. The wave plan is
-# measured with wave dispatch actually engaged — the parallelism threshold
-# dropped to zero and a two-worker persistent pool pinned — so the
-# comparison isolates exactly what the task graph removes: future creation,
-# handoff, and a barrier per wave. The floor rides on ``lstm-deep``, the
-# paper's stacked LSTM (``build_lstm``) at 12 unrolled timesteps x 3 cells:
-# the wavefront anti-diagonal makes most of its waves dispatch (the
-# paper-scale model replays >1300 of them per request), which is precisely
-# the ISSUE's "dispatch, not einsum time, dominates" regime. The six tiny
-# models are reported alongside for coverage, and scheduler occupancy is
-# taken from the executor's busy-over-scheduled-time counter.
-
-GRAPH_FLOOR_SPEEDUP = 1.2
-GRAPH_FLOOR_MODEL = "lstm-deep"
-DEEP_LSTM = dict(time_steps=12, num_cells=3, hidden=16, input_size=16)
-
-
-def test_graph_executor_latency(programs, monkeypatch):
-    """Task-graph replay beats dispatching wave replay >= 1.2x on the
-    deep-unrolled LSTM, bit-identically, on every model measured."""
-    from repro.core.parallel import WorkerPool
-    from repro.models import build_lstm
-    from repro.runtime import plan_opt
-    from repro.runtime.executor import ExecutionPlan
-
-    monkeypatch.setattr(plan_opt, "PARALLEL_MIN_WAVE_ELEMENTS", 0)
-    rows = [
-        f"{'model':14s} {'wave ms':>8s} {'graph ms':>9s} {'speedup':>8s} "
-        f"{'occup %':>8s} {'tasks':>6s} {'crit':>5s} {'width':>6s}"
-    ]
-    cases = {name: programs[name] for name in MODEL_NAMES}
-    cases[GRAPH_FLOOR_MODEL] = lower_graph(
-        build_lstm(name="lstm_deep", **DEEP_LSTM)
-    )
-    speedups = {}
-    pools = []
-    for name, program in cases.items():
-        feeds = random_feeds(program, seed=5)
-        wave_plan = ExecutionPlan(program, optimize=True)
-        # Pin the wave pool to two workers so dispatch engages identically
-        # on any host (the shared pool degrades to serial on one CPU and
-        # would silently benchmark a flat loop instead of wave dispatch).
-        pool = WorkerPool(max_workers=2, persistent=True)
-        pools.append(pool)
-        wave_plan._wave_pool = pool
-        # Pure chains compile to one group per wave and never dispatch;
-        # they are reported for completeness but carry no floor.
-        dispatching = wave_plan.waves is not None and any(
-            parallel for _, parallel in wave_plan.waves
-        )
-        graph_plan = ExecutionPlan(program, optimize=True, executor="graph")
-
-        bound_w = wave_plan.bind_feeds(feeds)
-        bound_g = graph_plan.bind_feeds(feeds)
-        arena_w = wave_plan.new_arena()
-        arena_g = graph_plan.new_arena()
-        # Differential gate before timing anything.
-        want = graph_plan.execute_serial(bound_g, graph_plan.new_arena())
-        for got in (wave_plan.execute(bound_w, arena_w),
-                    graph_plan.execute(bound_g, arena_g)):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), name
-
-        wave_s = _time_loop(lambda: wave_plan.execute(bound_w, arena_w))
-        graph_s = _time_loop(lambda: graph_plan.execute(bound_g, arena_g))
-        speedup = wave_s / graph_s
-        if dispatching:
-            speedups[name] = speedup
-        stats = graph_plan.task_graph.stats
-        occupancy = graph_plan.graph_executor.occupancy
-        rows.append(
-            f"{name:14s} {wave_s / CALLS * 1e3:8.3f} "
-            f"{graph_s / CALLS * 1e3:9.3f} {speedup:8.2f}"
-            f"{' ' if dispatching else '*'}"
-            f"{occupancy * 100:7.1f} {stats.tasks:6d} "
-            f"{stats.critical_path:5d} {stats.max_ready_width:6d}"
-        )
-    for pool in pools:
-        pool.close()
-
-    rows.append("")
-    rows.append(
-        "* = pure chain, wave replay never dispatches (no floor applies)"
-    )
-    rows.append(
-        f"floor: task-graph replay >= {GRAPH_FLOOR_SPEEDUP:.1f}x vs "
-        f"dispatching wave replay on {GRAPH_FLOOR_MODEL} "
-        f"({CALLS} calls, best of {BEST_OF}; wave pool pinned to 2 workers)"
-    )
-    save_table("serve_graph_executor", "\n".join(rows))
-
-    assert GRAPH_FLOOR_MODEL in speedups, (
-        "deep LSTM no longer compiles to a dispatching wave plan"
-    )
-    got = speedups[GRAPH_FLOOR_MODEL]
-    assert got >= GRAPH_FLOOR_SPEEDUP, (
-        f"task-graph executor only {got:.2f}x vs the dispatching wave "
-        f"scheduler on {GRAPH_FLOOR_MODEL} (floor {GRAPH_FLOOR_SPEEDUP}x)"
-    )
 
 
 # ---- block-level tiling of reduction chains ---------------------------------

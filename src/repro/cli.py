@@ -443,7 +443,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_plan_stats(args: argparse.Namespace) -> int:
     """Report what the plan-optimizer pass pipeline does to one model."""
-    from repro.runtime.plan_opt import plan_optimization
+    from repro.runtime.plan_opt import apply_replay_rule, plan_optimization
 
     batch = args.batch if args.batch > 1 else None
     if args.scale == "tiny":
@@ -456,47 +456,38 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         program = lower_graph(graph)
         # Tiny models build the real optimized plan, so the report includes
         # the per-step matmul-specialization counts (decided at plan time
-        # by the differential bit-identity gate).
+        # by the differential bit-identity gate) and the replay it picked.
         from repro.runtime.executor import (
             BatchedExecutionPlan,
             ExecutionPlan,
         )
 
-        executor = "graph" if args.executor == "graph" else "wave"
         plan = (
             BatchedExecutionPlan(program, batch, optimize=True,
-                                 executor=executor, tile=args.tile)
+                                 tile=args.tile)
             if batch is not None
-            else ExecutionPlan(program, optimize=True, executor=executor,
-                               tile=args.tile)
+            else ExecutionPlan(program, optimize=True, tile=args.tile)
         )
         optimization = plan.optimization
-        stats = optimization.stats
-        graph_stats = (
-            plan.task_graph.stats if plan.task_graph is not None else None
-        )
+        task_graph = plan.task_graph
     else:
         # Paper-scale grids exceed the functional executor's limits; the
-        # static planner still reports hoisting/fusion/elision/waves and
-        # the repacked arena, and the task-graph shape comes from the
-        # structure-only builder.
+        # static planner still reports hoisting/fusion/elision and the
+        # repacked arena, the task-graph shape comes from the
+        # structure-only builder, and the replay rule runs over both.
+        from repro.runtime.task_graph import optimization_task_graph
+
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
                                          tile=args.tile)
-        stats = optimization.stats
-        graph_stats = None
-        if args.executor == "graph":
-            from repro.runtime.task_graph import task_graph_stats
-
-            graph_stats = task_graph_stats(program, batch_size=batch,
-                                           tile=args.tile)
+        task_graph = optimization_task_graph(optimization)
+        apply_replay_rule(optimization, batch, lambda: task_graph)
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
-    print(stats.render())
-    if graph_stats is not None:
-        print(f"task graph: {graph.name}{suffix}")
-        print(graph_stats.render())
+    print(optimization.stats.render())
+    print(f"task graph: {graph.name}{suffix}")
+    print(task_graph.stats.render())
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 
@@ -714,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan-stats",
         help="what the plan optimizer does to a model's execution plan "
-             "(steps fused, weights hoisted, bytes elided, waves)",
+             "(steps fused, weights hoisted, bytes elided, replay picked, "
+             "task graph)",
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
@@ -728,10 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="block-tile eligible reduction chains before "
                         "reporting (--no-tile reports the untiled plan)")
-    p.add_argument("--executor", choices=("wave", "graph"), default="wave",
-                   help="with 'graph', also report the compiled task "
-                        "graph (task count, dependency edges, critical "
-                        "path, max ready-width)")
     p.add_argument("--replicas", type=int, default=0,
                    help="also report the sharded-serving weight memory at "
                         "this replica count: bytes duplicated per process "

@@ -23,14 +23,10 @@ class SouffleOptions:
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
     # Serve through plan-optimized execution plans (runtime step fusion,
-    # weight hoisting, in-place elision, wave scheduling). Orthogonal to
-    # the V-levels: it rewrites the *runtime* step list, not the TE IR.
+    # weight hoisting, in-place elision, task-graph replay where a plan has
+    # parallel work). Orthogonal to the V-levels: it rewrites the *runtime*
+    # step list, not the TE IR.
     optimize_plans: bool = True
-    # Replay plans through the task-graph scheduler (runtime.task_graph):
-    # one persistent dependency table per plan, workers pulling ready steps
-    # with no per-wave barriers. Off by default; the wave scheduler stays
-    # the reference serving engine.
-    graph_executor: bool = False
     # Block-level tiling of map->reduce->map chains (runtime.tiling):
     # cache-blocked sub-steps with per-worker scratch, applied by the plan
     # optimizer when profitable. On by default; only meaningful when
@@ -53,7 +49,6 @@ class SouffleOptions:
     def from_level(cls, level: int, validate: bool = False,
                    verify: bool = False,
                    optimize_plans: bool = True,
-                   graph_executor: bool = False,
                    tile_reductions: bool = True,
                    certify: bool = False,
                    certify_unknown: str = "warn",
@@ -69,7 +64,6 @@ class SouffleOptions:
             validate=validate,
             verify=verify,
             optimize_plans=optimize_plans,
-            graph_executor=graph_executor,
             tile_reductions=tile_reductions,
             certify=certify,
             certify_unknown=certify_unknown,

@@ -17,7 +17,6 @@ construction can proceed concurrently. The pool guarantees:
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -39,21 +38,12 @@ class WorkerPool:
     what actually happened (for :class:`repro.runtime.module.CompileStats`).
     """
 
-    def __init__(
-        self, max_workers: Optional[int] = None, persistent: bool = False
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError(f"max_workers must be >= 0, got {max_workers}")
         self.max_workers = max_workers
         self.used_workers = 1
         self.fell_back = False
-        # A persistent pool keeps one ThreadPoolExecutor alive across calls:
-        # per-request dispatch (the executor's wave scheduler) cannot afford
-        # thread spawn/teardown on every map. Compile-time batches keep the
-        # default one-shot behaviour.
-        self.persistent = persistent
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
 
     def _resolve_workers(self, num_items: int) -> int:
         workers = self.max_workers
@@ -81,73 +71,3 @@ class WorkerPool:
             self.fell_back = True
             self.used_workers = 1
             return [fn(item) for item in items]
-
-    def _shared_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The persistent executor, created lazily (``None`` if serial)."""
-        workers = self.max_workers
-        if workers is None:
-            workers = default_worker_count()
-        if workers <= 1:
-            return None
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="repro-wave",
-                )
-            return self._executor
-
-    def run_all(self, thunks: Sequence[Callable[[], None]]) -> None:
-        """Run independent zero-arg tasks, concurrently when possible.
-
-        The wave-dispatch entry point: tasks have no results to order and
-        are *not* idempotent once partially run (a step may have overwritten
-        a dying operand's bytes in place), so unlike :meth:`map` a task
-        exception propagates instead of triggering a serial re-run. Serial
-        fallback applies only *before* any task starts — one worker, one
-        task, no persistent pool, or a pool that cannot accept work.
-        """
-        thunks = list(thunks)
-        if len(thunks) <= 1 or not self.persistent:
-            for thunk in thunks:
-                thunk()
-            return
-        pool = self._shared_executor()
-        if pool is None:
-            for thunk in thunks:
-                thunk()
-            return
-        try:
-            futures = [pool.submit(thunk) for thunk in thunks]
-        except RuntimeError:
-            # Pool shut down (interpreter teardown): degrade to serial.
-            for thunk in thunks:
-                thunk()
-            return
-        for future in futures:
-            future.result()
-
-    def submit(self, fn: Callable[..., None], *args) -> Optional[object]:
-        """Fire one task on the persistent executor (``None`` if serial).
-
-        The task-graph executor's helper-worker entry point: helpers are
-        best-effort — a serial pool, a single-CPU box, or a shut-down
-        executor simply returns ``None`` and the caller keeps the work on
-        its own thread. Correctness never depends on a submission landing.
-        """
-        if not self.persistent:
-            return None
-        pool = self._shared_executor()
-        if pool is None:
-            return None
-        try:
-            return pool.submit(fn, *args)
-        except RuntimeError:
-            return None
-
-    def close(self) -> None:
-        """Shut the persistent executor down (tests / explicit teardown)."""
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None

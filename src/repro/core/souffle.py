@@ -294,7 +294,6 @@ class SouffleCompiler:
             device=self.device,
             stats=stats,
             optimize_plans=options.optimize_plans,
-            graph_executor=options.graph_executor,
             tile_reductions=options.tile_reductions,
             certificates=certificates,
         )

@@ -30,8 +30,8 @@ from repro.runtime.task_graph import (
     TaskGraphStats,
     ThreadedScheduler,
     build_task_graph,
+    optimization_task_graph,
     random_topological_order,
-    task_graph_stats,
 )
 
 __all__ = [
@@ -62,8 +62,8 @@ __all__ = [
     "TaskGraphStats",
     "ThreadedScheduler",
     "build_task_graph",
+    "optimization_task_graph",
     "plan_memory",
     "profile_module",
     "random_topological_order",
-    "task_graph_stats",
 ]

@@ -40,6 +40,7 @@ import numpy as np
 from concurrent.futures import Future
 
 from repro.errors import ExecutionError
+from repro.runtime.profiler import percentiles
 from repro.runtime.session import InferenceSession, resolve_feeds_by_name
 from repro.te.tensor import Tensor
 
@@ -135,13 +136,17 @@ class BatchingServer:
     def submit(self, feeds: Feeds) -> "Future[List[np.ndarray]]":
         """Queue one request; the future resolves with its output list.
 
-        Feeds may be keyed by placeholder tensor or by name. Shape and
-        missing-placeholder errors raise here, synchronously.
+        Feeds may be keyed by placeholder tensor or by name; weights the
+        session has bound (``plan_state.bind_weights``) may be left out.
+        Shape and missing-placeholder errors raise here, synchronously.
         """
         resolved = self._resolve(feeds)
-        # Validate now: a bad request must fail at the door, not take a
-        # whole batch down with it later.
-        self.session.plan.bind_feeds(resolved)
+        # Validate now, with the session's weights merged in exactly as
+        # run/run_batch will: a bad request must fail at the door, not
+        # take a whole batch down with it later.
+        self.session.plan.bind_feeds(
+            self.session.plan_state.with_weights(resolved)
+        )
         pending = _Pending(resolved, Future())
         with self._state_lock:
             if self._stopping.is_set() or self._thread is None:
@@ -249,14 +254,7 @@ class BatchingServer:
         """p50/p95/p99 queue wait (seconds) over the bounded window."""
         with self._metrics_lock:
             window = list(self._queue_waits)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return percentiles(window)
 
     def profile_report(self):
         """The session's profile with server-side batching stats merged."""

@@ -12,8 +12,8 @@ with constants:
   map into its consumer(s) pays for the recompute with saved dispatch and
   materialisation, using the fitted dispatch intercept and byte rate;
 * ``prefer_matmul`` — measured einsum-vs-matmul verdict per step key;
-* ``wave_parallel_profitable`` — whether a wave's smallest measured step
-  still amortises a thread handoff;
+* ``parallel_profitable`` — whether a dependency level's smallest measured
+  step still amortises a thread handoff;
 * ``tiled_variants`` — measured per-block seconds by block size for one
   chain key.
 
@@ -39,8 +39,8 @@ DEFAULT_DISPATCH_SECONDS = 3e-6
 DEFAULT_BYTE_SECONDS = 1e-10
 DEFAULT_FLOP_SECONDS = 1e-9
 
-# A wave dispatch hands steps to pool threads and joins them; the smallest
-# member must be worth at least this much measured wall time before the
+# Parallel replay hands steps to pool threads; the smallest step of a
+# level must be worth at least this much measured wall time before the
 # handoff pays (matches the order of one cross-thread wakeup).
 MIN_PARALLEL_STEP_SECONDS = 5e-5
 
@@ -171,10 +171,10 @@ class CostModel:
             return None
         return matmul.seconds <= einsum.seconds
 
-    def wave_parallel_profitable(
+    def parallel_profitable(
         self, measured: List[Optional[float]]
     ) -> Optional[bool]:
-        """Dispatch one wave to the pool? None unless fully measured."""
+        """Overlap one level's steps? None unless fully measured."""
         if not measured or any(m is None for m in measured):
             return None
         return min(measured) >= max(

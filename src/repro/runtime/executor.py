@@ -21,10 +21,12 @@ into a topologically-ordered list of specialized step closures:
   intermediates share bytes and repeated calls allocate nothing but the
   model outputs.
 
-Executing a request is then a flat loop over the steps. Results are
+Executing a request is then a flat loop over the steps — or, for an
+optimized plan with parallel work (see :mod:`repro.runtime.plan_opt`), one
+pass of its :class:`~repro.runtime.task_graph.GraphExecutor`. Results are
 bit-identical to the :class:`Evaluator` (which remains the differential-
-testing oracle): both paths run the same numpy kernels in the same order on
-the same float64 operands.
+testing oracle): both paths run the same numpy kernels on the same float64
+operands.
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: einsum
@@ -496,20 +498,12 @@ class ExecutionPlan:
         program: TEProgram,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        executor: str = "wave",
         tile: bool = True,
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
         certify: bool = False,
         cost_model: Optional[object] = None,
     ) -> None:
-        if executor not in ("wave", "serial", "graph"):
-            raise PlanningError(
-                f"unknown executor {executor!r}; choose 'wave' (default), "
-                "'serial' (flat replay, the differential oracle) or "
-                "'graph' (task-graph scheduler)"
-            )
-        self.executor_kind = executor
         # Block-level tiling of reduction chains (runtime.tiling), applied
         # by the optimizer pass pipeline: default on, profitable chains
         # only. tile_budget overrides the footprint model's cache budget;
@@ -542,10 +536,13 @@ class ExecutionPlan:
         self._output_keys: List[int] = [id(t) for t in program.outputs]
         self._validate_layout()
         # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
-        # and fills these in (see repro.runtime.plan_opt).
+        # and fills these in (see repro.runtime.plan_opt). ``parallel`` is
+        # the replay rule's pick: the task graph when True, else the flat
+        # step loop. The graph itself is built on first use.
         self.optimization = None
-        self.waves: Optional[List[Tuple[Tuple[int, ...], bool]]] = None
-        self._wave_pool = None
+        self.parallel = False
+        self._graph_executor = None
+        self._graph_lock = threading.Lock()
         self._hoist_steps: List[Tuple[PlanStep, Tuple[int, ...]]] = []
         self._hoist_roots: List[Tensor] = []
         self._hoist_input_ids: List[int] = []
@@ -575,19 +572,6 @@ class ExecutionPlan:
                     "plan certification refuted: "
                     + "; ".join(c.render() for c in refuted)
                 )
-        # Task-graph executor state: compiled after optimization so the
-        # dependency table covers the *final* steps (fused groups, hoisted
-        # weights already stripped, elision-repacked arena).
-        self.task_graph = None
-        self.graph_executor = None
-        if executor == "graph":
-            from repro.runtime.task_graph import (
-                GraphExecutor,
-                build_task_graph,
-            )
-
-            self.task_graph = build_task_graph(self)
-            self.graph_executor = GraphExecutor(self.task_graph)
         ExecutionPlan.plans_built += 1
 
     # ---- construction ----------------------------------------------------
@@ -668,6 +652,29 @@ class ExecutionPlan:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def graph_executor(self):
+        """The :class:`~repro.runtime.task_graph.GraphExecutor` over a
+        certified task graph of the current steps, built on first use."""
+        if self._graph_executor is None:
+            from repro.runtime.task_graph import (
+                GraphExecutor,
+                build_task_graph,
+            )
+
+            with self._graph_lock:
+                if self._graph_executor is None:
+                    self._graph_executor = GraphExecutor(
+                        build_task_graph(self)
+                    )
+        return self._graph_executor
+
+    @property
+    def task_graph(self):
+        """The certified :class:`~repro.runtime.task_graph.TaskGraph` the
+        :attr:`graph_executor` runs."""
+        return self.graph_executor.graph
 
     def new_arena(self) -> Arena:
         """Allocate one workspace for this plan (reused across requests)."""
@@ -868,41 +875,23 @@ class ExecutionPlan:
 
         ``bound`` comes from :meth:`bind_feeds`; ``arena`` from
         :meth:`new_arena`. With ``step_seconds`` (a list of one float per
-        step) each step's wall time is accumulated into it. ``scheduler``
-        injects a :class:`~repro.runtime.task_graph.SchedulerPolicy` for
-        this request (graph executor only — the deterministic test hook).
+        step) each step's wall time is accumulated into it. A parallel
+        plan replays through its task graph; ``scheduler`` injects a
+        :class:`~repro.runtime.task_graph.SchedulerPolicy` for this request
+        and routes any plan through its task graph (built on first use) —
+        the deterministic test hook.
         """
         values = self._prepare_values(bound, arena)
-        if self.graph_executor is not None:
+        if self.parallel or scheduler is not None:
             self.graph_executor.run(
                 values, scheduler=scheduler, step_seconds=step_seconds
             )
-        elif scheduler is not None:
-            raise ExecutionError(
-                "scheduler injection requires ExecutionPlan("
-                "executor='graph')"
-            )
         elif step_seconds is None:
-            if self.waves is None or self.executor_kind == "serial":
-                for step in self.steps:
-                    step.run(values)
-            else:
-                steps = self.steps
-                pool = self._wave_pool
-                for positions, parallel in self.waves:
-                    if parallel and pool is not None:
-                        pool.run_all([
-                            (lambda s=steps[p], v=values: s.run(v))
-                            for p in positions
-                        ])
-                    else:
-                        for p in positions:
-                            steps[p].run(values)
+            for step in self.steps:
+                step.run(values)
         else:
             from time import perf_counter
 
-            # Timed replays run serially (self.steps is already in wave
-            # execution order) so per-step attribution stays exact.
             for i, step in enumerate(self.steps):
                 start = perf_counter()
                 step.run(values)
@@ -959,7 +948,6 @@ class BatchedExecutionPlan(ExecutionPlan):
         batch_size: int,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        executor: str = "wave",
         tile: bool = True,
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
@@ -973,7 +961,7 @@ class BatchedExecutionPlan(ExecutionPlan):
         # Set before super().__init__: the sizer and step builders read it.
         self.batch_size = int(batch_size)
         super().__init__(
-            program, memory_plan, optimize=optimize, executor=executor,
+            program, memory_plan, optimize=optimize,
             tile=tile, tile_budget=tile_budget,
             tile_block_rows=tile_block_rows, certify=certify,
             cost_model=cost_model,

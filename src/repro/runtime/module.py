@@ -123,7 +123,6 @@ class CompiledModule:
         stats: Optional[CompileStats] = None,
         program_loader: Optional[Callable[[], TEProgram]] = None,
         optimize_plans: bool = True,
-        graph_executor: bool = False,
         tile_reductions: bool = True,
         certificates: Sequence = (),
     ) -> None:
@@ -140,13 +139,10 @@ class CompiledModule:
         # compile cache rather than re-proved.
         self.certificates: List = list(certificates)
         # Whether sessions built from this module serve plan-optimized
-        # execution plans (SouffleOptions.optimize_plans), whether they
-        # replay through the task-graph scheduler instead of the wave
-        # scheduler (SouffleOptions.graph_executor), and whether the plan
-        # optimizer may tile reduction chains (SouffleOptions.
+        # execution plans (SouffleOptions.optimize_plans) and whether the
+        # plan optimizer may tile reduction chains (SouffleOptions.
         # tile_reductions, see runtime.tiling).
         self.optimize_plans = optimize_plans
-        self.graph_executor = graph_executor
         self.tile_reductions = tile_reductions
         self._session: Optional["InferenceSession"] = None
 
@@ -201,7 +197,6 @@ class CompiledModule:
             self._session = InferenceSession(
                 self.program, name=self.name,
                 optimize=self.optimize_plans,
-                executor="graph" if self.graph_executor else "wave",
                 tile=self.tile_reductions,
             )
         return self._session

@@ -4,8 +4,8 @@ and arena layout before its first replay.
 The compiler-side global analysis (Sec. 5-6 of the paper) fuses TEs and
 plans reuse *inside* kernels; this module is its runtime mirror over the
 :class:`~repro.runtime.executor.ExecutionPlan` step DAG. Four passes, each
-optional and each required to keep replay bit-identical to the unoptimized
-plan:
+required to keep replay bit-identical to the unoptimized plan (the first
+three can be switched off for tests and ablation):
 
 1. **Weight-subgraph hoisting** (Sec. 5.1 temporal reuse) — steps whose
    transitive inputs are all session-bound constants (``role="weight"``
@@ -18,11 +18,18 @@ plan:
    elementwise step whose input buffer dies at that step writes into its
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
    fully evaluate their value into temporaries before the final ``copyto``.
-4. **Wave scheduling** (Sec. 6.1 horizontal packing) — steps are levelised
-   into dependency waves; byte-conflicting same-level steps are split into
-   sequential sub-waves, and big independent steps dispatch onto a shared
-   :class:`~repro.core.parallel.WorkerPool` (numpy releases the GIL inside
-   ufunc/einsum/BLAS loops), with a serial fallback.
+4. **Level ordering and the replay rule** (Sec. 6.1 horizontal packing) —
+   steps are emitted in dependency-level order, so steps sharing a level
+   stay live together and the repacked arena gives them disjoint bytes.
+   One rule, fixed at plan build, then picks the replay: when some level
+   (a data level not split by the certified task graph's byte-conflict
+   edges) holds at least two steps that each move
+   :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements and the machine has more
+   than one worker, the plan replays through the
+   :class:`~repro.runtime.task_graph.GraphExecutor` (numpy releases the
+   GIL inside ufunc/einsum/BLAS loops); otherwise it replays as a flat
+   serial step loop and keeps no task graph. The graph is built only for
+   plans with a data level of two such steps.
 
 On top of the mandated passes, einsum-shaped steps are *specialized* to
 direct ``np.matmul(..., out=view)`` calls — but only when a plan-time
@@ -46,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analysis.liveness import LiveRange
-from repro.core.parallel import WorkerPool
+from repro.core.parallel import default_worker_count
 from repro.errors import PlanningError
 from repro.graph.te_program import TENode, TEProgram
 from repro.runtime.memory_planner import (
@@ -62,15 +69,10 @@ from repro.te.tensor import Tensor
 from repro.te.traversal import collect_reads, input_tensors
 from repro.verify.view import ProgramView
 
-# Parallel wave dispatch pays thread handoff (~tens of us per wave); only
-# waves where every step moves at least this many elements are eligible,
-# so small models stay serial. Tests monkeypatch this to force dispatch.
+# Parallel replay pays a thread handoff (~tens of us per task); only steps
+# that move at least this many elements count towards a parallel level, so
+# small models stay serial. Tests monkeypatch this to force the task graph.
 PARALLEL_MIN_WAVE_ELEMENTS = 1 << 16
-
-# One process-wide persistent pool shared by every optimized plan: wave
-# work is GIL-releasing numpy, so a single bounded thread set serves all
-# concurrent sessions without per-request executor churn.
-WAVE_POOL = WorkerPool(persistent=True)
 
 
 def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
@@ -187,8 +189,7 @@ class OptimizeStats:
     elided_bytes: int = 0            # arena bytes merged away by elision
     specialized_contractions: int = 0
     einsum_steps: int = 0
-    wave_count: int = 0
-    parallel_waves: int = 0          # waves eligible for pool dispatch
+    parallel_waves: int = 0          # task-graph levels eligible to overlap
     workspace_before: int = 0
     workspace_after: int = 0
     # Block-level tiling (runtime.tiling): reduction chains split into
@@ -203,8 +204,11 @@ class OptimizeStats:
     tuned: bool = False              # a cost model with measurements drove us
     tuned_fusions: int = 0           # map->reduce inlines chosen by measurement
     duplicated_maps: int = 0         # multi-consumer maps recomputed per use
-    demoted_waves: int = 0           # waves the measurements kept serial
-    flattened_schedule: bool = False  # wave machinery dropped: serial replay
+
+    @property
+    def replay(self) -> str:
+        """The replay rule's pick: ``graph`` when any level is eligible."""
+        return "graph" if self.parallel_waves else "serial"
 
     @property
     def arena_bytes_saved(self) -> int:
@@ -229,7 +233,7 @@ class OptimizeStats:
             f"({self.hoisted_steps} hoisted, {self.fused_steps} fused), "
             f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
             f"specialized, {self.elided_buffers} elided, "
-            f"{self.wave_count} waves, "
+            f"{self.replay} replay, "
             f"{self.arena_bytes_saved} arena bytes saved"
             f"{tiled}{tuned}"
         )
@@ -252,21 +256,16 @@ class OptimizeStats:
             f"({self.tiled_steps} steps -> {self.tiled_blocks} blocks, "
             f"block rows {blocks}, "
             f"{self.scratch_bytes} scratch bytes/worker)",
-            f"waves:             {self.wave_count} "
-            f"({self.parallel_waves} parallel-eligible)",
+            f"replay:            {self.replay} "
+            f"({self.parallel_waves} parallel levels)",
             f"arena workspace:   {self.workspace_before} -> "
             f"{self.workspace_after} bytes "
             f"({self.arena_bytes_saved} saved)",
         ]
         if self.tuned:
-            flat = (
-                ", wave machinery dropped (serial replay)"
-                if self.flattened_schedule else ""
-            )
             lines.append(
                 f"measured tuning:   {self.tuned_fusions} map->reduce "
-                f"fusions, {self.duplicated_maps} duplicated maps, "
-                f"{self.demoted_waves} waves kept serial{flat}"
+                f"fusions, {self.duplicated_maps} duplicated maps"
             )
         return "\n".join(lines)
 
@@ -286,12 +285,12 @@ class PlanOptimization:
     hoist_boundary: List[Tensor]     # hoisted tensors read by live steps
     groups: List[StepGroup]          # optimized steps, execution order
     elided: Dict[int, Tensor]        # group position -> operand reused
-    waves: Optional[List[List[int]]]  # group positions per sub-wave
     memory_plan: MemoryPlan
     inplace_pairs: Set[Tuple[int, int]]  # (writer tensor id, operand id)
     step_view: ProgramView
     stats: OptimizeStats = field(default_factory=OptimizeStats)
     tiled_chains: List = field(default_factory=list)  # tiling.TiledChain
+    levels: List[int] = field(default_factory=list)  # data level per group
 
 
 # ---- static pass pipeline ---------------------------------------------------
@@ -304,7 +303,6 @@ def plan_optimization(
     hoist: bool = True,
     fuse: bool = True,
     elide: bool = True,
-    waves: bool = True,
     tile: bool = True,
     tile_budget: Optional[int] = None,
     tile_block_rows: Optional[int] = None,
@@ -323,10 +321,10 @@ def plan_optimization(
 
     ``cost_model`` (a :class:`repro.runtime.cost_model.CostModel` with
     measurements) unlocks the *measured* decisions: map→reduce fusion and
-    multi-consumer map duplication where dispatch dominates, measured
-    wave-dispatch gating, and measured tile block-row selection. With no
-    model — or a model over an empty profile store — every decision below
-    is taken by the static rules alone, bit-for-bit as before.
+    multi-consumer map duplication where dispatch dominates, and measured
+    tile block-row selection. With no model — or a model over an empty
+    profile store — every decision below is taken by the static rules
+    alone, bit-for-bit as before.
     """
     if sizer is None:
         from repro.runtime.executor import EXEC_ITEMSIZE
@@ -539,10 +537,10 @@ def plan_optimization(
         (c.scratch_bytes for c in tiled_chains), default=0
     )
 
-    # ---- pass 4 (ordering half): levelise into dependency waves ---------
-    # Waves fix the *execution order* the repacker must model, so the
-    # levelisation runs before elision/packing; the byte-conflict sub-wave
-    # split below needs the final layout and runs after.
+    # ---- pass 4 (ordering): emit steps in dependency-level order ---------
+    # The order fixes the liveness the repacker models, so it runs before
+    # elision/packing: steps sharing a level stay live together and get
+    # disjoint bytes, which leaves the task graph free to overlap them.
     # A tiled chain's blocks all "produce" the chain terminal tensor, so
     # the producer map is multi-valued: a reader depends on every block.
     producer_groups: Dict[int, List[int]] = {}
@@ -550,48 +548,23 @@ def plan_optimization(
         producer_groups.setdefault(id(g.terminal.tensor), []).append(
             g.position
         )
-    deps: List[List[int]] = []
+    level: List[int] = [0] * len(groups)
     for g in groups:
-        deps.append(sorted({
-            pos
-            for t in g.reads
-            for pos in producer_groups.get(id(t), ())
-        }))
-    if waves:
-        level: List[int] = [0] * len(groups)
-        for g in groups:
-            level[g.position] = 1 + max(
-                (level[d] for d in deps[g.position]), default=-1
-            )
-        by_level: Dict[int, List[int]] = {}
-        for g in groups:
-            by_level.setdefault(level[g.position], []).append(g.position)
-        execution_order = [
-            pos for lvl in sorted(by_level) for pos in by_level[lvl]
-        ]
-        level_waves: List[List[int]] = [
-            by_level[lvl] for lvl in sorted(by_level)
-        ]
-    else:
-        execution_order = list(range(len(groups)))
-        level_waves = []
-
-    # Renumber positions to execution order: packing liveness, the step
-    # view and the executor's step list all use these positions, so the
-    # replayed order and the modelled order can never drift apart.
-    reordered: List[StepGroup] = []
-    for new_pos, old_pos in enumerate(execution_order):
-        group = groups[old_pos]
+        level[g.position] = 1 + max(
+            (
+                level[pos]
+                for t in g.reads
+                for pos in producer_groups.get(id(t), ())
+            ),
+            default=-1,
+        )
+    # Stable sort, then renumber positions to execution order: packing
+    # liveness, the step view and the executor's step list all use these
+    # positions, so the replayed and the modelled order never drift apart.
+    groups = sorted(groups, key=lambda g: level[g.position])
+    levels = [level[g.position] for g in groups]
+    for new_pos, group in enumerate(groups):
         group.position = new_pos
-        reordered.append(group)
-    groups = reordered
-    if waves:
-        # Positions were renumbered to execution order, under which each
-        # wave occupies a contiguous, increasing run.
-        old_to_new = {old: new for new, old in enumerate(execution_order)}
-        level_waves = [
-            sorted(old_to_new[old] for old in wave) for wave in level_waves
-        ]
 
     # ---- pass 3: in-place elision ---------------------------------------
     # With map duplication one tensor can be read by several groups even
@@ -734,53 +707,6 @@ def plan_optimization(
     stats.elided_bytes = sum(_align(sizer(t)) for t in elided.values())
     stats.workspace_after = workspace
 
-    # ---- pass 4 (conflict half): split waves on byte overlap ------------
-    byte_range = {
-        id(t): (a.offset, a.offset + a.nbytes)
-        for t, a in memory_plan.assignments.items()
-    }
-
-    def ranges_overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-        return a[0] < b[1] and b[0] < a[1]
-
-    def conflicts(p: StepGroup, q: StepGroup) -> bool:
-        p_chain = getattr(p, "chain", None)
-        if p_chain is not None and p_chain is getattr(q, "chain", None):
-            # Sibling blocks of one chain write disjoint row slices of the
-            # same buffer and read disjoint slices of the same externals:
-            # safe to run concurrently within a wave by construction.
-            return False
-        wp = byte_range.get(id(p.terminal.tensor))
-        wq = byte_range.get(id(q.terminal.tensor))
-        for write, other in ((wp, q), (wq, p)):
-            if write is None:
-                continue
-            for t in other.reads:
-                r = byte_range.get(id(t))
-                if r is not None and ranges_overlap(write, r):
-                    return True
-        return wp is not None and wq is not None and ranges_overlap(wp, wq)
-
-    final_waves: Optional[List[List[int]]] = None
-    if waves:
-        final_waves = []
-        for wave in level_waves:
-            current = [wave[0]]
-            for pos in wave[1:]:
-                if any(conflicts(groups[pos], groups[prev])
-                       for prev in current):
-                    # A new sub-wave preserves position order between
-                    # byte-conflicting steps (positions only ever grow
-                    # within a wave), so packing stays sound.
-                    final_waves.append(current)
-                    current = [pos]
-                else:
-                    current.append(pos)
-            final_waves.append(current)
-    stats.wave_count = (
-        len(final_waves) if final_waves is not None else len(groups)
-    )
-
     # ---- verifier view ---------------------------------------------------
     view_nodes = [
         _StepNode(g.position, g.terminal.tensor, g.name, list(g.reads))
@@ -804,12 +730,12 @@ def plan_optimization(
         hoist_boundary=hoist_boundary,
         groups=groups,
         elided=elided,
-        waves=final_waves,
         memory_plan=memory_plan,
         inplace_pairs=inplace_pairs,
         step_view=step_view,
         stats=stats,
         tiled_chains=tiled_chains,
+        levels=levels,
     )
 
 
@@ -820,8 +746,8 @@ class _OverlayValues(dict):
     """Per-call value namespace layered over the shared values dict.
 
     Fused groups that recompute a *duplicated* interior write its value
-    here instead of into the shared dict, so sibling groups dispatched
-    concurrently in one wave never publish overlapping keys; reads of
+    here instead of into the shared dict, so sibling groups the task graph
+    runs concurrently never publish overlapping keys; reads of
     everything else fall through to the underlying request values.
     """
 
@@ -991,8 +917,9 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
     Rewrites ``plan.steps`` and ``plan.memory_plan``, installs the hoist
-    cache and wave schedule, and re-validates the rewritten layout through
-    the verifier's arena-hazard pass (in-place pairs allowlisted). Raises
+    cache, re-validates the rewritten layout through the verifier's
+    arena-hazard pass (in-place pairs allowlisted) and applies the replay
+    rule (:func:`apply_replay_rule`). Raises
     :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
     """
     from repro.analysis.characterize import step_cost_features
@@ -1115,49 +1042,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
             specialized += 1
     opt.stats.specialized_contractions = specialized
 
-    wave_schedule = None
-    if opt.waves is not None and len(opt.waves) < len(opt.groups):
-        lanes = 1 if plan.batch_size is None else plan.batch_size
-
-        def group_work(g) -> int:
-            if hasattr(g, "work_elements"):
-                return g.work_elements(lanes)  # tiled: per-block share
-            return sum(lanes * m.tensor.num_elements for m in g.members)
-
-        wave_schedule = []
-        for wave in opt.waves:
-            work = min(group_work(opt.groups[pos]) for pos in wave)
-            parallel = (
-                len(wave) >= 2 and work >= PARALLEL_MIN_WAVE_ELEMENTS
-            )
-            if cost_model is not None and parallel:
-                # Measured gate, demote-only: a statically-parallel wave
-                # stays on the pool only when its smallest measured step
-                # still amortises a thread handoff. Never promotes — the
-                # evaluator holds the GIL through most of a step, so
-                # measured-large steps do not imply parallel pays.
-                verdict = cost_model.wave_parallel_profitable([
-                    cost_model.measured_seconds(
-                        new_steps[pos].step_key, new_steps[pos].kind
-                    )
-                    for pos in wave
-                ])
-                if verdict is False:
-                    opt.stats.demoted_waves += 1
-                    parallel = False
-            wave_schedule.append((tuple(wave), parallel))
-        opt.stats.parallel_waves = sum(
-            1 for _, parallel in wave_schedule if parallel
-        )
-        if cost_model is not None and opt.stats.parallel_waves == 0:
-            # Measured flatten: when no wave survives as parallel, the
-            # wave machinery is pure per-wave overhead — the flat serial
-            # step loop replays the identical step order (waves are built
-            # in position order), so dropping the schedule is
-            # order-preserving and bit-identical.
-            wave_schedule = None
-            opt.stats.flattened_schedule = True
-
     opt.memory_plan.validate()
     report = verify_plan(
         opt.step_view,
@@ -1174,11 +1058,91 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
 
     plan.steps = new_steps
     plan.memory_plan = opt.memory_plan
-    plan.waves = wave_schedule
-    plan._wave_pool = WAVE_POOL if wave_schedule is not None else None
     plan._hoist_steps = hoist_steps
     plan._hoist_roots = list(opt.hoist_roots)
     plan._hoist_boundary_ids = [id(t) for t in opt.hoist_boundary]
     plan._hoist_input_ids = [id(t) for t in opt.hoist_roots]
     plan.optimization = opt
+    plan._graph_executor = None  # any graph built so far is stale
+    plan.parallel = apply_replay_rule(
+        opt, plan.batch_size, lambda: plan.task_graph,
+        cost_model=cost_model, steps=new_steps,
+    )
+    if not plan.parallel:
+        # Byte conflicts or the measured veto emptied every level after
+        # the graph was built: a serial plan keeps no graph.
+        plan._graph_executor = None
     return opt
+
+
+# ---- the replay rule --------------------------------------------------------
+
+
+def _group_work(group: StepGroup, lanes: int) -> int:
+    """Elements one step group moves (a tiled block counts its share)."""
+    if hasattr(group, "work_elements"):
+        return group.work_elements(lanes)
+    return sum(lanes * m.tensor.num_elements for m in group.members)
+
+
+def _parallel_levels(
+    level_of: Sequence, big: Sequence[int], cost_model=None, steps=()
+) -> int:
+    """How many levels hold two or more big steps the cost model keeps."""
+    by_level: Dict[object, List[int]] = {}
+    for pos in big:
+        by_level.setdefault(level_of[pos], []).append(pos)
+    eligible = 0
+    for positions in by_level.values():
+        if len(positions) < 2:
+            continue
+        if cost_model is not None and cost_model.parallel_profitable([
+            cost_model.measured_seconds(steps[p].step_key, steps[p].kind)
+            for p in positions
+        ]) is False:
+            continue
+        eligible += 1
+    return eligible
+
+
+def apply_replay_rule(
+    opt: PlanOptimization,
+    batch_size: Optional[int],
+    task_graph: Callable[[], object],
+    cost_model=None,
+    steps: Sequence = (),
+) -> bool:
+    """Pick the replay engine of one optimized plan; True for the task graph.
+
+    A plan replays through its task graph when some level holds at least
+    two steps that each move :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements,
+    and the machine has more than one worker; otherwise it replays as a
+    flat serial step loop. A level is a dependency level of the step DAG
+    (``opt.levels``) intersected with one of the certified task graph,
+    whose byte-conflict edges can split it: steps sharing a level share
+    neither data nor bytes, so they can overlap. Records the eligible
+    levels as ``opt.stats.parallel_waves``.
+
+    ``task_graph`` builds (or returns) the certified graph. It is called
+    only when some data level holds two big steps, so a plan without one
+    is decided serial without a build.
+
+    A measured ``cost_model`` can only demote: a level whose big steps
+    measure too small to amortise a thread handoff does not count. It
+    never promotes — the evaluator holds the GIL through most of a step,
+    so measured-large steps do not imply that overlap pays.
+    """
+    lanes = 1 if batch_size is None else batch_size
+    big = [
+        g.position for g in opt.groups
+        if _group_work(g, lanes) >= PARALLEL_MIN_WAVE_ELEMENTS
+    ]
+    eligible = 0
+    if default_worker_count() > 1 and _parallel_levels(opt.levels, big):
+        graph_levels = task_graph().levels
+        eligible = _parallel_levels(
+            [(d, graph_levels[p]) for p, d in enumerate(opt.levels)],
+            big, cost_model, steps,
+        )
+    opt.stats.parallel_waves = eligible
+    return eligible > 0

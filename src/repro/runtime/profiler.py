@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.gpu.kernel import KernelMetrics
 from repro.gpu.simulator import ModuleMetrics
@@ -123,6 +125,15 @@ def profile_module(module: CompiledModule) -> ProfileReport:
 # The counters above come from the analytic GPU model; the plan-based numpy
 # execution engine reports *measured* wall time instead. Both surface through
 # this module so serving and simulation share one profiling namespace.
+
+
+def percentiles(samples: Iterable[float]) -> Dict[str, float]:
+    """p50/p95/p99 of a window of samples (all zero for an empty window)."""
+    window = list(samples)
+    if not window:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    p50, p95, p99 = np.percentile(np.asarray(window), (50, 95, 99))
+    return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
 
 
 @dataclass
@@ -280,7 +291,7 @@ class ExecutionProfile:
     batching: Optional[BatchStats] = None
     # One-line plan-optimizer summary (None for unoptimized plans).
     optimizer_summary: Optional[str] = None
-    # Task-graph scheduler counters (None for wave/serial plans).
+    # Task-graph scheduler counters (None for serially replayed plans).
     scheduler: Optional[SchedulerStats] = None
 
     @property

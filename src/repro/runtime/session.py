@@ -104,7 +104,6 @@ class PlanState:
         plan: Optional[ExecutionPlan] = None,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         cost_model: Optional[object] = None,
     ) -> None:
@@ -116,12 +115,10 @@ class PlanState:
         self.cost_model = cost_model
         self.plan = (
             plan if plan is not None
-            else ExecutionPlan(program, optimize=optimize, executor=executor,
-                               tile=tile, cost_model=cost_model)
+            else ExecutionPlan(program, optimize=optimize, tile=tile,
+                               cost_model=cost_model)
         )
         self._program_hash: Optional[str] = None
-        # An explicit plan wins: batched buckets follow its engine choice.
-        self.executor = self.plan.executor_kind
         buckets = sorted(set(int(b) for b in batch_buckets))
         if not buckets or buckets[0] < 2:
             raise ExecutionError(
@@ -222,8 +219,7 @@ class PlanState:
         if plan is None:
             built = BatchedExecutionPlan(
                 self.plan.program, bucket, optimize=self.optimize,
-                executor=self.executor, tile=self.tile,
-                cost_model=self.cost_model,
+                tile=self.tile, cost_model=self.cost_model,
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
@@ -233,25 +229,6 @@ class PlanState:
                     values_by_name=self.hoisted_by_name or None,
                 )
         return plan
-
-    def batch_plan_or_none(
-        self, bucket: int
-    ) -> Optional[BatchedExecutionPlan]:
-        """Like :meth:`batch_plan` but a build failure disables the bucket.
-
-        Batching is an optimisation: a program whose broadcast grids are
-        too large for ``bucket`` lanes (or that indexes data-dependently)
-        must degrade to smaller buckets or unbatched replay, not error.
-        """
-        with self._lock:
-            if bucket in self.unbatchable_buckets:
-                return None
-        try:
-            return self.batch_plan(bucket)
-        except (ExecutionError, PlanningError):
-            with self._lock:
-                self.unbatchable_buckets.add(bucket)
-            return None
 
 
 class ArenaState:
@@ -332,7 +309,6 @@ class InferenceSession:
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         latency_window: int = DEFAULT_LATENCY_WINDOW,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         plan_state: Optional[PlanState] = None,
         collect_profiles: bool = False,
@@ -343,9 +319,6 @@ class InferenceSession:
         # Serving defaults to optimized plans (the pass pipeline is proven
         # bit-identical at plan time); ``optimize=False`` serves the plain
         # lowering, and an explicit ``plan`` is used as-is either way.
-        # ``executor`` picks the replay engine for the session's plan *and*
-        # its per-bucket batched plans: "wave" (default), "serial", or
-        # "graph" (the task-graph scheduler, see runtime.task_graph).
         # ``tile`` gates the optimizer's block-level tiling of reduction
         # chains (runtime.tiling) for the plan and its batched buckets.
         # ``collect_profiles`` measures per-step wall time on every request
@@ -356,8 +329,7 @@ class InferenceSession:
         if plan_state is None:
             plan_state = PlanState(
                 program, plan=plan, batch_buckets=batch_buckets,
-                optimize=optimize, executor=executor, tile=tile,
-                cost_model=cost_model,
+                optimize=optimize, tile=tile, cost_model=cost_model,
             )
         self.plan_state = plan_state
         self.profile = profile
@@ -410,10 +382,6 @@ class InferenceSession:
     @property
     def tile(self) -> bool:
         return self.plan_state.tile
-
-    @property
-    def executor(self) -> str:
-        return self.plan_state.executor
 
     @property
     def batch_buckets(self) -> Tuple[int, ...]:
@@ -529,9 +497,14 @@ class InferenceSession:
     def _batch_plan_or_none(
         self, bucket: int
     ) -> Optional[BatchedExecutionPlan]:
-        # Routed through self.batch_plan (not PlanState directly) so a
-        # session-level override sees the build attempt; the unbatchable
-        # set itself is shared state on the PlanState.
+        """Like :meth:`batch_plan` but a build failure disables the bucket.
+
+        Batching is an optimisation: a program whose broadcast grids are
+        too large for ``bucket`` lanes (or that indexes data-dependently)
+        must degrade to smaller buckets or unbatched replay, not error.
+        Routed through ``self.batch_plan`` so a session-level override
+        sees the build attempt; the unbatchable set is shared PlanState.
+        """
         state = self.plan_state
         with state._lock:
             if bucket in state.unbatchable_buckets:
@@ -759,17 +732,12 @@ class InferenceSession:
 
     def latency_percentiles(self) -> Dict[str, float]:
         """p50/p95/p99 request latency (seconds) over the bounded window."""
+        from repro.runtime.profiler import percentiles
+
         state = self.arena_state
         with state.lock:
             window = list(state.latencies)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return percentiles(window)
 
     def profile_report(self):
         """Per-step/per-request timing as an ``ExecutionProfile``."""
@@ -781,7 +749,8 @@ class InferenceSession:
         )
 
         percentiles = self.latency_percentiles()
-        graph_exec = self.plan.graph_executor
+        # Requests replayed through the task graph only on a parallel plan.
+        graph_exec = self.plan.graph_executor if self.plan.parallel else None
         pooled = self.arenas_pooled
         state = self.arena_state
         with state.lock:

@@ -52,6 +52,7 @@ from repro.errors import ExecutionError
 from repro.frontends.serialize import graph_from_dict, graph_to_dict
 from repro.graph.graph import Graph
 from repro.graph.lowering import lower_graph
+from repro.runtime.profiler import percentiles
 from repro.runtime.session import (
     DEFAULT_BATCH_BUCKETS,
     DEFAULT_MAX_POOL,
@@ -120,7 +121,6 @@ class WorkerConfig:
     """Plan/session knobs shipped to every worker (picklable)."""
 
     optimize: bool = True
-    executor: str = "wave"
     tile: bool = True
     batch_buckets: Tuple[int, ...] = DEFAULT_BATCH_BUCKETS
     max_pool: int = DEFAULT_MAX_POOL
@@ -193,7 +193,6 @@ def _worker_main(
             program,
             batch_buckets=config.batch_buckets,
             optimize=config.optimize,
-            executor=config.executor,
             tile=config.tile,
         )
         weights = store.weights_by_name()
@@ -318,7 +317,6 @@ class ShardedServer:
         max_batch_size: int = 8,
         max_queue_delay_ms: float = 2.0,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         max_pool: int = DEFAULT_MAX_POOL,
@@ -352,7 +350,6 @@ class ShardedServer:
         self._graph_doc = graph_to_dict(graph)
         self._config = WorkerConfig(
             optimize=optimize,
-            executor=executor,
             tile=tile,
             batch_buckets=tuple(sorted(set(int(b) for b in batch_buckets))),
             max_pool=max_pool,
@@ -372,7 +369,6 @@ class ShardedServer:
             program,
             batch_buckets=self._config.batch_buckets,
             optimize=optimize,
-            executor=executor,
             tile=tile,
         )
         self.name = program.name
@@ -879,14 +875,7 @@ class ShardedServer:
         """p50/p95/p99 submit->resolve latency (seconds, bounded window)."""
         with self._lock:
             window = list(self._latencies)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return percentiles(window)
 
     def refresh_replica_stats(self, timeout_s: float = 2.0) -> None:
         """Round-trip a stats request to every alive replica."""

@@ -1,13 +1,15 @@
 """Mega-step execution: the plan as one persistent task graph.
 
-PR 5's wave scheduler replays the optimized step list wave by wave, with a
-worker-pool dispatch *and a barrier* after every wave. For deep models the
-barrier is the cost: LSTM replays hundreds of small waves per request, and
-each one pays future creation, handoff and a join even though most waves
-chain straight into the next. MPK's observation (PAPERS.md) is that this
-dispatch overhead disappears once the whole program becomes a single
-persistent task graph with an internal scheduler — the per-request path
-collapses to "reset counters, bind feeds, kick root tasks, wait on sinks".
+Replaying a plan's independent steps level by level would pay a
+worker-pool dispatch *and a barrier* after every dependency level; deep
+models chain hundreds of small levels per request. MPK's observation
+(PAPERS.md) is that this dispatch overhead disappears once the whole
+program becomes a single persistent task graph with an internal scheduler
+— the per-request path collapses to "reset counters, bind feeds, kick root
+tasks, wait on sinks". An optimized plan replays through its task graph
+when the plan optimizer's replay rule finds parallel work
+(:func:`repro.runtime.plan_opt.apply_replay_rule`); every other plan
+replays as a flat serial step loop and builds its graph only on demand.
 
 This module is that analogue for the numpy execution engine:
 
@@ -28,7 +30,7 @@ This module is that analogue for the numpy execution engine:
   exactly the bug class this repo's verifier exists for.
 * :class:`GraphExecutor` runs one request: copy the predecessor-count
   template, push the roots, and let workers pull ready tasks from shared
-  deques with **no per-wave barriers**. A worker finishing a task runs a
+  deques with **no per-level barriers**. A worker finishing a task runs a
   newly-enabled successor inline (chain continuation), so a dependency
   chain stays on one thread with zero handoffs — the LSTM case.
 
@@ -45,22 +47,47 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.characterize import characterize_program
-from repro.core.parallel import WorkerPool, default_worker_count
+from repro.core.parallel import default_worker_count
 from repro.errors import ExecutionError, PlanningError
 
 # Worker-affinity tags (paper Sec. 5.3 characterisation).
 TAG_COMPUTE = "compute"
 TAG_MEMORY = "memory"
 
-# One process-wide persistent pool shared by every graph executor: task
-# work is GIL-releasing numpy, so a single bounded thread set serves all
-# concurrent sessions without per-request thread churn.
-GRAPH_POOL = WorkerPool(persistent=True)
+# One process-wide helper pool shared by every graph executor, created on
+# first use: task work is GIL-releasing numpy, so a single bounded thread
+# set serves all concurrent sessions without per-request thread churn.
+_HELPER_POOL: Optional[ThreadPoolExecutor] = None
+_HELPER_POOL_LOCK = threading.Lock()
+
+
+def _submit_helper(fn, *args):
+    """Fire one helper worker on the shared pool (``None`` if serial).
+
+    Helpers are best-effort: a single-CPU box or a shut-down pool simply
+    returns ``None`` and the caller keeps the work on its own thread.
+    Correctness never depends on a submission landing.
+    """
+    global _HELPER_POOL
+    workers = default_worker_count()
+    if workers <= 1:
+        return None
+    with _HELPER_POOL_LOCK:
+        if _HELPER_POOL is None:
+            _HELPER_POOL = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-task"
+            )
+        pool = _HELPER_POOL
+    try:
+        return pool.submit(fn, *args)
+    except RuntimeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -142,6 +169,11 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    @property
+    def levels(self) -> List[int]:
+        """Dependency level per task (roots are level 0)."""
+        return _dependency_levels(self.successors)
+
     def verify_cover(self):
         """Re-run the hazard-cover certification; returns diagnostics.
 
@@ -165,16 +197,20 @@ class TaskGraph:
 # ---- construction -----------------------------------------------------------
 
 
+def _group_entries(groups):
+    """(name, output tensor, external reads, member nodes) per step group."""
+    return [
+        (g.name, g.terminal.tensor, list(g.reads), list(g.members))
+        for g in groups
+    ]
+
+
 def _plan_entries(plan):
-    """(name, output tensor, external reads, member nodes) per step, plus
-    the verifier view the positions are expressed over."""
+    """Task entries per step, plus the verifier view the positions are
+    expressed over."""
     opt = plan.optimization
     if opt is not None:
-        entries = [
-            (g.name, g.terminal.tensor, list(g.reads), list(g.members))
-            for g in opt.groups
-        ]
-        return entries, opt.step_view
+        return _group_entries(opt.groups), opt.step_view
     entries = [
         (n.name, n.tensor, list(n.inputs), [n])
         for n in plan.program.nodes
@@ -190,8 +226,8 @@ def _build_structure(
     Data edges connect a producer position to every position reading its
     tensor. Conflict edges serialize, in serial-replay order, every pair
     of positions that touch overlapping arena byte ranges through
-    *different* tensors — the buffer-reuse WAR/WAW pairs that the wave
-    scheduler used to order with barriers. Readers of the same bytes never
+    *different* tensors — the buffer-reuse WAR/WAW pairs that a barrier
+    between levels would otherwise order. Readers of the same bytes never
     conflict with each other.
     """
     n = len(entries)
@@ -290,16 +326,24 @@ def _build_structure(
     return successors, preds, data_edges, kept_conflicts
 
 
-def _level_stats(successors: Sequence[Tuple[int, ...]],
-                 preds: Sequence[int]) -> Tuple[int, int]:
-    """(critical path in tasks, max dependency-level width)."""
-    n = len(successors)
-    level = [0] * n
-    for i in range(n):
-        for j in successors[i]:
+def _dependency_levels(successors: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Per-task level: 0 for roots, else one past the deepest predecessor.
+
+    Edges always point forward (construction enforces topological
+    positions), so one forward sweep settles every level.
+    """
+    level = [0] * len(successors)
+    for i, out in enumerate(successors):
+        for j in out:
             if level[i] + 1 > level[j]:
                 level[j] = level[i] + 1
-    if n == 0:
+    return level
+
+
+def _level_stats(successors: Sequence[Tuple[int, ...]]) -> Tuple[int, int]:
+    """(critical path in tasks, max dependency-level width)."""
+    level = _dependency_levels(successors)
+    if not level:
         return 0, 0
     widths: Dict[int, int] = {}
     for lv in level:
@@ -323,7 +367,7 @@ def _assemble(program, entries, view, memory_plan, steps) -> TaskGraph:
     successors, preds, data_edges, conflict_edges = _build_structure(
         entries, memory_plan
     )
-    critical, width = _level_stats(successors, preds)
+    critical, width = _level_stats(successors)
     tags = _tag_entries(program, entries)
     tasks = []
     for pos, (name, _, _, _) in enumerate(entries):
@@ -368,46 +412,17 @@ def build_task_graph(plan) -> TaskGraph:
                      plan.steps)
 
 
-def task_graph_stats(
-    program,
-    batch_size: Optional[int] = None,
-    optimize: bool = True,
-    tile: bool = True,
-    tile_budget: Optional[int] = None,
-    tile_block_rows: Optional[int] = None,
-) -> TaskGraphStats:
-    """Static task-graph shape without building an executable plan.
+def optimization_task_graph(opt) -> TaskGraph:
+    """Certified structure-only task graph over a static optimizer result.
 
-    Paper-scale models exceed the functional executor's grid limits, so
-    ``repro plan-stats --executor graph`` derives the structure from the
-    static planner output (or the raw lowering) instead. The tiling knobs
-    mirror :func:`repro.runtime.plan_opt.plan_optimization`, so ready-width
-    is reported over the *post-tiling* step list.
+    ``opt`` is a :class:`~repro.runtime.plan_opt.PlanOptimization`. No
+    executable steps are built, so it also covers paper-scale programs
+    (``repro plan-stats --scale paper``), whose grids exceed the functional
+    executor's limits; tiling is already applied, so ready-width is
+    reported over the *post-tiling* step list.
     """
-    from repro.runtime.executor import EXEC_ITEMSIZE
-    from repro.runtime.memory_planner import plan_memory
-
-    lanes = 1 if batch_size is None else batch_size
-    sizer = lambda t: lanes * t.num_elements * EXEC_ITEMSIZE  # noqa: E731
-    if optimize:
-        from repro.runtime.plan_opt import plan_optimization
-
-        opt = plan_optimization(program, sizer=sizer, batch_size=batch_size,
-                                tile=tile, tile_budget=tile_budget,
-                                tile_block_rows=tile_block_rows)
-        entries = [
-            (g.name, g.terminal.tensor, list(g.reads), list(g.members))
-            for g in opt.groups
-        ]
-        view, memory_plan = opt.step_view, opt.memory_plan
-    else:
-        entries = [
-            (n.name, n.tensor, list(n.inputs), [n]) for n in program.nodes
-        ]
-        view = program
-        memory_plan = plan_memory(program, sizer=sizer,
-                                  exclusive_writes=True)
-    return _assemble(program, entries, view, memory_plan, None).stats
+    return _assemble(opt.program, _group_entries(opt.groups), opt.step_view,
+                     opt.memory_plan, None)
 
 
 # ---- scheduler policies -----------------------------------------------------
@@ -553,11 +568,9 @@ class GraphExecutor:
         self,
         graph: TaskGraph,
         scheduler: Optional[SchedulerPolicy] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.graph = graph
         self.scheduler = scheduler or ThreadedScheduler()
-        self._pool = pool or GRAPH_POOL
         self._metrics_lock = threading.Lock()
         self.requests = 0
         self.tasks_executed = 0
@@ -677,11 +690,11 @@ class GraphExecutor:
                 state.ready_compute.append(r)
             else:
                 state.ready_memory.append(r)
-        # Helper workers come from the shared persistent pool; the calling
+        # Helper workers come from the shared helper pool; the calling
         # thread always participates, so a saturated (or serial-fallback)
         # pool degrades throughput, never correctness.
         for index in range(1, workers):
-            if self._pool.submit(self._worker_loop, state, index) is None:
+            if _submit_helper(self._worker_loop, state, index) is None:
                 break
         self._worker_loop(state, 0)
         if state.error is not None:

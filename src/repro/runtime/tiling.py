@@ -539,7 +539,7 @@ def apply_tiling(groups: List, chains: List[TiledChain]) -> List:
 class ScratchPool:
     """Thread-safe free list of flat per-worker scratch buffers.
 
-    Wave dispatch and the graph executor run blocks concurrently; each
+    The graph executor runs sibling blocks concurrently; each
     block run borrows one buffer (sized for the plan's largest chain) and
     returns it, so steady-state serving allocates nothing.
     """

@@ -286,9 +286,7 @@ def tune(
 
     # Gate 1: bit-identity against the static plan and a serial replay of
     # the unoptimized lowering, on the same feeds.
-    serial_session = InferenceSession(
-        program, optimize=False, executor="serial"
-    )
+    serial_session = InferenceSession(program, optimize=False)
     serial_out = serial_session.run(feeds)
     report.bit_identical = (
         _bit_identical(tuned_out, static_out)

@@ -79,7 +79,7 @@ def verify_module(module, plan_hazards: bool = True) -> VerifyReport:
     and — with ``plan_hazards`` — plans the serving arena for the final
     program and runs the hazard pass over it, then repeats the hazard pass
     over the *plan-optimizer's* rewritten step list and repacked arena
-    (fusion, elision, wave ordering), with the optimizer's deliberate
+    (fusion, elision, level ordering), with the optimizer's deliberate
     in-place pairs allowlisted. Planning here is static (no grids are
     materialised), so paper-scale models lint fine.
     """

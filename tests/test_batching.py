@@ -31,6 +31,17 @@ def mlp_program():
     )
 
 
+def two_head_program():
+    """Two independent matmul heads over one input: one dependency level
+    holds two steps, so a forced replay rule sends it to the task graph."""
+    b = GraphBuilder("twohead")
+    x = b.input((4, 8), name="x")
+    w1 = b.weight((8, 16), name="w1")
+    w2 = b.weight((8, 16), name="w2")
+    heads = b.add(b.matmul(x, w1), b.matmul(x, w2))
+    return lower_graph(b.build([b.softmax(heads, axis=-1)]))
+
+
 def request_feeds(program, count, seed=0):
     """``count`` per-request feed dicts sharing weights, varying input x.
 
@@ -281,23 +292,25 @@ class TestBatchingServer:
         assert all(f.done() for f in futures)
         assert server.requests_completed == 7
 
-    def test_graph_executor_threaded_stress(self):
+    def test_graph_executor_threaded_stress(self, monkeypatch):
         """8 client threads hammering ONE graph-executor plan through the
         batching server: the task-graph scheduler (threaded workers, shared
         ready deques, per-request counter resets) must stay bit-identical
         to a serial-replay oracle under concurrent requests, and ``stop()``
         must drain with nothing dropped."""
         from repro.runtime.task_graph import ThreadedScheduler
+        from tests.test_task_graph import force_parallel_rule
 
         workers, per_worker = 8, 6
-        program = mlp_program()
-        session = InferenceSession(program, max_pool=2, executor="graph")
+        program = two_head_program()
+        force_parallel_rule(monkeypatch)
+        session = InferenceSession(program, max_pool=2)
+        assert session.plan.parallel
         # Force real multi-worker scheduling even on a single-CPU runner
         # (the default policy resolves to one worker there).
         session.plan.graph_executor.scheduler = ThreadedScheduler(
             max_workers=4
         )
-        assert session.plan.graph_executor is not None
         oracle_plan = session.plan
         requests = request_feeds(program, workers * per_worker, seed=23)
         expected = [
@@ -335,11 +348,9 @@ class TestBatchingServer:
         assert server.requests_completed == workers * per_worker
         # Graph executors really served the traffic (the server may route
         # everything through batched buckets, each with its own executor).
-        executors = [session.plan.graph_executor] + [
-            p.graph_executor for p in session._batched_plans.values()
-        ]
-        assert all(e is not None for e in executors)
-        assert sum(e.requests for e in executors) > 0
+        plans = [session.plan] + list(session._batched_plans.values())
+        assert all(p.parallel for p in plans)
+        assert sum(p.graph_executor.requests for p in plans) > 0
 
     def test_submit_after_stop_rejected_and_restartable(self):
         program = mlp_program()
@@ -354,6 +365,24 @@ class TestBatchingServer:
             InferenceSession(program).run(feeds)[0],
         )
         server.stop()
+
+    def test_submit_merges_bound_weights(self):
+        """A request may leave out the weights bound on the session
+        (``plan_state.bind_weights``): submit validates it with them
+        merged in, exactly as ``InferenceSession.run`` serves it."""
+        program = lower_graph(TINY_MODELS["bert"]())
+        session = InferenceSession(program)
+        feeds = random_feeds(program, seed=3)
+        session.plan_state.bind_weights(
+            {t.name: v for t, v in feeds.items() if t.role == "weight"}
+        )
+        inputs = {t.name: v for t, v in feeds.items() if t.role != "weight"}
+        want = session.run_by_name(inputs)
+        with BatchingServer(session, max_queue_delay_ms=1.0) as server:
+            got = server.run(inputs, timeout=60)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+        assert server.requests_completed == 1
 
     def test_bad_feeds_fail_at_submit(self):
         program = mlp_program()

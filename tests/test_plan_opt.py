@@ -4,7 +4,8 @@ The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
 hoisting weight-only subgraphs out of the request path (Sec. 5.1), fusing
 single-consumer map chains (Sec. 6.2), eliding dead inputs in place
-(Sec. 6.5) and dispatching independent waves in parallel (Sec. 6.1).
+(Sec. 6.5) and replaying plans with parallel work through the task graph
+(Sec. 6.1).
 Every pass, in every combination, must also leave a layout the static
 verifier accepts.
 """
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
-from repro.runtime import plan_opt
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
+from tests.test_task_graph import force_parallel_rule
 from tests.test_verify_property import random_graphs
 
 
@@ -82,7 +83,6 @@ def pass_flags(draw):
         "hoist": draw(st.booleans()),
         "fuse": draw(st.booleans()),
         "elide": draw(st.booleans()),
-        "waves": draw(st.booleans()),
     }
 
 
@@ -208,16 +208,14 @@ def map_chain_program():
 class TestFusion:
     def test_single_consumer_map_chain_fuses(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         assert opt.stats.fused_steps == 2  # relu->sigmoid, sigmoid->tanh
         names = [g.name for g in opt.groups]
         assert any("+" in name for name in names), names
 
     def test_fused_interiors_deleted_from_arena(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         interiors = {
             id(m.tensor)
             for g in opt.groups
@@ -238,8 +236,7 @@ class TestFusion:
         x = b.input((4, 4), name="x")
         y = b.relu(x)
         program = lower_graph(b.build([b.add(b.sigmoid(y), b.tanh(y))]))
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         producer = next(
             n for n in program.nodes if n.tensor.name.startswith("relu")
         )
@@ -264,10 +261,9 @@ def elidable_program():
 class TestElision:
     def test_elision_shrinks_workspace(self):
         program = elidable_program()
-        with_elide = plan_optimization(program, hoist=False, fuse=False,
-                                       waves=False)
+        with_elide = plan_optimization(program, hoist=False, fuse=False)
         without = plan_optimization(program, hoist=False, fuse=False,
-                                    elide=False, waves=False)
+                                    elide=False)
         assert with_elide.stats.elided_buffers > 0
         assert with_elide.inplace_pairs
         assert (with_elide.memory_plan.workspace_bytes
@@ -296,7 +292,7 @@ class TestElision:
                         == plain.memory_plan.workspace_bytes), name
 
 
-# ---- pass 4: parallel wave scheduling ----------------------------------------
+# ---- pass 4: level ordering and the replay rule ------------------------------
 
 
 def branchy_program():
@@ -309,35 +305,79 @@ def branchy_program():
     return lower_graph(b.build([out]))
 
 
+def unfused_plan(program, cost_model=None):
+    """An optimized plan with fusion off: fusion would collapse the
+    branchy graph to one step, so the branches stay separate steps."""
+    plan = ExecutionPlan(program, optimize=False)
+    plan.cost_model = cost_model
+    optimize_plan(plan, opt=plan_optimization(program, fuse=False))
+    return plan
+
+
 class TestWaves:
     def test_independent_steps_share_a_wave(self):
+        """Independent steps share a dependency level of the task graph,
+        emitted as one contiguous run of positions."""
         program = branchy_program()
-        opt = plan_optimization(program, hoist=False, fuse=False,
-                                elide=False)
-        assert opt.stats.wave_count < len(opt.groups)
-        assert any(len(wave) > 1 for wave in opt.waves)
+        plan = ExecutionPlan(program, optimize=False)
+        optimize_plan(plan, opt=plan_optimization(
+            program, hoist=False, fuse=False, elide=False
+        ))
+        levels = plan.task_graph.levels
+        assert levels == sorted(levels)
+        assert max(levels.count(lv) for lv in set(levels)) > 1
 
     def test_parallel_dispatch_is_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(plan_opt, "PARALLEL_MIN_WAVE_ELEMENTS", 0)
+        force_parallel_rule(monkeypatch)
         program = branchy_program()
         feeds = random_feeds(program, seed=6)
         want = ExecutionPlan(program, optimize=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=False)
-        # Fusion would collapse this graph to one step; disable it so the
-        # branches stay separate and actually share a dispatchable wave.
-        optimize_plan(plan, opt=plan_optimization(program, fuse=False))
-        assert plan.waves is not None
-        assert any(parallel for _, parallel in plan.waves)
+        plan = unfused_plan(program)
+        assert plan.parallel
+        assert plan.optimization.stats.parallel_waves > 0
         for _ in range(3):
             got = plan.run(feeds)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+        assert plan.graph_executor.requests == 3
 
     def test_small_waves_stay_serial(self):
         program = branchy_program()
         plan = ExecutionPlan(program, optimize=True)
-        if plan.waves is not None:
-            assert not any(parallel for _, parallel in plan.waves)
+        assert not plan.parallel
+        assert plan.optimization.stats.parallel_waves == 0
+
+    def test_measured_veto_demotes_to_serial(self, monkeypatch):
+        """A measured cost model can only demote: steps measured too small
+        to amortise a thread handoff keep an eligible plan serial."""
+        from tests.test_profile_store import model_with
+
+        force_parallel_rule(monkeypatch)
+        program = branchy_program()
+        steps = unfused_plan(program).steps
+
+        def measured(seconds):
+            # Rows on one seconds ~ bytes line keep the fitted dispatch
+            # intercept near zero, so only the step times decide.
+            rows = {
+                f"anchor{k}": [("map", k * 1e-6, k * 1000, 0)]
+                for k in range(1, 5)
+            }
+            rows.update({
+                s.step_key: [(s.kind, seconds, int(seconds * 1e9), 0)]
+                for s in steps
+            })
+            return model_with(rows)
+
+        slow = unfused_plan(program, cost_model=measured(1e-3))
+        assert slow.parallel
+        fast = unfused_plan(program, cost_model=measured(1e-7))
+        assert not fast.parallel
+        assert fast.optimization.stats.parallel_waves == 0
+        assert fast._graph_executor is None  # built to judge, then dropped
+        feeds = random_feeds(program, seed=8)
+        for g, w in zip(fast.run(feeds), slow.run(feeds)):
+            assert np.array_equal(g, w)
 
 
 # ---- stats and reporting -----------------------------------------------------
@@ -353,10 +393,9 @@ class TestStats:
         assert stats.steps_after == (
             stats.steps_before - stats.hoisted_steps - stats.fused_steps
         )
-        assert stats.wave_count == len(plan.optimization.waves)
         assert stats.workspace_after == plan.memory_plan.workspace_bytes
         assert "->" in stats.summary()
-        assert "waves" in stats.render()
+        assert "replay" in stats.render()
 
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()

@@ -359,8 +359,11 @@ class TestShardedServer:
             os.kill(pid0, signal.SIGKILL)
             futures += [server.submit(r) for r in requests[16:]]
             got = [f.result(timeout=120) for f in futures]
+            # A respawned replica counts as alive from spawn, before it is
+            # ready; wait for the respawn itself, not just the alive flag.
             deadline = time.perf_counter() + 30.0
-            while (server.alive_replicas() < 2
+            while ((server.alive_replicas() < 2
+                    or server.worker_respawns < 1)
                    and time.perf_counter() < deadline):
                 time.sleep(0.05)
             m = server.metrics()

@@ -33,7 +33,7 @@ from repro.verify import Severity, check_schedule_cover
 def build_plan():
     """LSTM keeps both real data chains and arena-reuse conflict edges."""
     program = lower_graph(TINY_MODELS["lstm"]())
-    return ExecutionPlan(program, optimize=True, executor="graph")
+    return ExecutionPlan(program, optimize=True)
 
 
 def mutate(graph, successors, preds=None):
@@ -119,8 +119,7 @@ class TestDroppedSuccessorEdge:
         mutated = [
             [j for j in succ if j != victim] for succ in graph.successors
         ]
-        plan.task_graph = mutate(graph, mutated)
-        plan.graph_executor.graph = plan.task_graph
+        plan.graph_executor.graph = mutate(graph, mutated)
         feeds = random_feeds(plan.program, seed=1)
         with pytest.raises(ExecutionError, match="stalled"):
             plan.execute(plan.bind_feeds(feeds), plan.new_arena(),
@@ -139,8 +138,7 @@ class TestPrematureCounterDecrement:
         j = graph.successors[i][0]
         mutated = [list(s) for s in graph.successors]
         mutated[i].append(j)
-        plan.task_graph = mutate(graph, mutated)
-        plan.graph_executor.graph = plan.task_graph
+        plan.graph_executor.graph = mutate(graph, mutated)
         feeds = random_feeds(plan.program, seed=2)
         with pytest.raises(ExecutionError, match="premature"):
             plan.execute(plan.bind_feeds(feeds), plan.new_arena(),

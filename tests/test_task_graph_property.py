@@ -50,8 +50,7 @@ class _Case:
     """One plan + feeds + serial-oracle outputs, built once per process."""
 
     def __init__(self, program, optimize):
-        self.plan = ExecutionPlan(program, optimize=optimize,
-                                  executor="graph")
+        self.plan = ExecutionPlan(program, optimize=optimize)
         self.bound = self.plan.bind_feeds(
             random_feeds(program, seed=17)
         )

@@ -10,8 +10,8 @@ Three layers of assurance, mirroring the repo's testing doctrine:
   validator, and — with the validator bypassed — by the bit-identity
   oracle; a seeded scratch-block aliasing bug is caught by the verifier's
   arena-hazard pass. The safety nets trip, deterministically.
-* **Integration**: tiled sub-steps flow through serial replay, wave
-  dispatch and the task-graph executor (hazard-cover certified), the
+* **Integration**: tiled sub-steps flow through serial replay and the
+  task-graph executor (hazard-cover certified), the
   profiler folds per-block rows, and the stats/report plumbing counts
   tiled chains.
 """
@@ -32,8 +32,8 @@ from repro.runtime.task_graph import (
     FifoScheduler,
     ScriptedScheduler,
     ThreadedScheduler,
+    optimization_task_graph,
     random_topological_order,
-    task_graph_stats,
 )
 from repro.runtime.tiling import (
     ScratchPool,
@@ -287,8 +287,7 @@ class TestExecutors:
         program = program_for(name)
         feeds = random_feeds(program, seed=31)
         want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=1,
-                             executor="graph")
+        plan = ExecutionPlan(program, optimize=True, tile_block_rows=1)
         assert plan.optimization.tiled_chains
         # Each block is a task; the dependency table is re-certified.
         assert plan.task_graph.verify_cover() == []
@@ -306,10 +305,8 @@ class TestExecutors:
 
     def test_blocks_are_individual_tasks(self):
         program = program_for("bert")
-        tiled = ExecutionPlan(program, optimize=True, tile_block_rows=2,
-                              executor="graph")
-        untiled = ExecutionPlan(program, optimize=True, tile=False,
-                                executor="graph")
+        tiled = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        untiled = ExecutionPlan(program, optimize=True, tile=False)
         chains = tiled.optimization.tiled_chains
         blocks = sum(c.num_blocks for c in chains)
         internal = sum(len(c.groups) - 1 for c in chains)
@@ -318,15 +315,18 @@ class TestExecutors:
 
     def test_stats_builder_reports_post_tiling_width(self):
         program = program_for("bert")
-        tiled = task_graph_stats(program, tile_block_rows=2)
-        untiled = task_graph_stats(program, tile=False)
+        tiled = optimization_task_graph(
+            plan_optimization(program, tile_block_rows=2)
+        ).stats
+        untiled = optimization_task_graph(
+            plan_optimization(program, tile=False)
+        ).stats
         assert tiled != untiled
         # Sibling blocks are mutually independent, so tiling can only
         # widen (never narrow) the ready frontier.
         assert tiled.max_ready_width >= untiled.max_ready_width
         # The structure-only builder agrees with a real compiled plan.
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2,
-                             executor="graph")
+        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
         assert tiled == plan.task_graph.stats
 
 

@@ -91,9 +91,9 @@ class TestEmptyStoreIsStatic:
         static = ExecutionPlan(mmoe, optimize=True)
         tuned = ExecutionPlan(mmoe, optimize=True, cost_model=CostModel({}))
         s, t = static.optimization.stats, tuned.optimization.stats
-        assert not t.tuned and not t.flattened_schedule
-        assert (s.steps_after, s.fused_steps, s.wave_count) == (
-            t.steps_after, t.fused_steps, t.wave_count
+        assert not t.tuned
+        assert (s.steps_after, s.fused_steps, s.parallel_waves) == (
+            t.steps_after, t.fused_steps, t.parallel_waves
         )
         feeds = random_feeds(mmoe, seed=0)
         for a, b in zip(
