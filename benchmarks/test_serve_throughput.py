@@ -152,10 +152,9 @@ def test_serve_throughput(programs):
 # ---- plan-optimizer pass pipeline -------------------------------------------
 #
 # The optimizer acceptance floor: a plan-optimized session (step fusion,
-# weight hoisting, in-place elision, matmul specialization, task-graph
-# replay where a plan has parallel work) must serve single requests
-# >= OPT_FLOOR_SPEEDUP times faster than the unoptimized plan, on BERT and
-# MMoE.
+# weight hoisting, in-place elision, matmul specialization) must serve
+# single requests >= OPT_FLOOR_SPEEDUP times faster than the unoptimized
+# plan, on BERT and MMoE.
 
 OPT_FLOOR_SPEEDUP = 1.3
 

@@ -443,7 +443,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_plan_stats(args: argparse.Namespace) -> int:
     """Report what the plan-optimizer pass pipeline does to one model."""
-    from repro.runtime.plan_opt import apply_replay_rule, plan_optimization
+    from repro.runtime.plan_opt import plan_optimization
 
     batch = args.batch if args.batch > 1 else None
     if args.scale == "tiny":
@@ -456,7 +456,7 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         program = lower_graph(graph)
         # Tiny models build the real optimized plan, so the report includes
         # the per-step matmul-specialization counts (decided at plan time
-        # by the differential bit-identity gate) and the replay it picked.
+        # by the differential bit-identity gate).
         from repro.runtime.executor import (
             BatchedExecutionPlan,
             ExecutionPlan,
@@ -469,25 +469,17 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
             else ExecutionPlan(program, optimize=True, tile=args.tile)
         )
         optimization = plan.optimization
-        task_graph = plan.task_graph
     else:
         # Paper-scale grids exceed the functional executor's limits; the
         # static planner still reports hoisting/fusion/elision and the
-        # repacked arena, the task-graph shape comes from the
-        # structure-only builder, and the replay rule runs over both.
-        from repro.runtime.task_graph import optimization_task_graph
-
+        # repacked arena.
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
                                          tile=args.tile)
-        task_graph = optimization_task_graph(optimization)
-        apply_replay_rule(optimization, batch, lambda: task_graph)
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())
-    print(f"task graph: {graph.name}{suffix}")
-    print(task_graph.stats.render())
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 
@@ -705,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan-stats",
         help="what the plan optimizer does to a model's execution plan "
-             "(steps fused, weights hoisted, bytes elided, replay picked, "
-             "task graph)",
+             "(steps fused, weights hoisted, bytes elided)",
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",

@@ -23,9 +23,9 @@ class SouffleOptions:
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
     # Serve through plan-optimized execution plans (runtime step fusion,
-    # weight hoisting, in-place elision, task-graph replay where a plan has
-    # parallel work). Orthogonal to the V-levels: it rewrites the *runtime*
-    # step list, not the TE IR.
+    # weight hoisting, in-place elision, dependency-level step order).
+    # Orthogonal to the V-levels: it rewrites the *runtime* step list, not
+    # the TE IR.
     optimize_plans: bool = True
     # Block-level tiling of map->reduce->map chains (runtime.tiling):
     # cache-blocked sub-steps with per-worker scratch, applied by the plan

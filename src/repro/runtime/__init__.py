@@ -15,27 +15,12 @@ from repro.runtime.profiler import (
     ExecutionProfile,
     KernelProfile,
     ProfileReport,
-    SchedulerStats,
     StepTiming,
     profile_module,
 )
 from repro.runtime.session import InferenceSession
-from repro.runtime.task_graph import (
-    AdversarialScheduler,
-    FifoScheduler,
-    GraphExecutor,
-    ScriptedScheduler,
-    Task,
-    TaskGraph,
-    TaskGraphStats,
-    ThreadedScheduler,
-    build_task_graph,
-    optimization_task_graph,
-    random_topological_order,
-)
 
 __all__ = [
-    "AdversarialScheduler",
     "Arena",
     "BatchStats",
     "BatchedExecutionPlan",
@@ -45,25 +30,14 @@ __all__ = [
     "DispatchRecord",
     "ExecutionPlan",
     "ExecutionProfile",
-    "FifoScheduler",
-    "GraphExecutor",
     "InferenceSession",
     "KernelProfile",
     "MemoryPlan",
     "PhaseTimer",
     "PlanStep",
     "ProfileReport",
-    "SchedulerStats",
-    "ScriptedScheduler",
     "StepTiming",
     "ShapeDispatcher",
-    "Task",
-    "TaskGraph",
-    "TaskGraphStats",
-    "ThreadedScheduler",
-    "build_task_graph",
-    "optimization_task_graph",
     "plan_memory",
     "profile_module",
-    "random_topological_order",
 ]

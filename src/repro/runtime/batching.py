@@ -23,7 +23,8 @@ top of an :class:`~repro.runtime.session.InferenceSession`:
   failure surfaces only on its own future.
 
 :meth:`stop` drains the queue before returning: every accepted request is
-served (or fails on its own future); none are dropped.
+served (or fails on its own future); none are dropped. A request whose
+future the client cancelled while it was queued is skipped, never run.
 """
 
 from __future__ import annotations
@@ -204,6 +205,15 @@ class BatchingServer:
         return batch
 
     def _execute(self, batch: List[_Pending]) -> None:
+        # A request its client cancelled while queued is dropped here; the
+        # rest are marked running, so a late cancel() can no longer race
+        # the set_result below.
+        batch = [
+            pending for pending in batch
+            if pending.future.set_running_or_notify_cancel()
+        ]
+        if not batch:
+            return
         dispatched = time.perf_counter()
         waits = [dispatched - pending.enqueued for pending in batch]
         try:

@@ -12,8 +12,6 @@ with constants:
   map into its consumer(s) pays for the recompute with saved dispatch and
   materialisation, using the fitted dispatch intercept and byte rate;
 * ``prefer_matmul`` — measured einsum-vs-matmul verdict per step key;
-* ``parallel_profitable`` — whether a dependency level's smallest measured
-  step still amortises a thread handoff;
 * ``tiled_variants`` — measured per-block seconds by block size for one
   chain key.
 
@@ -25,7 +23,7 @@ untuned planning bit-for-bit identical to today.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,11 +36,6 @@ from repro.runtime.profile_store import ProfileRow, ProfileStore
 DEFAULT_DISPATCH_SECONDS = 3e-6
 DEFAULT_BYTE_SECONDS = 1e-10
 DEFAULT_FLOP_SECONDS = 1e-9
-
-# Parallel replay hands steps to pool threads; the smallest step of a
-# level must be worth at least this much measured wall time before the
-# handoff pays (matches the order of one cross-thread wakeup).
-MIN_PARALLEL_STEP_SECONDS = 5e-5
 
 
 class CostModel:
@@ -134,7 +127,7 @@ class CostModel:
         its dispatch and its materialised output. A recomputed interior is
         *not* free of the producer's fixed numpy-call overhead — each
         consumer group re-evaluates the full value closure, plus pays the
-        overlay/broadcast/contiguity machinery — so the honest model
+        broadcast/contiguity machinery — so the honest model
         charges the full measured step time per extra evaluation and
         credits only the elided arena-write traffic. That only pays when
         the producer's output is large relative to its compute (wide
@@ -149,8 +142,8 @@ class CostModel:
         # overhead (observed 100x+ inflation), which would green-light
         # duplications that measure as regressions. The fitted intercept
         # is not a deletable cost either: each interior re-pays the
-        # producer's fixed numpy overhead, and the overlay/broadcast
-        # machinery eats whatever loop dispatch the deleted step saved.
+        # producer's fixed numpy overhead, and the broadcast machinery
+        # eats whatever loop dispatch the deleted step saved.
         rate = min(self._coef[1], DEFAULT_BYTE_SECONDS)
         write = rate * float(out_bytes) * self.lanes
         extra = (consumers - 1) * mp
@@ -170,16 +163,6 @@ class CostModel:
         if einsum is None or matmul is None:
             return None
         return matmul.seconds <= einsum.seconds
-
-    def parallel_profitable(
-        self, measured: List[Optional[float]]
-    ) -> Optional[bool]:
-        """Overlap one level's steps? None unless fully measured."""
-        if not measured or any(m is None for m in measured):
-            return None
-        return min(measured) >= max(
-            MIN_PARALLEL_STEP_SECONDS, 10.0 * self.dispatch_overhead_s()
-        )
 
     def tiled_variants(self, chain_key: str) -> Dict[int, float]:
         """Measured per-block seconds by block size for one chain key."""

@@ -21,12 +21,10 @@ into a topologically-ordered list of specialized step closures:
   intermediates share bytes and repeated calls allocate nothing but the
   model outputs.
 
-Executing a request is then a flat loop over the steps — or, for an
-optimized plan with parallel work (see :mod:`repro.runtime.plan_opt`), one
-pass of its :class:`~repro.runtime.task_graph.GraphExecutor`. Results are
-bit-identical to the :class:`Evaluator` (which remains the differential-
-testing oracle): both paths run the same numpy kernels on the same float64
-operands.
+Executing a request is then one flat loop over the steps, for every plan,
+optimized or not, batched or not. Results are bit-identical to the
+:class:`Evaluator` (which remains the differential-testing oracle): both
+paths run the same numpy kernels on the same float64 operands.
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: einsum
@@ -536,13 +534,8 @@ class ExecutionPlan:
         self._output_keys: List[int] = [id(t) for t in program.outputs]
         self._validate_layout()
         # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
-        # and fills these in (see repro.runtime.plan_opt). ``parallel`` is
-        # the replay rule's pick: the task graph when True, else the flat
-        # step loop. The graph itself is built on first use.
+        # and fills these in (see repro.runtime.plan_opt).
         self.optimization = None
-        self.parallel = False
-        self._graph_executor = None
-        self._graph_lock = threading.Lock()
         self._hoist_steps: List[Tuple[PlanStep, Tuple[int, ...]]] = []
         self._hoist_roots: List[Tensor] = []
         self._hoist_input_ids: List[int] = []
@@ -652,29 +645,6 @@ class ExecutionPlan:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def graph_executor(self):
-        """The :class:`~repro.runtime.task_graph.GraphExecutor` over a
-        certified task graph of the current steps, built on first use."""
-        if self._graph_executor is None:
-            from repro.runtime.task_graph import (
-                GraphExecutor,
-                build_task_graph,
-            )
-
-            with self._graph_lock:
-                if self._graph_executor is None:
-                    self._graph_executor = GraphExecutor(
-                        build_task_graph(self)
-                    )
-        return self._graph_executor
-
-    @property
-    def task_graph(self):
-        """The certified :class:`~repro.runtime.task_graph.TaskGraph` the
-        :attr:`graph_executor` runs."""
-        return self.graph_executor.graph
 
     def new_arena(self) -> Arena:
         """Allocate one workspace for this plan (reused across requests)."""
@@ -869,24 +839,15 @@ class ExecutionPlan:
         bound: Values,
         arena: Arena,
         step_seconds: Optional[List[float]] = None,
-        scheduler=None,
     ) -> List[np.ndarray]:
-        """Replay the step list once.
+        """Replay the step list once, in order, on the calling thread.
 
         ``bound`` comes from :meth:`bind_feeds`; ``arena`` from
         :meth:`new_arena`. With ``step_seconds`` (a list of one float per
-        step) each step's wall time is accumulated into it. A parallel
-        plan replays through its task graph; ``scheduler`` injects a
-        :class:`~repro.runtime.task_graph.SchedulerPolicy` for this request
-        and routes any plan through its task graph (built on first use) —
-        the deterministic test hook.
+        step) each step's wall time is accumulated into it.
         """
         values = self._prepare_values(bound, arena)
-        if self.parallel or scheduler is not None:
-            self.graph_executor.run(
-                values, scheduler=scheduler, step_seconds=step_seconds
-            )
-        elif step_seconds is None:
+        if step_seconds is None:
             for step in self.steps:
                 step.run(values)
         else:
@@ -896,18 +857,6 @@ class ExecutionPlan:
                 start = perf_counter()
                 step.run(values)
                 step_seconds[i] += perf_counter() - start
-        return [values[key] for key in self._output_keys]
-
-    def execute_serial(self, bound: Values, arena: Arena) -> List[np.ndarray]:
-        """Flat single-threaded replay of the step list.
-
-        The differential oracle for the task-graph executor: identical
-        steps, identical arena, no scheduler — any divergence between this
-        and :meth:`execute` is a scheduling bug by construction.
-        """
-        values = self._prepare_values(bound, arena)
-        for step in self.steps:
-            step.run(values)
         return [values[key] for key in self._output_keys]
 
     def run(self, feeds: Mapping[Tensor, np.ndarray]) -> List[np.ndarray]:

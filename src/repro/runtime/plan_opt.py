@@ -18,18 +18,13 @@ three can be switched off for tests and ablation):
    elementwise step whose input buffer dies at that step writes into its
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
    fully evaluate their value into temporaries before the final ``copyto``.
-4. **Level ordering and the replay rule** (Sec. 6.1 horizontal packing) —
-   steps are emitted in dependency-level order, so steps sharing a level
-   stay live together and the repacked arena gives them disjoint bytes.
-   One rule, fixed at plan build, then picks the replay: when some level
-   (a data level not split by the certified task graph's byte-conflict
-   edges) holds at least two steps that each move
-   :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements and the machine has more
-   than one worker, the plan replays through the
-   :class:`~repro.runtime.task_graph.GraphExecutor` (numpy releases the
-   GIL inside ufunc/einsum/BLAS loops); otherwise it replays as a flat
-   serial step loop and keeps no task graph. The graph is built only for
-   plans with a data level of two such steps.
+4. **Level ordering** (Sec. 6.1 horizontal packing) — steps are emitted in
+   dependency-level order, so steps sharing a level stay live together and
+   the repacked arena gives them disjoint bytes. The levels holding two or
+   more steps that each move :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements
+   are counted as ``OptimizeStats.parallel_waves``. Replay itself is always
+   the executor's flat step loop: overlapping such steps on threads never
+   measured faster on a served plan (DESIGN.md, "One replay loop").
 
 On top of the mandated passes, einsum-shaped steps are *specialized* to
 direct ``np.matmul(..., out=view)`` calls — but only when a plan-time
@@ -53,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analysis.liveness import LiveRange
-from repro.core.parallel import default_worker_count
 from repro.errors import PlanningError
 from repro.graph.te_program import TENode, TEProgram
 from repro.runtime.memory_planner import (
@@ -69,9 +63,9 @@ from repro.te.tensor import Tensor
 from repro.te.traversal import collect_reads, input_tensors
 from repro.verify.view import ProgramView
 
-# Parallel replay pays a thread handoff (~tens of us per task); only steps
-# that move at least this many elements count towards a parallel level, so
-# small models stay serial. Tests monkeypatch this to force the task graph.
+# Only steps that move at least this many elements count towards a
+# parallel level: a smaller step costs less than one thread handoff
+# (~tens of us), so overlapping it could never pay.
 PARALLEL_MIN_WAVE_ELEMENTS = 1 << 16
 
 
@@ -142,6 +136,23 @@ def step_kind(tensor: Tensor) -> str:
     return "reduce" if isinstance(body, Reduce) else "map"
 
 
+def _parallel_levels(
+    groups: Sequence[StepGroup], levels: Sequence[int], lanes: int
+) -> int:
+    """How many levels hold two or more steps of
+    :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements (a tiled block counts
+    its share of the chain)."""
+    big: Dict[int, int] = {}
+    for g, lv in zip(groups, levels):
+        work = (
+            g.work_elements(lanes) if hasattr(g, "work_elements")
+            else sum(lanes * m.tensor.num_elements for m in g.members)
+        )
+        if work >= PARALLEL_MIN_WAVE_ELEMENTS:
+            big[lv] = big.get(lv, 0) + 1
+    return sum(1 for count in big.values() if count >= 2)
+
+
 @dataclass
 class StepGroup:
     """One optimized step: a terminal node plus fused-in producers."""
@@ -189,7 +200,7 @@ class OptimizeStats:
     elided_bytes: int = 0            # arena bytes merged away by elision
     specialized_contractions: int = 0
     einsum_steps: int = 0
-    parallel_waves: int = 0          # task-graph levels eligible to overlap
+    parallel_waves: int = 0          # levels holding >= 2 big steps
     workspace_before: int = 0
     workspace_after: int = 0
     # Block-level tiling (runtime.tiling): reduction chains split into
@@ -204,11 +215,6 @@ class OptimizeStats:
     tuned: bool = False              # a cost model with measurements drove us
     tuned_fusions: int = 0           # map->reduce inlines chosen by measurement
     duplicated_maps: int = 0         # multi-consumer maps recomputed per use
-
-    @property
-    def replay(self) -> str:
-        """The replay rule's pick: ``graph`` when any level is eligible."""
-        return "graph" if self.parallel_waves else "serial"
 
     @property
     def arena_bytes_saved(self) -> int:
@@ -233,7 +239,6 @@ class OptimizeStats:
             f"({self.hoisted_steps} hoisted, {self.fused_steps} fused), "
             f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
             f"specialized, {self.elided_buffers} elided, "
-            f"{self.replay} replay, "
             f"{self.arena_bytes_saved} arena bytes saved"
             f"{tiled}{tuned}"
         )
@@ -256,8 +261,6 @@ class OptimizeStats:
             f"({self.tiled_steps} steps -> {self.tiled_blocks} blocks, "
             f"block rows {blocks}, "
             f"{self.scratch_bytes} scratch bytes/worker)",
-            f"replay:            {self.replay} "
-            f"({self.parallel_waves} parallel levels)",
             f"arena workspace:   {self.workspace_before} -> "
             f"{self.workspace_after} bytes "
             f"({self.arena_bytes_saved} saved)",
@@ -540,7 +543,7 @@ def plan_optimization(
     # ---- pass 4 (ordering): emit steps in dependency-level order ---------
     # The order fixes the liveness the repacker models, so it runs before
     # elision/packing: steps sharing a level stay live together and get
-    # disjoint bytes, which leaves the task graph free to overlap them.
+    # disjoint bytes.
     # A tiled chain's blocks all "produce" the chain terminal tensor, so
     # the producer map is multi-valued: a reader depends on every block.
     producer_groups: Dict[int, List[int]] = {}
@@ -565,6 +568,9 @@ def plan_optimization(
     levels = [level[g.position] for g in groups]
     for new_pos, group in enumerate(groups):
         group.position = new_pos
+    stats.parallel_waves = _parallel_levels(
+        groups, levels, 1 if batch_size is None else batch_size
+    )
 
     # ---- pass 3: in-place elision ---------------------------------------
     # With map duplication one tensor can be read by several groups even
@@ -742,30 +748,10 @@ def plan_optimization(
 # ---- runtime application ----------------------------------------------------
 
 
-class _OverlayValues(dict):
-    """Per-call value namespace layered over the shared values dict.
-
-    Fused groups that recompute a *duplicated* interior write its value
-    here instead of into the shared dict, so sibling groups the task graph
-    runs concurrently never publish overlapping keys; reads of
-    everything else fall through to the underlying request values.
-    """
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base) -> None:
-        super().__init__()
-        self._base = base
-
-    def __missing__(self, key):
-        return self._base[key]
-
-
 def _make_fused_run(
     interiors: Tuple[Tuple[int, Callable, Tuple[int, ...]], ...],
     terminal_run: Callable,
     materialize: bool = False,
-    overlay: bool = False,
 ) -> Callable:
     """Compose interior value closures with the terminal's arena write.
 
@@ -781,15 +767,14 @@ def _make_fused_run(
 
     def run_fused(
         v, interiors=interiors, terminal_run=terminal_run,
-        materialize=materialize, overlay=overlay,
+        materialize=materialize,
     ):
-        ns = _OverlayValues(v) if overlay else v
         for key, fn, shape in interiors:
-            value = np.broadcast_to(fn(ns), shape)
+            value = np.broadcast_to(fn(v), shape)
             if materialize:
                 value = np.ascontiguousarray(value)
-            ns[key] = value
-        terminal_run(ns)
+            v[key] = value
+        terminal_run(v)
 
     return run_fused
 
@@ -917,9 +902,8 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
     Rewrites ``plan.steps`` and ``plan.memory_plan``, installs the hoist
-    cache, re-validates the rewritten layout through the verifier's
-    arena-hazard pass (in-place pairs allowlisted) and applies the replay
-    rule (:func:`apply_replay_rule`). Raises
+    cache and re-validates the rewritten layout through the verifier's
+    arena-hazard pass (in-place pairs allowlisted). Raises
     :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
     """
     from repro.analysis.characterize import step_cost_features
@@ -963,16 +947,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
             )
     plan._scratch_pool = scratch_pool
 
-    # Interiors recomputed by more than one group (measured duplication)
-    # must keep their values in a per-call overlay, not the shared dict.
-    interior_counts: Dict[int, int] = {}
-    for g in opt.groups:
-        if getattr(g, "chain", None) is not None:
-            continue
-        for m in g.members[:-1]:
-            key = id(m.tensor)
-            interior_counts[key] = interior_counts.get(key, 0) + 1
-
     new_steps: List[PlanStep] = []
     for g in opt.groups:
         chain = getattr(g, "chain", None)
@@ -1014,10 +988,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 _make_fused_run(
                     interiors, terminal_step.run,
                     materialize=terminal_step.kind == "reduce",
-                    overlay=any(
-                        interior_counts.get(id(m.tensor), 0) > 1
-                        for m in g.members[:-1]
-                    ),
                 ),
                 step_key=step_content_key(g.members),
                 cost_features=step_cost_features(g.members),
@@ -1063,86 +1033,5 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     plan._hoist_boundary_ids = [id(t) for t in opt.hoist_boundary]
     plan._hoist_input_ids = [id(t) for t in opt.hoist_roots]
     plan.optimization = opt
-    plan._graph_executor = None  # any graph built so far is stale
-    plan.parallel = apply_replay_rule(
-        opt, plan.batch_size, lambda: plan.task_graph,
-        cost_model=cost_model, steps=new_steps,
-    )
-    if not plan.parallel:
-        # Byte conflicts or the measured veto emptied every level after
-        # the graph was built: a serial plan keeps no graph.
-        plan._graph_executor = None
     return opt
 
-
-# ---- the replay rule --------------------------------------------------------
-
-
-def _group_work(group: StepGroup, lanes: int) -> int:
-    """Elements one step group moves (a tiled block counts its share)."""
-    if hasattr(group, "work_elements"):
-        return group.work_elements(lanes)
-    return sum(lanes * m.tensor.num_elements for m in group.members)
-
-
-def _parallel_levels(
-    level_of: Sequence, big: Sequence[int], cost_model=None, steps=()
-) -> int:
-    """How many levels hold two or more big steps the cost model keeps."""
-    by_level: Dict[object, List[int]] = {}
-    for pos in big:
-        by_level.setdefault(level_of[pos], []).append(pos)
-    eligible = 0
-    for positions in by_level.values():
-        if len(positions) < 2:
-            continue
-        if cost_model is not None and cost_model.parallel_profitable([
-            cost_model.measured_seconds(steps[p].step_key, steps[p].kind)
-            for p in positions
-        ]) is False:
-            continue
-        eligible += 1
-    return eligible
-
-
-def apply_replay_rule(
-    opt: PlanOptimization,
-    batch_size: Optional[int],
-    task_graph: Callable[[], object],
-    cost_model=None,
-    steps: Sequence = (),
-) -> bool:
-    """Pick the replay engine of one optimized plan; True for the task graph.
-
-    A plan replays through its task graph when some level holds at least
-    two steps that each move :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements,
-    and the machine has more than one worker; otherwise it replays as a
-    flat serial step loop. A level is a dependency level of the step DAG
-    (``opt.levels``) intersected with one of the certified task graph,
-    whose byte-conflict edges can split it: steps sharing a level share
-    neither data nor bytes, so they can overlap. Records the eligible
-    levels as ``opt.stats.parallel_waves``.
-
-    ``task_graph`` builds (or returns) the certified graph. It is called
-    only when some data level holds two big steps, so a plan without one
-    is decided serial without a build.
-
-    A measured ``cost_model`` can only demote: a level whose big steps
-    measure too small to amortise a thread handoff does not count. It
-    never promotes — the evaluator holds the GIL through most of a step,
-    so measured-large steps do not imply that overlap pays.
-    """
-    lanes = 1 if batch_size is None else batch_size
-    big = [
-        g.position for g in opt.groups
-        if _group_work(g, lanes) >= PARALLEL_MIN_WAVE_ELEMENTS
-    ]
-    eligible = 0
-    if default_worker_count() > 1 and _parallel_levels(opt.levels, big):
-        graph_levels = task_graph().levels
-        eligible = _parallel_levels(
-            [(d, graph_levels[p]) for p, d in enumerate(opt.levels)],
-            big, cost_model, steps,
-        )
-    opt.stats.parallel_waves = eligible
-    return eligible > 0

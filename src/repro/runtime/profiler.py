@@ -145,9 +145,6 @@ class StepTiming:
     kind: str           # einsum | matmul | map | reduce | const | fused
     calls: int
     total_seconds: float
-    # Task-graph executor only: time between a step becoming ready and a
-    # worker starting it, accumulated across profiled requests.
-    queue_seconds: float = 0.0
     # Durable content identity (cache.keys.step_content_key): joins this
     # row with persisted profile-store rows across recompiles. Display
     # names are not durable — fusion regrouping and re-tiling rename steps.
@@ -158,12 +155,6 @@ class StepTiming:
         if self.calls == 0:
             return 0.0
         return self.total_seconds / self.calls * 1e6
-
-    @property
-    def mean_queue_us(self) -> float:
-        if self.calls == 0:
-            return 0.0
-        return self.queue_seconds / self.calls * 1e6
 
 
 # A tiled chain's sub-steps are named "<chain>[blk i/n]" (runtime.tiling);
@@ -195,37 +186,7 @@ def aggregate_tiled_steps(steps: List[StepTiming]) -> List[StepTiming]:
             out.append(agg)
         else:
             agg.total_seconds += s.total_seconds
-            agg.queue_seconds += s.queue_seconds
     return out
-
-
-@dataclass
-class SchedulerStats:
-    """Task-graph scheduler counters for one session's plan.
-
-    ``occupancy`` is busy-time over scheduled worker-time: the fraction of
-    the workers' wall clock spent inside step closures rather than waiting
-    on the ready deques (1.0 means dispatch overhead was invisible).
-    """
-
-    tasks: int
-    data_edges: int
-    conflict_edges: int
-    critical_path: int
-    max_ready_width: int
-    requests: int
-    workers: int
-    occupancy: float
-
-    def render(self) -> str:
-        return (
-            f"scheduler: {self.tasks} tasks "
-            f"({self.data_edges}+{self.conflict_edges} edges), "
-            f"critical path {self.critical_path}, "
-            f"ready-width {self.max_ready_width}, "
-            f"{self.workers} workers, "
-            f"occupancy {self.occupancy * 100:.1f}%"
-        )
 
 
 @dataclass
@@ -291,8 +252,6 @@ class ExecutionProfile:
     batching: Optional[BatchStats] = None
     # One-line plan-optimizer summary (None for unoptimized plans).
     optimizer_summary: Optional[str] = None
-    # Task-graph scheduler counters (None for serially replayed plans).
-    scheduler: Optional[SchedulerStats] = None
 
     @property
     def requests_per_second(self) -> float:
@@ -328,8 +287,6 @@ class ExecutionProfile:
             lines.append(self.batching.render())
         if self.optimizer_summary is not None:
             lines.append(self.optimizer_summary)
-        if self.scheduler is not None:
-            lines.append(self.scheduler.render())
         timed = aggregate_tiled_steps(
             [s for s in self.steps if s.calls > 0]
         )
@@ -338,24 +295,17 @@ class ExecutionProfile:
             return "\n".join(lines)
         step_total = sum(s.total_seconds for s in timed) or 1e-12
         shown = sorted(timed, key=lambda s: -s.total_seconds)[:top]
-        queue_col = any(s.queue_seconds > 0.0 for s in shown)
         # Fused step names concatenate their constituent TEs and routinely
         # exceed any fixed column; size the column to what is shown instead
         # of truncating attribution away.
         width = max(36, *(len(s.name) for s in shown))
-        header = (
+        lines.append(
             f"{'step':{width}s} {'kind':>7s} {'calls':>7s} {'mean us':>9s} "
             f"{'%':>6s}"
         )
-        if queue_col:
-            header += f" {'wait us':>9s}"
-        lines.append(header)
         for s in shown:
-            row = (
+            lines.append(
                 f"{s.name:{width}s} {s.kind:>7s} {s.calls:7d} "
                 f"{s.mean_us:9.2f} {s.total_seconds / step_total * 100:6.1f}"
             )
-            if queue_col:
-                row += f" {s.mean_queue_us:9.2f}"
-            lines.append(row)
         return "\n".join(lines)

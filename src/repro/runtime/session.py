@@ -744,13 +744,10 @@ class InferenceSession:
         from repro.runtime.profiler import (
             BatchStats,
             ExecutionProfile,
-            SchedulerStats,
             StepTiming,
         )
 
         percentiles = self.latency_percentiles()
-        # Requests replayed through the task graph only on a parallel plan.
-        graph_exec = self.plan.graph_executor if self.plan.parallel else None
         pooled = self.arenas_pooled
         state = self.arena_state
         with state.lock:
@@ -762,26 +759,9 @@ class InferenceSession:
                     step_key=getattr(step, "step_key", ""),
                     calls=state.step_calls,
                     total_seconds=state.step_seconds[step.index],
-                    queue_seconds=(
-                        graph_exec.step_queue_seconds[step.index]
-                        if graph_exec is not None else 0.0
-                    ),
                 )
                 for step in self.plan.steps
             ]
-            scheduler = None
-            if graph_exec is not None:
-                stats = self.plan.task_graph.stats
-                scheduler = SchedulerStats(
-                    tasks=stats.tasks,
-                    data_edges=stats.data_edges,
-                    conflict_edges=stats.conflict_edges,
-                    critical_path=stats.critical_path,
-                    max_ready_width=stats.max_ready_width,
-                    requests=graph_exec.requests,
-                    workers=graph_exec.workers_used,
-                    occupancy=graph_exec.occupancy,
-                )
             batching = None
             if state.batches_executed:
                 batching = BatchStats(
@@ -810,7 +790,6 @@ class InferenceSession:
                     optimization.stats.summary()
                     if optimization is not None else None
                 ),
-                scheduler=scheduler,
             )
 
     def __repr__(self) -> str:

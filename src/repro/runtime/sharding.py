@@ -339,6 +339,22 @@ class ShardedServer:
             raise ExecutionError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
+        if max_queue_delay_ms < 0:
+            raise ExecutionError(
+                f"max_queue_delay_ms must be >= 0, got {max_queue_delay_ms}"
+            )
+        # Zero outstanding batches would block dispatch forever; a zero
+        # timeout would have the watchdog kill a worker on every batch.
+        if max_outstanding_batches < 1:
+            raise ExecutionError(
+                "max_outstanding_batches must be >= 1, got "
+                f"{max_outstanding_batches}"
+            )
+        if request_timeout_s is not None and request_timeout_s <= 0:
+            raise ExecutionError(
+                "request_timeout_s must be > 0 (or None to disable the "
+                f"watchdog), got {request_timeout_s}"
+            )
         self.graph = graph
         self.replicas = replicas
         self.policy = policy
@@ -688,14 +704,19 @@ class ShardedServer:
             # re-enqueues this batch through the crash path.
             pass
 
-    def _execute_locally(self, batch: List[_Pending]) -> None:
-        """Run one batch in the parent over the shared PlanState."""
+    def _local_session(self) -> InferenceSession:
+        """The parent's fallback session over the shared PlanState, built
+        on first use."""
         with self._local_lock:
             if self._local is None:
                 self._local = InferenceSession.from_plan_state(
                     self.plan_state, name=f"{self.name}[local]"
                 )
-            session = self._local
+            return self._local
+
+    def _execute_locally(self, batch: List[_Pending]) -> None:
+        """Run one batch in the parent over the shared PlanState."""
+        session = self._local_session()
         with self._lock:
             self.local_fallback_batches += 1
         try:
@@ -790,13 +811,7 @@ class ShardedServer:
         self._on_replica_down(replica)
 
     def _run_one_locally(self, pending: _Pending) -> List[np.ndarray]:
-        with self._local_lock:
-            if self._local is None:
-                self._local = InferenceSession.from_plan_state(
-                    self.plan_state, name=f"{self.name}[local]"
-                )
-            session = self._local
-        return session.run(pending.feeds)
+        return self._local_session().run(pending.feeds)
 
     def _on_replica_down(self, replica: _Replica) -> None:
         """EOF from a worker: reclaim its in-flight work, maybe respawn."""

@@ -539,7 +539,7 @@ def apply_tiling(groups: List, chains: List[TiledChain]) -> List:
 class ScratchPool:
     """Thread-safe free list of flat per-worker scratch buffers.
 
-    The graph executor runs sibling blocks concurrently; each
+    Concurrent requests may replay one plan on several threads; each
     block run borrows one buffer (sized for the plan's largest chain) and
     returns it, so steady-state serving allocates nothing.
     """

@@ -47,7 +47,7 @@ from repro.verify.equiv import (
     gate_certificates,
     replay_certificate,
 )
-from repro.verify.hazards import check_arena, check_schedule_cover, hazard_pairs
+from repro.verify.hazards import check_arena
 from repro.verify.shape_dtype import check_shape_dtype, infer_dtype
 from repro.verify.sync import check_sync
 from repro.verify.verifier import (
@@ -88,11 +88,9 @@ __all__ = [
     "check_bounds",
     "gate_certificates",
     "replay_certificate",
-    "check_schedule_cover",
     "check_shape_dtype",
     "check_sync",
     "check_wellformed",
-    "hazard_pairs",
     "infer_dtype",
     "verify_kernels_or_raise",
     "verify_module",

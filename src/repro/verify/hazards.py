@@ -17,14 +17,6 @@ reports:
 It supersedes the executor's former ad-hoc aliasing assertions: the
 :class:`~repro.runtime.executor.ExecutionPlan` now runs this pass at plan
 time and raises :class:`~repro.errors.PlanningError` from its errors.
-
-:func:`check_schedule_cover` extends the pass to *concurrent* execution:
-given a task-graph dependency table (successor lists over step positions),
-it certifies that every hazardous step pair the memory plan knows about —
-RAW through a produced tensor, WAR/WAW through overlapping arena bytes —
-is ordered by a dependency path. The graph executor runs it at plan time,
-so a dependency table that could let two racing steps run concurrently is
-rejected before a single request executes.
 """
 
 from __future__ import annotations
@@ -255,138 +247,3 @@ def _check_scratch(plan: MemoryPlan) -> List[Diagnostic]:
                 ))
     return diags
 
-
-def hazard_pairs(
-    program: ProgramLike,
-    plan: MemoryPlan,
-    sizer: Optional[Sizer] = None,
-) -> List[Tuple[int, int, str]]:
-    """Every step pair a concurrent schedule must order, with its cause.
-
-    Returns ``(earlier position, later position, kind)`` triples where
-    ``kind`` is ``"raw"`` (the later step reads the earlier step's output
-    tensor) or ``"bytes"`` (the two steps touch overlapping arena byte
-    ranges through different tensors — the WAR/WAW reuse pairs serial
-    replay orders implicitly). Positions are the view's node indices, i.e.
-    serial-replay order. Read-read sharing is not a hazard.
-    """
-    view = as_view(program)
-    # A tensor may have several writers: a tiled chain's blocks each write a
-    # disjoint row slice of the chain terminal. Writers of the *same* tensor
-    # never pair with each other (disjoint bytes by construction — the
-    # scratch check validates the layout), but every reader must wait for
-    # *all* of them.
-    producer: Dict[int, List[int]] = {}
-    readers: Dict[int, List[int]] = {}
-    for node in view.nodes:
-        producer.setdefault(id(node.tensor), []).append(node.index)
-        for operand in node.inputs:
-            readers.setdefault(id(operand), []).append(node.index)
-
-    pairs: Dict[Tuple[int, int], str] = {}
-
-    def require(a: int, b: int, kind: str) -> None:
-        if a == b:
-            return
-        pair = (a, b) if a < b else (b, a)
-        # RAW is the stronger (data) requirement; keep it over "bytes".
-        if pairs.get(pair) != "raw":
-            pairs[pair] = kind
-
-    for key, writers in producer.items():
-        for i in writers:
-            for j in readers.get(key, ()):
-                if j != i:
-                    require(i, j, "raw")
-
-    intervals = []
-    for tensor, a in plan.assignments.items():
-        nbytes = sizer(tensor) if sizer is not None else a.nbytes
-        intervals.append((a.offset, a.offset + nbytes, id(tensor)))
-    intervals.sort()
-    active: List[Tuple[int, int]] = []  # (end, tensor id)
-    for start, end, t_key in intervals:
-        active = [item for item in active if item[0] > start]
-        wts = producer.get(t_key, ())
-        for _, u_key in active:
-            wus = producer.get(u_key, ())
-            for wt in wts:
-                for wu in wus:
-                    require(wt, wu, "bytes")
-                for r in readers.get(u_key, ()):
-                    require(wt, r, "bytes")
-            for wu in wus:
-                for r in readers.get(t_key, ()):
-                    require(wu, r, "bytes")
-        active.append((end, t_key))
-
-    return [(i, j, kind) for (i, j), kind in sorted(pairs.items())]
-
-
-def check_schedule_cover(
-    program: ProgramLike,
-    plan: MemoryPlan,
-    successors: List[Tuple[int, ...]],
-    sizer: Optional[Sizer] = None,
-) -> List[Diagnostic]:
-    """Certify a dependency table orders every hazardous step pair.
-
-    ``successors`` maps each step position to the positions that must wait
-    for it (the task graph's edge lists; edges must point forward in
-    position order). For every :func:`hazard_pairs` requirement ``(i, j)``
-    the pass demands a dependency *path* from ``i`` to ``j`` — reachability
-    is computed with descendant bitmasks in one reverse sweep, so the check
-    stays cheap even at paper scale. An uncovered pair means the executor
-    could run both steps concurrently (or out of order) and corrupt the
-    arena; each one is reported as an error diagnostic.
-    """
-    view = as_view(program)
-    diags: List[Diagnostic] = []
-    n = len(view.nodes)
-    if len(successors) != n:
-        diags.append(error(
-            PASS_ARENA_HAZARD, Location("schedule", "dependency-table"),
-            f"dependency table has {len(successors)} entries for a "
-            f"{n}-step program",
-            "rebuild the task graph for this plan",
-        ))
-        return diags
-
-    for i, out in enumerate(successors):
-        for j in out:
-            if j <= i:
-                diags.append(error(
-                    PASS_ARENA_HAZARD,
-                    Location("schedule", view.nodes[i].name, f"step {i}"),
-                    f"backward successor edge {i} -> {j}; edges must "
-                    "point forward in serial-replay order",
-                    "task-graph positions must form a topological order",
-                ))
-
-    # Descendant bitmasks: one reverse sweep suffices because (checked
-    # above) every edge points forward in position order.
-    desc = [0] * n
-    for i in range(n - 1, -1, -1):
-        mask = 1 << i
-        for j in successors[i]:
-            if i < j < n:
-                mask |= desc[j]
-        desc[i] = mask
-
-    kind_names = {
-        "raw": "RAW (reads its output)",
-        "bytes": "WAR/WAW (overlapping arena bytes)",
-    }
-    for i, j, kind in hazard_pairs(view, plan, sizer):
-        if not (desc[i] >> j) & 1:
-            diags.append(error(
-                PASS_ARENA_HAZARD,
-                Location("schedule", view.nodes[j].name, f"step {j}"),
-                f"unordered hazard: steps {i} ({view.nodes[i].name}) and "
-                f"{j} ({view.nodes[j].name}) form a "
-                f"{kind_names[kind]} pair but no dependency path orders "
-                "them; a concurrent schedule may race",
-                "add a successor edge (or path) from the earlier step to "
-                "the later one",
-            ))
-    return diags

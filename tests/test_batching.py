@@ -31,17 +31,6 @@ def mlp_program():
     )
 
 
-def two_head_program():
-    """Two independent matmul heads over one input: one dependency level
-    holds two steps, so a forced replay rule sends it to the task graph."""
-    b = GraphBuilder("twohead")
-    x = b.input((4, 8), name="x")
-    w1 = b.weight((8, 16), name="w1")
-    w2 = b.weight((8, 16), name="w2")
-    heads = b.add(b.matmul(x, w1), b.matmul(x, w2))
-    return lower_graph(b.build([b.softmax(heads, axis=-1)]))
-
-
 def request_feeds(program, count, seed=0):
     """``count`` per-request feed dicts sharing weights, varying input x.
 
@@ -292,65 +281,32 @@ class TestBatchingServer:
         assert all(f.done() for f in futures)
         assert server.requests_completed == 7
 
-    def test_graph_executor_threaded_stress(self, monkeypatch):
-        """8 client threads hammering ONE graph-executor plan through the
-        batching server: the task-graph scheduler (threaded workers, shared
-        ready deques, per-request counter resets) must stay bit-identical
-        to a serial-replay oracle under concurrent requests, and ``stop()``
-        must drain with nothing dropped."""
-        from repro.runtime.task_graph import ThreadedScheduler
-        from tests.test_task_graph import force_parallel_rule
-
-        workers, per_worker = 8, 6
-        program = two_head_program()
-        force_parallel_rule(monkeypatch)
-        session = InferenceSession(program, max_pool=2)
-        assert session.plan.parallel
-        # Force real multi-worker scheduling even on a single-CPU runner
-        # (the default policy resolves to one worker there).
-        session.plan.graph_executor.scheduler = ThreadedScheduler(
-            max_workers=4
-        )
-        oracle_plan = session.plan
-        requests = request_feeds(program, workers * per_worker, seed=23)
-        expected = [
-            oracle_plan.execute_serial(
-                oracle_plan.bind_feeds(feeds), oracle_plan.new_arena()
-            )
-            for feeds in requests
-        ]
-        results = [None] * len(requests)
-
+    def test_cancelled_request_is_skipped(self):
+        """A request cancelled while queued is never run, and the rest of
+        its batch, later requests and stop() are unaffected."""
+        program = mlp_program()
+        session = InferenceSession(program)
+        requests = request_feeds(program, 3, seed=17)
+        expected = [InferenceSession(program).run(f) for f in requests]
         server = BatchingServer(
-            session, max_batch_size=8, max_queue_delay_ms=5.0
+            session, max_batch_size=8, max_queue_delay_ms=100.0
         ).start()
-
-        def client(worker: int) -> None:
-            for j in range(per_worker):
-                index = worker * per_worker + j
-                results[index] = server.run(requests[index], timeout=60)
-
-        threads = [
-            threading.Thread(target=client, args=(w,))
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        server.stop()  # must drain, not drop
-
-        assert all(r is not None for r in results)
-        for want, got in zip(expected, results):
-            for a, b in zip(want, got):
+        try:
+            cancelled = server.submit(requests[0])
+            kept = server.submit(requests[1])
+            assert cancelled.cancel()
+            got = kept.result(timeout=60)
+            for a, b in zip(expected[1], got):
                 assert np.array_equal(a, b)
-        assert server.requests_completed == server.requests_submitted
-        assert server.requests_completed == workers * per_worker
-        # Graph executors really served the traffic (the server may route
-        # everything through batched buckets, each with its own executor).
-        plans = [session.plan] + list(session._batched_plans.values())
-        assert all(p.parallel for p in plans)
-        assert sum(p.graph_executor.requests for p in plans) > 0
+            assert server.running
+            later = server.submit(requests[2])
+            for a, b in zip(expected[2], later.result(timeout=60)):
+                assert np.array_equal(a, b)
+        finally:
+            server.stop()
+        assert all(f.done() for f in (cancelled, kept, later))
+        assert cancelled.cancelled()
+        assert server.requests_completed == 2
 
     def test_submit_after_stop_rejected_and_restartable(self):
         program = mlp_program()

@@ -65,8 +65,8 @@ class TestCommands:
         assert main(["plan-stats", "mmoe"]) == 0
         out = capsys.readouterr().out
         assert "plan optimizer: mmoe_tiny" in out
-        assert "steps:" in out and "replay:" in out
-        assert "task graph: mmoe_tiny" in out
+        assert "steps:" in out and "arena workspace:" in out
+        assert "replay:" not in out and "task graph" not in out
         assert "matmul" in out  # tiny scale reports specialization too
 
     def test_plan_stats_batched_paper_scale(self, capsys):

@@ -4,8 +4,8 @@ The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
 hoisting weight-only subgraphs out of the request path (Sec. 5.1), fusing
 single-consumer map chains (Sec. 6.2), eliding dead inputs in place
-(Sec. 6.5) and replaying plans with parallel work through the task graph
-(Sec. 6.1).
+(Sec. 6.5) and emitting steps in dependency-level order, so steps sharing
+a level hold disjoint arena bytes (Sec. 6.1).
 Every pass, in every combination, must also leave a layout the static
 verifier accepts.
 """
@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder, lower_graph
-from repro.models import TINY_MODELS
+from repro.models import TINY_MODELS, build_bert_attention_subgraph
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
+from repro.runtime.session import InferenceSession
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
-from tests.test_task_graph import force_parallel_rule
 from tests.test_verify_property import random_graphs
 
 
@@ -305,78 +305,85 @@ def branchy_program():
     return lower_graph(b.build([out]))
 
 
-def unfused_plan(program, cost_model=None):
-    """An optimized plan with fusion off: fusion would collapse the
-    branchy graph to one step, so the branches stay separate steps."""
-    plan = ExecutionPlan(program, optimize=False)
-    plan.cost_model = cost_model
-    optimize_plan(plan, opt=plan_optimization(program, fuse=False))
-    return plan
+def assert_levels_hold_disjoint_bytes(plan):
+    """Steps sharing a dependency level hold disjoint arena bytes: their
+    outputs never overlap, and no step writes bytes that a sibling
+    emitted after it still reads. (Bytes an earlier sibling read for the
+    last time may be reused.)"""
+    opt = plan.optimization
+    assignments = plan.memory_plan.assignments
+
+    def span(tensor):
+        a = assignments.get(tensor)
+        return None if a is None else (a.offset, a.offset + a.nbytes)
+
+    def overlap(x, y):
+        return x is not None and y is not None and x[0] < y[1] and y[0] < x[1]
+
+    by_level = {}
+    for group, level in zip(opt.groups, opt.levels):
+        by_level.setdefault(level, []).append(group)
+    for level, groups in by_level.items():
+        for i, a in enumerate(groups):
+            out = span(a.terminal.tensor)
+            for b in groups[i + 1:]:
+                if b.terminal.tensor is a.terminal.tensor:
+                    continue  # blocks of one tiled chain share a tensor
+                touched = [b.terminal.tensor] + list(b.reads)
+                assert not any(overlap(out, span(t)) for t in touched), (
+                    f"level {level}: {a.name} writes bytes {b.name} uses"
+                )
 
 
 class TestWaves:
     def test_independent_steps_share_a_wave(self):
-        """Independent steps share a dependency level of the task graph,
-        emitted as one contiguous run of positions."""
+        """Independent steps share a dependency level, emitted as one
+        contiguous run of positions, and hold disjoint arena bytes."""
         program = branchy_program()
         plan = ExecutionPlan(program, optimize=False)
         optimize_plan(plan, opt=plan_optimization(
             program, hoist=False, fuse=False, elide=False
         ))
-        levels = plan.task_graph.levels
+        levels = plan.optimization.levels
         assert levels == sorted(levels)
         assert max(levels.count(lv) for lv in set(levels)) > 1
-
-    def test_parallel_dispatch_is_bit_identical(self, monkeypatch):
-        force_parallel_rule(monkeypatch)
-        program = branchy_program()
-        feeds = random_feeds(program, seed=6)
-        want = ExecutionPlan(program, optimize=False).run(feeds)
-        plan = unfused_plan(program)
-        assert plan.parallel
-        assert plan.optimization.stats.parallel_waves > 0
-        for _ in range(3):
-            got = plan.run(feeds)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-        assert plan.graph_executor.requests == 3
+        assert_levels_hold_disjoint_bytes(plan)
+        for name in sorted(TINY_MODELS):
+            assert_levels_hold_disjoint_bytes(
+                ExecutionPlan(lower_graph(TINY_MODELS[name]()), optimize=True)
+            )
 
     def test_small_waves_stay_serial(self):
         program = branchy_program()
         plan = ExecutionPlan(program, optimize=True)
-        assert not plan.parallel
         assert plan.optimization.stats.parallel_waves == 0
 
-    def test_measured_veto_demotes_to_serial(self, monkeypatch):
-        """A measured cost model can only demote: steps measured too small
-        to amortise a thread handoff keep an eligible plan serial."""
-        from tests.test_profile_store import model_with
+    @pytest.mark.parametrize("name", sorted(TINY_MODELS))
+    def test_tiny_models_have_no_parallel_levels(self, name):
+        plan = InferenceSession(lower_graph(TINY_MODELS[name]())).plan
+        assert plan.optimization.stats.parallel_waves == 0
 
-        force_parallel_rule(monkeypatch)
-        program = branchy_program()
-        steps = unfused_plan(program).steps
+    @pytest.mark.parametrize("bucket", [2, 4, 8])
+    def test_tiny_bert_buckets_have_no_parallel_levels(self, bucket):
+        session = InferenceSession(lower_graph(TINY_MODELS["bert"]()))
+        plan = session.batch_plan(bucket)
+        assert plan.optimization.stats.parallel_waves == 0
 
-        def measured(seconds):
-            # Rows on one seconds ~ bytes line keep the fitted dispatch
-            # intercept near zero, so only the step times decide.
-            rows = {
-                f"anchor{k}": [("map", k * 1e-6, k * 1000, 0)]
-                for k in range(1, 5)
-            }
-            rows.update({
-                s.step_key: [(s.kind, seconds, int(seconds * 1e9), 0)]
-                for s in steps
-            })
-            return model_with(rows)
+    def test_attention_block_has_three_parallel_levels(self):
+        """The paper-width attention block as served: three levels hold
+        two or more big steps, whatever the host's core count, and the
+        flat replay stays bit-identical to the interpreter."""
+        from repro import SouffleCompiler
 
-        slow = unfused_plan(program, cost_model=measured(1e-3))
-        assert slow.parallel
-        fast = unfused_plan(program, cost_model=measured(1e-7))
-        assert not fast.parallel
-        assert fast.optimization.stats.parallel_waves == 0
-        assert fast._graph_executor is None  # built to judge, then dropped
-        feeds = random_feeds(program, seed=8)
-        for g, w in zip(fast.run(feeds), slow.run(feeds)):
+        module = SouffleCompiler().compile(build_bert_attention_subgraph())
+        plan = module.session.plan
+        assert plan.num_steps == 17
+        assert plan.workspace_bytes == 3_932_160
+        assert plan.optimization.stats.parallel_waves == 3
+        assert_levels_hold_disjoint_bytes(plan)
+        feeds = random_feeds(module.program, seed=1)
+        want = module.run_interpreted(feeds)
+        for g, w in zip(module.session.run(feeds), want):
             assert np.array_equal(g, w)
 
 
@@ -395,7 +402,7 @@ class TestStats:
         )
         assert stats.workspace_after == plan.memory_plan.workspace_bytes
         assert "->" in stats.summary()
-        assert "replay" in stats.render()
+        assert "arena workspace" in stats.render()
 
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()

@@ -350,12 +350,6 @@ class TestCostModel:
             "s0", out_bytes=10_000_000, consumers=2
         )
 
-    def test_wave_parallel_requires_full_measurement(self):
-        model = model_with({"s0": [("map", 1e-3, 0, 0)]})
-        assert model.parallel_profitable([1e-3, None]) is None
-        assert model.parallel_profitable([1e-3, 1e-3]) is True
-        assert model.parallel_profitable([1e-6, 1e-3]) is False
-
     def test_tiled_variants_keyed_by_block_rows(self):
         store = ProfileStore(None)
         store.record(HASH, 1, [

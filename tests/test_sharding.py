@@ -295,6 +295,14 @@ class TestShardedServer:
             ShardedServer(graph, weights, replicas=0)
         with pytest.raises(ExecutionError):
             ShardedServer(graph, weights, policy="fastest")
+        # Settings that would hang dispatch or have the watchdog kill a
+        # worker on every batch are refused before anything is spawned.
+        with pytest.raises(ExecutionError, match="max_outstanding_batches"):
+            ShardedServer(graph, weights, max_outstanding_batches=0)
+        with pytest.raises(ExecutionError, match="max_queue_delay_ms"):
+            ShardedServer(graph, weights, max_queue_delay_ms=-1.0)
+        with pytest.raises(ExecutionError, match="request_timeout_s"):
+            ShardedServer(graph, weights, request_timeout_s=0.0)
 
     def test_bit_identical_and_zero_copy(self, mlp_setup):
         graph, program, base, weights = mlp_setup

@@ -10,8 +10,7 @@ Three layers of assurance, mirroring the repo's testing doctrine:
   validator, and — with the validator bypassed — by the bit-identity
   oracle; a seeded scratch-block aliasing bug is caught by the verifier's
   arena-hazard pass. The safety nets trip, deterministically.
-* **Integration**: tiled sub-steps flow through serial replay and the
-  task-graph executor (hazard-cover certified), the
+* **Integration**: tiled sub-steps flow through plan replay, the
   profiler folds per-block rows, and the stats/report plumbing counts
   tiled chains.
 """
@@ -27,14 +26,6 @@ from repro.models import TINY_MODELS
 from repro.runtime import tiling
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.plan_opt import plan_optimization
-from repro.runtime.task_graph import (
-    AdversarialScheduler,
-    FifoScheduler,
-    ScriptedScheduler,
-    ThreadedScheduler,
-    optimization_task_graph,
-    random_topological_order,
-)
 from repro.runtime.tiling import (
     ScratchPool,
     TiledStepGroup,
@@ -278,58 +269,6 @@ class TestScratchAliasing:
         assert any("exceeds" in d.message for d in errs)
 
 
-# ---- executor integration ----------------------------------------------------
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("name", CHAIN_MODELS)
-    def test_graph_executor_bit_identical_under_all_schedulers(self, name):
-        program = program_for(name)
-        feeds = random_feeds(program, seed=31)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=1)
-        assert plan.optimization.tiled_chains
-        # Each block is a task; the dependency table is re-certified.
-        assert plan.task_graph.verify_cover() == []
-        bound = plan.bind_feeds(feeds)
-        for scheduler in (
-            FifoScheduler(),
-            AdversarialScheduler(),
-            ThreadedScheduler(max_workers=4),
-            ScriptedScheduler(random_topological_order(
-                plan.task_graph, np.random.default_rng(7)
-            )),
-        ):
-            got = plan.execute(bound, plan.new_arena(), scheduler=scheduler)
-            assert_outputs_equal(got, want, f"{name} {scheduler}")
-
-    def test_blocks_are_individual_tasks(self):
-        program = program_for("bert")
-        tiled = ExecutionPlan(program, optimize=True, tile_block_rows=2)
-        untiled = ExecutionPlan(program, optimize=True, tile=False)
-        chains = tiled.optimization.tiled_chains
-        blocks = sum(c.num_blocks for c in chains)
-        internal = sum(len(c.groups) - 1 for c in chains)
-        assert len(tiled.task_graph) == \
-            len(untiled.task_graph) - internal - len(chains) + blocks
-
-    def test_stats_builder_reports_post_tiling_width(self):
-        program = program_for("bert")
-        tiled = optimization_task_graph(
-            plan_optimization(program, tile_block_rows=2)
-        ).stats
-        untiled = optimization_task_graph(
-            plan_optimization(program, tile=False)
-        ).stats
-        assert tiled != untiled
-        # Sibling blocks are mutually independent, so tiling can only
-        # widen (never narrow) the ready frontier.
-        assert tiled.max_ready_width >= untiled.max_ready_width
-        # The structure-only builder agrees with a real compiled plan.
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
-        assert tiled == plan.task_graph.stats
-
-
 # ---- profiler ----------------------------------------------------------------
 
 
@@ -339,9 +278,9 @@ class TestProfiler:
 
         steps = [
             StepTiming(0, "dense", "matmul", 4, 0.4),
-            StepTiming(1, "a+b+softmax[blk 1/3]", "tiled", 4, 0.1, 0.01),
-            StepTiming(2, "a+b+softmax[blk 2/3]", "tiled", 4, 0.2, 0.02),
-            StepTiming(3, "a+b+softmax[blk 3/3]", "tiled", 4, 0.3, 0.03),
+            StepTiming(1, "a+b+softmax[blk 1/3]", "tiled", 4, 0.1),
+            StepTiming(2, "a+b+softmax[blk 2/3]", "tiled", 4, 0.2),
+            StepTiming(3, "a+b+softmax[blk 3/3]", "tiled", 4, 0.3),
         ]
         folded = aggregate_tiled_steps(steps)
         assert [s.name for s in folded] == [
@@ -349,7 +288,6 @@ class TestProfiler:
         ]
         agg = folded[1]
         assert agg.total_seconds == pytest.approx(0.6)
-        assert agg.queue_seconds == pytest.approx(0.06)
         # Originals are untouched (render must be repeatable).
         assert steps[1].total_seconds == pytest.approx(0.1)
 
