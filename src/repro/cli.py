@@ -374,7 +374,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     baseline.stop()
 
     server = ShardedServer(
-        graph, weights, replicas=args.replicas, policy=args.policy,
+        graph, weights, replicas=args.replicas,
         max_batch_size=batch, max_queue_delay_ms=2.0, tile=args.tile,
     )
     with server:
@@ -393,7 +393,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
         for got, want in zip(outs, want_outs)
     )
     print(
-        f"\nsharded serving ({args.replicas} replicas, {args.policy}): "
+        f"\nsharded serving ({args.replicas} replicas): "
         f"{args.calls / shard_seconds:.1f} req/s vs "
         f"{args.calls / base_seconds:.1f} req/s single-process "
         f"({base_seconds / shard_seconds:.2f}x), "
@@ -651,9 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serve through this many sharded worker "
                         "processes mapping one shared-memory weight blob, "
                         "vs the single-process batching server (0 = off)")
-    p.add_argument("--policy", choices=("round-robin", "least-outstanding"),
-                   default="least-outstanding",
-                   help="sharded dispatch policy (default least-outstanding)")
     p.add_argument("--json-out", default=None,
                    help="also write the headline metrics as JSON to this "
                         "path (e.g. benchmarks/results/serve_bench.json)")

@@ -12,19 +12,20 @@ weights, and a cold worker never re-runs the hoisted weight prologue: the
 values are already in the segment (persisted to disk across server runs,
 keyed like the compile cache).
 
-The front end mirrors ``BatchingServer``'s contract:
+Admission, the batch window, the dispatcher, the stop-time drain and the
+batch-failure fallback are the :class:`~repro.runtime.batching.
+RequestCore` that ``BatchingServer`` runs on too. What this module adds
+is where a batch goes and what happens when a worker dies:
 
-* :meth:`submit` validates feeds at the door and returns a future;
-* a dispatcher thread gathers dynamic batches under the same
-  size/delay policy, then ships each batch to a replica chosen by the
-  configured policy (``round-robin`` or ``least-outstanding``, both
-  capacity-capped so one slow replica cannot absorb the whole queue);
-* every accepted request resolves — :meth:`stop` drains the queue, and a
-  crashed or hung replica's in-flight requests are re-dispatched (a hang
-  is converted into a crash by the watchdog's ``request_timeout_s``) while
-  the worker is respawned. If no replica is available the parent executes
-  the batch itself over the same shared :class:`PlanState`, so the
-  guarantee holds even with every worker down.
+* each formed batch ships to the alive replica with the fewest
+  outstanding requests (ties rotate), capped at a few batches per replica
+  so one slow replica cannot absorb the whole queue;
+* a crashed or hung replica's in-flight requests go back to the queue (a
+  hang is converted into a crash by the watchdog's ``request_timeout_s``)
+  while the worker is respawned, and :meth:`stop` returns only once they
+  are served. If no replica is available the parent executes the batch
+  itself over the same shared :class:`PlanState`, so every accepted
+  request resolves even with every worker down.
 
 Outputs are bit-identical to a serial replay of the same requests through
 one :class:`~repro.runtime.session.InferenceSession`: workers replay the
@@ -36,13 +37,11 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import multiprocessing as mp
 
@@ -52,24 +51,12 @@ from repro.errors import ExecutionError
 from repro.frontends.serialize import graph_from_dict, graph_to_dict
 from repro.graph.graph import Graph
 from repro.graph.lowering import lower_graph
-from repro.runtime.profiler import percentiles
-from repro.runtime.session import (
-    DEFAULT_BATCH_BUCKETS,
-    DEFAULT_MAX_POOL,
-    InferenceSession,
-    PlanState,
-    resolve_feeds_by_name,
-)
+from repro.runtime.batching import CoreServer, Feeds, Pending, RequestCore
+from repro.runtime.session import InferenceSession, PlanState
 from repro.runtime.weight_store import WeightManifest, WeightStore
-from repro.te.tensor import Tensor
 
-Feeds = Union[Mapping[Tensor, np.ndarray], Mapping[str, np.ndarray]]
-
-# Request latencies (submit -> resolve) kept for percentile reporting.
-LATENCY_WINDOW = 4096
-
-# How often the idle dispatcher re-checks for shutdown.
-_IDLE_POLL_S = 0.02
+# Batches one replica may hold in flight before dispatch waits for it.
+_MAX_IN_FLIGHT = 2
 
 # Watchdog sweep interval (hang detection granularity).
 _WATCHDOG_POLL_S = 0.05
@@ -78,23 +65,14 @@ _WATCHDOG_POLL_S = 0.05
 _READY_TIMEOUT_S = 120.0
 
 
-# ---- dispatch policies ------------------------------------------------------
-
-
-def pick_round_robin(last: int, outstanding: Sequence[Optional[int]]) -> int:
-    """Next alive replica after ``last`` (``None`` marks a dead replica)."""
-    n = len(outstanding)
-    for i in range(1, n + 1):
-        idx = (last + i) % n
-        if outstanding[idx] is not None:
-            return idx
-    raise ExecutionError("no alive replica to dispatch to")
+# ---- replica choice ---------------------------------------------------------
 
 
 def pick_least_outstanding(
     last: int, outstanding: Sequence[Optional[int]]
 ) -> int:
-    """Alive replica with the fewest in-flight requests; round-robin ties."""
+    """Alive replica with the fewest in-flight requests; round-robin ties
+    (``None`` marks a replica that is dead or at capacity)."""
     alive = [o for o in outstanding if o is not None]
     if not alive:
         raise ExecutionError("no alive replica to dispatch to")
@@ -107,34 +85,7 @@ def pick_least_outstanding(
     raise ExecutionError("no alive replica to dispatch to")
 
 
-_POLICIES = {
-    "round-robin": pick_round_robin,
-    "least-outstanding": pick_least_outstanding,
-}
-
-
 # ---- worker process ---------------------------------------------------------
-
-
-@dataclass
-class WorkerConfig:
-    """Plan/session knobs shipped to every worker (picklable)."""
-
-    optimize: bool = True
-    tile: bool = True
-    batch_buckets: Tuple[int, ...] = DEFAULT_BATCH_BUCKETS
-    max_pool: int = DEFAULT_MAX_POOL
-    # Profile collection: when on, every worker measures per-step wall
-    # time and flushes it to the profile store rooted at profile_dir
-    # (None honours $REPRO_CACHE_DIR) — the store's file lock makes the
-    # concurrent worker flushes merge instead of clobber.
-    collect_profiles: bool = False
-    profile_dir: Optional[str] = None
-    # Fault-injection hook for the hang tests: while the flag file exists,
-    # every batch sleeps this long before executing (long enough for the
-    # watchdog to declare the worker hung and kill it).
-    fault_sleep_s: float = 0.0
-    fault_flag_path: Optional[str] = None
 
 
 def _rss_bytes() -> int:
@@ -172,7 +123,7 @@ def _worker_main(
     index: int,
     graph_doc: dict,
     manifest: WeightManifest,
-    config: WorkerConfig,
+    tile: bool,
     conn,
 ) -> None:
     """Replica body: rebuild the plan, map shared weights, serve batches.
@@ -189,21 +140,12 @@ def _worker_main(
         store = WeightStore.attach(manifest)
         graph = graph_from_dict(graph_doc)
         program = lower_graph(graph)
-        plan_state = PlanState(
-            program,
-            batch_buckets=config.batch_buckets,
-            optimize=config.optimize,
-            tile=config.tile,
-        )
+        plan_state = PlanState(program, tile=tile)
         weights = store.weights_by_name()
         hoisted = store.hoisted_by_name()
         plan_state.bind_weights(weights, hoisted_by_name=hoisted or None)
         session = InferenceSession.from_plan_state(
-            plan_state,
-            name=f"{program.name}[{index}]",
-            max_pool=config.max_pool,
-            collect_profiles=config.collect_profiles,
-            profile_store=config.profile_dir,
+            plan_state, name=f"{program.name}[{index}]"
         )
         # Zero-copy accounting: a weight whose bound value is not the shm
         # view itself was copied into this replica (should never happen —
@@ -240,12 +182,6 @@ def _worker_main(
             kind = msg[0]
             if kind == "batch":
                 _, batch_id, feeds_list = msg
-                if (
-                    config.fault_sleep_s > 0.0
-                    and config.fault_flag_path
-                    and os.path.exists(config.fault_flag_path)
-                ):
-                    time.sleep(config.fault_sleep_s)
                 try:
                     results = session.run_batch_by_name(feeds_list)
                     conn.send(("result", batch_id, results))
@@ -254,8 +190,6 @@ def _worker_main(
             elif kind == "stats":
                 conn.send(("stats", index, _session_stats(session)))
     finally:
-        if config.collect_profiles:
-            session.flush_profiles()
         store.close()
 
 
@@ -263,20 +197,10 @@ def _worker_main(
 
 
 @dataclass
-class _Pending:
-    """One queued request: resolved feeds, its future, and arrival time."""
-
-    feeds: Mapping[Tensor, np.ndarray]
-    future: "Future[List[np.ndarray]]"
-    enqueued: float = field(default_factory=time.perf_counter)
-    redispatched: bool = False
-
-
-@dataclass
 class _InFlight:
     """One batch shipped to a replica, until its result (or its funeral)."""
 
-    members: List[_Pending]
+    members: List[Pending]
     sent_at: float = field(default_factory=time.perf_counter)
 
 
@@ -305,7 +229,7 @@ class _Replica:
         return sum(len(b.members) for b in self.in_flight.values())
 
 
-class ShardedServer:
+class ShardedServer(CoreServer):
     """K-process sharded serving over one shared weight segment."""
 
     def __init__(
@@ -313,81 +237,43 @@ class ShardedServer:
         graph: Graph,
         weights: Mapping[str, np.ndarray],
         replicas: int = 2,
-        policy: str = "least-outstanding",
         max_batch_size: int = 8,
         max_queue_delay_ms: float = 2.0,
-        optimize: bool = True,
         tile: bool = True,
-        batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
-        max_pool: int = DEFAULT_MAX_POOL,
-        request_timeout_s: Optional[float] = 30.0,
-        max_outstanding_batches: int = 2,
+        request_timeout_s: float = 30.0,
         cache_dir: Optional[str] = None,
-        collect_profiles: bool = False,
-        profile_dir: Optional[str] = None,
-        fault_sleep_s: float = 0.0,
-        fault_flag_path: Optional[str] = None,
     ) -> None:
         if replicas < 1:
             raise ExecutionError(f"replicas must be >= 1, got {replicas}")
-        if policy not in _POLICIES:
+        # A zero timeout would have the watchdog kill a worker on every
+        # batch.
+        if request_timeout_s <= 0:
             raise ExecutionError(
-                f"unknown dispatch policy {policy!r}; choose one of "
-                f"{sorted(_POLICIES)}"
+                f"request_timeout_s must be > 0, got {request_timeout_s}"
             )
-        if max_batch_size < 1:
-            raise ExecutionError(
-                f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if max_queue_delay_ms < 0:
-            raise ExecutionError(
-                f"max_queue_delay_ms must be >= 0, got {max_queue_delay_ms}"
-            )
-        # Zero outstanding batches would block dispatch forever; a zero
-        # timeout would have the watchdog kill a worker on every batch.
-        if max_outstanding_batches < 1:
-            raise ExecutionError(
-                "max_outstanding_batches must be >= 1, got "
-                f"{max_outstanding_batches}"
-            )
-        if request_timeout_s is not None and request_timeout_s <= 0:
-            raise ExecutionError(
-                "request_timeout_s must be > 0 (or None to disable the "
-                f"watchdog), got {request_timeout_s}"
-            )
+        program = lower_graph(graph)
+        self.name = program.name
+        # The hand-off is looked up per batch, so a wrapper installed on
+        # the class after construction (tracing) sees every batch.
+        self._core = RequestCore(
+            f"sharded-{self.name}-dispatch",
+            lambda batch: self._dispatch(batch),
+            max_batch_size,
+            max_queue_delay_ms,
+            outstanding=self._outstanding,
+        )
         self.graph = graph
         self.replicas = replicas
-        self.policy = policy
-        self.max_batch_size = max_batch_size
-        self.max_queue_delay_ms = max_queue_delay_ms
-        self._delay_s = max_queue_delay_ms / 1e3
+        self.tile = tile
         self.request_timeout_s = request_timeout_s
-        self.max_outstanding_batches = max_outstanding_batches
         self._graph_doc = graph_to_dict(graph)
-        self._config = WorkerConfig(
-            optimize=optimize,
-            tile=tile,
-            batch_buckets=tuple(sorted(set(int(b) for b in batch_buckets))),
-            max_pool=max_pool,
-            collect_profiles=collect_profiles,
-            profile_dir=profile_dir,
-            fault_sleep_s=fault_sleep_s,
-            fault_flag_path=fault_flag_path,
-        )
 
         # The parent holds its own PlanState over the same shared weights:
         # it validates submissions, computes the hoisted prologue exactly
         # once for the store, and serves as the all-replicas-down fallback
         # executor (bit-identical by construction — same plans, same
         # weight bytes).
-        program = lower_graph(graph)
-        self.plan_state = PlanState(
-            program,
-            batch_buckets=self._config.batch_buckets,
-            optimize=optimize,
-            tile=tile,
-        )
-        self.name = program.name
+        self.plan_state = PlanState(program, tile=tile)
         self.store = WeightStore.create(
             program, self.plan_state.plan, weights, cache_dir=cache_dir
         )
@@ -402,33 +288,19 @@ class ShardedServer:
         self._replicas: List[_Replica] = [
             _Replica(i) for i in range(replicas)
         ]
-        self._queue: "queue.Queue[_Pending]" = queue.Queue()
         self._lock = threading.Lock()
         self._capacity = threading.Condition(self._lock)
-        self._stopping = threading.Event()
-        self._dispatcher: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
-        self._started = False
         self._batch_ids = itertools.count()
         self._last_replica = replicas - 1
         self._serving_since: Optional[float] = None
 
-        self.requests_submitted = 0
-        self.requests_completed = 0
-        self.batches_dispatched = 0
         self.requests_redispatched = 0
         self.local_fallback_batches = 0
         self.worker_crashes = 0
         self.worker_respawns = 0
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
 
     # ---- lifecycle -------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return (
-            self._dispatcher is not None and self._dispatcher.is_alive()
-        )
 
     def alive_replicas(self) -> int:
         with self._lock:
@@ -436,9 +308,8 @@ class ShardedServer:
 
     def start(self) -> "ShardedServer":
         """Spawn every worker, wait for them to map weights, start serving."""
-        if self._started:
+        if self._core.running:
             return self
-        self._stopping.clear()
         for replica in self._replicas:
             self._spawn(replica)
         deadline = time.perf_counter() + _READY_TIMEOUT_S
@@ -456,25 +327,17 @@ class ShardedServer:
                     f"replica {replica.index} failed to start: "
                     f"{replica.fatal}"
                 )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name=f"sharded-{self.name}-dispatch",
+        self._core.start()
+        self._watchdog = threading.Thread(
+            target=self._watchdog_loop,
+            name=f"sharded-{self.name}-watchdog",
             daemon=True,
         )
-        self._dispatcher.start()
-        if self.request_timeout_s is not None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop,
-                name=f"sharded-{self.name}-watchdog",
-                daemon=True,
-            )
-            self._watchdog.start()
-        self._started = True
+        self._watchdog.start()
         self._serving_since = time.perf_counter()
         return self
 
     def _abort_start(self) -> None:
-        self._stopping.set()
         for replica in self._replicas:
             proc = replica.process
             if proc is not None and proc.is_alive():
@@ -489,7 +352,7 @@ class ShardedServer:
                 replica.index,
                 self._graph_doc,
                 self.store.manifest,
-                self._config,
+                self.tile,
                 child_conn,
             ),
             name=f"sharded-{self.name}-w{replica.index}",
@@ -515,28 +378,12 @@ class ShardedServer:
     def stop(self) -> None:
         """Stop accepting requests, resolve everything accepted, shut down.
 
-        Mirrors ``BatchingServer.stop()``: the dispatcher finishes the
-        queue, then the parent waits for every in-flight batch (the
-        watchdog still converts hangs into crashes, whose requests come
-        back to the queue and are served locally). No accepted request is
-        dropped.
+        The request core returns once the queue is empty and no batch is
+        in flight (the watchdog still converts hangs into crashes, whose
+        requests come back to the queue and are served), so no accepted
+        request is dropped; then every worker is asked to exit.
         """
-        self._stopping.set()
-        dispatcher = self._dispatcher
-        if dispatcher is not None:
-            dispatcher.join()
-        # Outstanding batches resolve via the receiver threads; anything
-        # re-enqueued by a crash (and any submit that raced the shutdown)
-        # is served here, in the parent, over the shared PlanState.
-        while True:
-            self._drain_now()
-            with self._capacity:
-                if (
-                    self._queue.empty()
-                    and all(not r.in_flight for r in self._replicas)
-                ):
-                    break
-                self._capacity.wait(timeout=_WATCHDOG_POLL_S)
+        self._core.stop()
         for replica in self._replicas:
             with self._lock:
                 alive = replica.alive
@@ -563,14 +410,7 @@ class ShardedServer:
         watchdog = self._watchdog
         if watchdog is not None:
             watchdog.join(timeout=5.0)
-        self._started = False
         self.store.unlink()
-
-    def __enter__(self) -> "ShardedServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # ---- request entry ---------------------------------------------------
 
@@ -582,78 +422,26 @@ class ShardedServer:
         under every request. Shape and missing-placeholder errors raise
         here, synchronously.
         """
-        if not self._started or self._stopping.is_set():
-            raise ExecutionError(
-                "ShardedServer is not running; call start() "
-                "(or use it as a context manager)"
-            )
-        resolved = self._resolve(feeds)
-        # Validate at the door against the parent's identical plan.
-        self.plan_state.plan.bind_feeds(
-            self.plan_state.with_weights(resolved)
-        )
-        pending = _Pending(resolved, Future())
-        self._queue.put(pending)
+        return self._core.submit(feeds, self.plan_state)
+
+    # ---- dispatch --------------------------------------------------------
+
+    def _outstanding(self) -> bool:
         with self._lock:
-            self.requests_submitted += 1
-        return pending.future
-
-    def run(self, feeds: Feeds, timeout: Optional[float] = None):
-        """Synchronous convenience: submit and wait for the outputs."""
-        return self.submit(feeds).result(timeout)
-
-    def _resolve(self, feeds: Feeds) -> Mapping[Tensor, np.ndarray]:
-        if feeds and all(isinstance(key, str) for key in feeds):
-            return resolve_feeds_by_name(self.plan_state.program, feeds)
-        return feeds  # type: ignore[return-value]
-
-    # ---- dispatcher ------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=_IDLE_POLL_S)
-            except queue.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            self._dispatch(self._gather(first))
-
-    def _gather(self, first: _Pending) -> List[_Pending]:
-        """Fill a batch behind ``first`` under the size/delay policy."""
-        batch = [first]
-        deadline = first.enqueued + self._delay_s
-        while len(batch) < self.max_batch_size:
-            if self._stopping.is_set():
-                remaining = 0.0
-            else:
-                remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                try:
-                    while len(batch) < self.max_batch_size:
-                        batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    pass
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
-        return batch
+            return any(r.in_flight for r in self._replicas)
 
     def _pick_replica(self) -> Optional[_Replica]:
-        """A replica with spare capacity, per policy; None to run locally.
+        """The least-loaded replica with spare capacity; None to run
+        locally.
 
         Blocks (briefly) while every replica is at its outstanding-batch
         cap; falls back to ``None`` — execute in the parent — only when no
         replica is alive and none is coming back.
         """
-        pick = _POLICIES[self.policy]
         deadline = time.perf_counter() + 1.0
         while True:
             with self._capacity:
                 outstanding: List[Optional[int]] = []
-                usable = 0
                 for r in self._replicas:
                     # A respawning replica is alive but not yet ready;
                     # dispatching to it would start the request clock while
@@ -662,14 +450,15 @@ class ShardedServer:
                     if (
                         r.alive
                         and r.ready.is_set()
-                        and len(r.in_flight) < self.max_outstanding_batches
+                        and len(r.in_flight) < _MAX_IN_FLIGHT
                     ):
                         outstanding.append(r.outstanding)
-                        usable += 1
                     else:
                         outstanding.append(None)
-                if usable:
-                    idx = pick(self._last_replica, outstanding)
+                if any(o is not None for o in outstanding):
+                    idx = pick_least_outstanding(
+                        self._last_replica, outstanding
+                    )
                     self._last_replica = idx
                     return self._replicas[idx]
                 if not any(r.alive for r in self._replicas):
@@ -677,10 +466,12 @@ class ShardedServer:
                         return None  # every worker down: serve locally
                 self._capacity.wait(timeout=_WATCHDOG_POLL_S)
 
-    def _dispatch(self, batch: List[_Pending]) -> None:
+    def _dispatch(self, batch: List[Pending]) -> None:
         replica = self._pick_replica()
         if replica is None:
-            self._execute_locally(batch)
+            with self._lock:
+                self.local_fallback_batches += 1
+            self._core.serve(batch, self._local_session())
             return
         batch_id = next(self._batch_ids)
         feeds_list = [
@@ -691,7 +482,6 @@ class ShardedServer:
             lost = not replica.alive
             if not lost:
                 replica.in_flight[batch_id] = _InFlight(list(batch))
-                self.batches_dispatched += 1
         if lost:
             # Lost the replica between picking and registering; try again.
             self._dispatch(batch)
@@ -701,7 +491,7 @@ class ShardedServer:
                 replica.conn.send(("batch", batch_id, feeds_list))
         except (OSError, ValueError):
             # The worker died under us; its receiver thread sees EOF and
-            # re-enqueues this batch through the crash path.
+            # requeues this batch through the crash path.
             pass
 
     def _local_session(self) -> InferenceSession:
@@ -714,53 +504,6 @@ class ShardedServer:
                 )
             return self._local
 
-    def _execute_locally(self, batch: List[_Pending]) -> None:
-        """Run one batch in the parent over the shared PlanState."""
-        session = self._local_session()
-        with self._lock:
-            self.local_fallback_batches += 1
-        try:
-            results = session.run_batch(
-                [pending.feeds for pending in batch]
-            )
-        except Exception:
-            results = None
-        if results is not None:
-            for pending, outputs in zip(batch, results):
-                self._settle(pending, outputs)
-        else:
-            for pending in batch:
-                try:
-                    self._settle(pending, session.run(pending.feeds))
-                except Exception as exc:  # noqa: BLE001 — forwarded
-                    self._settle(pending, None, exc)
-
-    def _settle(self, pending: _Pending, outputs, exc=None) -> None:
-        """Resolve one future exactly once (idempotent across re-dispatch)."""
-        try:
-            if exc is not None:
-                pending.future.set_exception(exc)
-            else:
-                pending.future.set_result(outputs)
-        except InvalidStateError:
-            return  # already resolved by an earlier dispatch
-        with self._lock:
-            self.requests_completed += 1
-            self._latencies.append(time.perf_counter() - pending.enqueued)
-
-    def _drain_now(self) -> None:
-        """Serve whatever is queued right now, in the parent."""
-        while True:
-            batch: List[_Pending] = []
-            try:
-                while len(batch) < self.max_batch_size:
-                    batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                pass
-            if not batch:
-                return
-            self._execute_locally(batch)
-
     # ---- replica receive / crash recovery --------------------------------
 
     def _receive_loop(self, replica: _Replica) -> None:
@@ -771,32 +514,22 @@ class ShardedServer:
             except (EOFError, OSError):
                 break
             kind = msg[0]
-            if kind == "result":
-                _, batch_id, results = msg
+            if kind in ("result", "error"):
+                _, batch_id, payload = msg
                 with self._capacity:
                     entry = replica.in_flight.pop(batch_id, None)
-                    if entry is not None:
+                    if entry is not None and kind == "result":
                         replica.requests_served += len(entry.members)
                     self._capacity.notify_all()
-                if entry is not None:
-                    for pending, outputs in zip(entry.members, results):
-                        self._settle(pending, outputs)
-            elif kind == "error":
-                _, batch_id, message = msg
-                with self._capacity:
-                    entry = replica.in_flight.pop(batch_id, None)
-                    self._capacity.notify_all()
-                if entry is not None:
-                    # Isolate the failure exactly like BatchingServer:
-                    # replay each member unbatched (in the parent) so only
-                    # the faulty request's future carries an exception.
-                    for pending in entry.members:
-                        try:
-                            self._settle(
-                                pending, self._run_one_locally(pending)
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            self._settle(pending, None, exc)
+                if entry is None:
+                    continue
+                if kind == "result":
+                    self._core.settle(entry.members, payload)
+                else:
+                    # The worker's batch failed: serve it in the parent,
+                    # where the core's fallback runs each member alone if
+                    # the batch fails again.
+                    self._core.serve(entry.members, self._local_session())
             elif kind == "ready":
                 replica.info = msg[2]
                 replica.ready.set()
@@ -810,42 +543,32 @@ class ShardedServer:
                 replica.clean_exit = True
         self._on_replica_down(replica)
 
-    def _run_one_locally(self, pending: _Pending) -> List[np.ndarray]:
-        return self._local_session().run(pending.feeds)
-
     def _on_replica_down(self, replica: _Replica) -> None:
         """EOF from a worker: reclaim its in-flight work, maybe respawn."""
         with self._capacity:
             was_alive = replica.alive
             replica.alive = False
-            stranded = list(replica.in_flight.values())
+            # Requeue every request the dead worker still owed — before its
+            # in-flight record goes (the dispatcher outlives stop() until
+            # both are empty) and before any early return: a respawned
+            # replica can die *again* before ready while already holding
+            # re-dispatched batches.
+            for entry in replica.in_flight.values():
+                for pending in entry.members:
+                    self._core.requeue(pending)
+                    self.requests_redispatched += 1
             replica.in_flight.clear()
             crashed = not replica.clean_exit and was_alive
             if crashed:
                 replica.crashes += 1
                 self.worker_crashes += 1
             self._capacity.notify_all()
-        # Re-dispatch every request the dead worker still owed — before any
-        # early return: a respawned replica can die *again* before ready
-        # while already holding re-dispatched batches. During shutdown the
-        # dispatcher may already be gone — stop()'s drain loop picks these
-        # up from the queue.
-        redispatched = 0
-        for entry in stranded:
-            for pending in entry.members:
-                if not pending.future.done():
-                    pending.redispatched = True
-                    redispatched += 1
-                    self._queue.put(pending)
-        if redispatched:
-            with self._lock:
-                self.requests_redispatched += redispatched
         if not replica.ready.is_set():
             # Death during startup: fail start() fast, never respawn-loop.
             replica.fatal = replica.fatal or "worker exited before ready"
             replica.ready.set()
             return
-        if crashed and self._started and not self._stopping.is_set():
+        if crashed and self._core.accepting:
             try:
                 self._spawn(replica)
             except Exception:  # noqa: BLE001 — replica stays down
@@ -862,11 +585,12 @@ class ShardedServer:
                     replica.alive = False
 
     def _watchdog_loop(self) -> None:
-        """Convert hangs into crashes: kill workers past the deadline."""
-        timeout = self.request_timeout_s
-        while not self._stopping.is_set() or any(
-            r.in_flight for r in self._replicas
-        ):
+        """Convert hangs into crashes: kill workers past the deadline.
+
+        Runs as long as the dispatcher, which outlives stop() until no
+        batch is in flight.
+        """
+        while self._core.running:
             now = time.perf_counter()
             for replica in self._replicas:
                 with self._lock:
@@ -876,21 +600,11 @@ class ShardedServer:
                         b.sent_at for b in replica.in_flight.values()
                     )
                     proc = replica.process
-                if now - oldest > timeout and proc is not None:
+                if now - oldest > self.request_timeout_s and proc is not None:
                     proc.kill()
-            if self._stopping.is_set() and not any(
-                r.in_flight for r in self._replicas
-            ):
-                return
             time.sleep(_WATCHDOG_POLL_S)
 
     # ---- metrics ---------------------------------------------------------
-
-    def latency_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 submit->resolve latency (seconds, bounded window)."""
-        with self._lock:
-            window = list(self._latencies)
-        return percentiles(window)
 
     def refresh_replica_stats(self, timeout_s: float = 2.0) -> None:
         """Round-trip a stats request to every alive replica."""
@@ -920,7 +634,7 @@ class ShardedServer:
         replicas each mapping the same segment, K-1 per-process weight
         copies never exist.
         """
-        if refresh and self._started and not self._stopping.is_set():
+        if refresh and self._core.accepting:
             self.refresh_replica_stats()
         percentiles = self.latency_percentiles()
         per_replica = []
@@ -956,7 +670,6 @@ class ShardedServer:
                 "model": self.name,
                 "replicas": self.replicas,
                 "alive": sum(1 for r in self._replicas if r.alive),
-                "policy": self.policy,
                 "requests_submitted": self.requests_submitted,
                 "requests_completed": self.requests_completed,
                 "requests_redispatched": self.requests_redispatched,
@@ -985,8 +698,8 @@ class ShardedServer:
         m = self.metrics(refresh=refresh)
         agg = m["aggregate"]
         lines = [
-            f"sharded serving: {agg['model']} x{agg['replicas']} "
-            f"({agg['policy']}), {agg['alive']} alive — "
+            f"sharded serving: {agg['model']} x{agg['replicas']}, "
+            f"{agg['alive']} alive — "
             f"{agg['requests_completed']} served, "
             f"{agg['qps']:.1f} req/s, p50/p95/p99 = "
             f"{agg['p50_us']:.0f}/{agg['p95_us']:.0f}/"
@@ -1022,7 +735,7 @@ class ShardedServer:
 
     def __repr__(self) -> str:
         return (
-            f"<ShardedServer {self.name} x{self.replicas} ({self.policy}): "
+            f"<ShardedServer {self.name} x{self.replicas}: "
             f"{self.requests_completed} served, "
             f"{self.worker_crashes} crashes>"
         )

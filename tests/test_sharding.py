@@ -16,6 +16,7 @@ Worker processes are spawned, so this module must run from a real file
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -24,13 +25,10 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.graph import GraphBuilder, lower_graph
+from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import ExecutionPlan
 from repro.runtime.session import InferenceSession, PlanState
-from repro.runtime.sharding import (
-    ShardedServer,
-    pick_least_outstanding,
-    pick_round_robin,
-)
+from repro.runtime.sharding import ShardedServer, pick_least_outstanding
 from repro.runtime.weight_store import WeightStore, weight_store_key
 from repro.transform import random_feeds
 
@@ -89,13 +87,6 @@ def assert_bit_identical(got_list, want_list):
 
 
 class TestDispatchPolicies:
-    def test_round_robin_cycles_and_skips_unavailable(self):
-        assert pick_round_robin(0, [0, 0, 0]) == 1
-        assert pick_round_robin(2, [0, 0, 0]) == 0
-        # Dead/at-capacity replicas are None and never picked.
-        assert pick_round_robin(0, [0, None, 0]) == 2
-        assert pick_round_robin(2, [None, 3, None]) == 1
-
     def test_least_outstanding_picks_min(self):
         assert pick_least_outstanding(0, [2, 0, 1]) == 1
         assert pick_least_outstanding(0, [5, None, 1]) == 2
@@ -293,12 +284,9 @@ class TestShardedServer:
         graph, _, _, weights = mlp_setup
         with pytest.raises(ExecutionError):
             ShardedServer(graph, weights, replicas=0)
-        with pytest.raises(ExecutionError):
-            ShardedServer(graph, weights, policy="fastest")
-        # Settings that would hang dispatch or have the watchdog kill a
-        # worker on every batch are refused before anything is spawned.
-        with pytest.raises(ExecutionError, match="max_outstanding_batches"):
-            ShardedServer(graph, weights, max_outstanding_batches=0)
+        # Settings that would break the batch window or have the watchdog
+        # kill a worker on every batch are refused before anything is
+        # spawned.
         with pytest.raises(ExecutionError, match="max_queue_delay_ms"):
             ShardedServer(graph, weights, max_queue_delay_ms=-1.0)
         with pytest.raises(ExecutionError, match="request_timeout_s"):
@@ -325,8 +313,7 @@ class TestShardedServer:
     def test_round_robin_spreads_requests(self, mlp_setup):
         graph, program, _, weights = mlp_setup
         requests = request_stream(program, 16)
-        with ShardedServer(graph, weights, replicas=2, policy="round-robin",
-                           max_batch_size=1,
+        with ShardedServer(graph, weights, replicas=2, max_batch_size=1,
                            max_queue_delay_ms=0.0) as server:
             futures = [server.submit(r) for r in requests]
             for f in futures:
@@ -382,27 +369,61 @@ class TestShardedServer:
         assert agg["alive"] == 2
         assert m["per_replica"][0]["pid"] != pid0
 
-    def test_hung_replica_killed_and_requests_recovered(
-        self, mlp_setup, tmp_path
-    ):
+    def test_hung_replica_killed_and_requests_recovered(self, mlp_setup):
         """A replica that stops responding is killed by the watchdog after
         request_timeout_s; its requests are re-dispatched and complete."""
         graph, program, base, weights = mlp_setup
-        flag = tmp_path / "hang.flag"
-        flag.touch()
         requests = request_stream(program, 6)
         want = serial_reference(program, base, requests)
         with ShardedServer(graph, weights, replicas=2,
-                           request_timeout_s=0.4,
-                           fault_sleep_s=30.0,
-                           fault_flag_path=str(flag)) as server:
-            futures = [server.submit(r) for r in requests]
-            time.sleep(1.0)
-            flag.unlink()  # let respawned workers serve normally
-            got = [f.result(timeout=120) for f in futures]
-            m = server.metrics()
+                           request_timeout_s=0.4) as server:
+            # Freeze every worker: each batch shipped to one hangs until the
+            # watchdog kills it, and only respawned workers serve.
+            frozen = [row["pid"] for row in
+                      server.metrics(refresh=False)["per_replica"]]
+            for pid in frozen:
+                os.kill(pid, signal.SIGSTOP)
+            try:
+                futures = [server.submit(r) for r in requests]
+                got = [f.result(timeout=120) for f in futures]
+                m = server.metrics()
+            finally:
+                # No frozen worker may outlive the test.
+                for pid in frozen:
+                    try:
+                        os.kill(pid, signal.SIGCONT)
+                    except ProcessLookupError:
+                        pass
         assert_bit_identical(got, want)
         assert m["aggregate"]["worker_crashes"] >= 1
+
+    def test_cancelled_request_is_skipped(self, mlp_setup):
+        """A request cancelled while queued is never shipped to a replica;
+        the rest of its batch is served bit-identically."""
+        graph, program, base, weights = mlp_setup
+        requests = request_stream(program, 2, seed=17)
+        want = serial_reference(program, base, requests)
+        with ShardedServer(graph, weights, replicas=1,
+                           max_queue_delay_ms=200.0) as server:
+            cancelled = server.submit(requests[0])
+            kept = server.submit(requests[1])
+            assert cancelled.cancel()
+            got = kept.result(timeout=120)
+            m = server.metrics()
+        assert_bit_identical([got], want[1:])
+        assert cancelled.cancelled()
+        assert m["per_replica"][0]["requests"] == 1
+        assert m["aggregate"]["requests_completed"] == 1
+
+    def test_bad_feeds_fail_at_submit(self, mlp_setup):
+        graph, _, _, weights = mlp_setup
+        with ShardedServer(graph, weights, replicas=1) as server:
+            lead = server.plan_state.program.inputs[0]
+            with pytest.raises(ExecutionError, match="shape"):
+                server.submit({lead: np.zeros((3, 3))})
+            with pytest.raises(ExecutionError, match="no input named"):
+                server.submit({"bogus": np.zeros((4, 8))})
+            assert server.requests_submitted == 0
 
     def test_run_blocks_like_session(self, mlp_setup):
         graph, program, base, weights = mlp_setup
@@ -411,3 +432,104 @@ class TestShardedServer:
         with ShardedServer(graph, weights, replicas=1) as server:
             got = server.run(request, timeout=120)
         assert_bit_identical([got], [want])
+
+
+def build_server(kind, mlp_setup, **options):
+    """An unstarted server of ``kind`` over the MLP, and its PlanState."""
+    graph, program, _, weights = mlp_setup
+    if kind == "batching":
+        session = InferenceSession(program)
+        session.plan_state.bind_weights(weights)
+        return BatchingServer(session, **options), session.plan_state
+    server = ShardedServer(graph, weights, replicas=1, **options)
+    return server, server.plan_state
+
+
+class TestRequestCore:
+    @pytest.mark.parametrize("kind", ["batching", "sharded"])
+    def test_submit_racing_stop_is_served_or_refused(
+        self, kind, mlp_setup, monkeypatch
+    ):
+        """A submit still validating its feeds when stop() runs either
+        raises or returns a future that resolves; it is never accepted
+        and then left unserved."""
+        _, program, base, _ = mlp_setup
+        request = request_stream(program, 1, seed=23)[0]
+        want = serial_reference(program, base, [request])
+        server, plan_state = build_server(kind, mlp_setup,
+                                          max_queue_delay_ms=1.0)
+        plan = plan_state.plan
+        validating = threading.Event()
+        bind_feeds = plan.bind_feeds
+
+        def slow_bind_feeds(feeds):
+            validating.set()
+            time.sleep(0.5)
+            return bind_feeds(feeds)
+
+        server.start()
+        monkeypatch.setattr(plan, "bind_feeds", slow_bind_feeds)
+        outcome = {}
+
+        def client():
+            try:
+                outcome["future"] = server.submit(request)
+            except ExecutionError as exc:
+                outcome["refused"] = exc
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        assert validating.wait(timeout=10)
+        server.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        if "future" in outcome:
+            assert_bit_identical([outcome["future"].result(timeout=3)], want)
+        else:
+            assert "refused" in outcome
+
+    @pytest.mark.parametrize("kind", ["batching", "sharded"])
+    def test_clients_racing_stop_are_served_or_refused(
+        self, kind, mlp_setup
+    ):
+        """More client threads than cores keep submitting, under a short
+        switch interval, while stop() runs: every accepted request
+        resolves bit-identically, and the counters agree with it."""
+        _, program, base, _ = mlp_setup
+        requests = request_stream(program, 64, seed=29)
+        want = serial_reference(program, base, requests)
+        server, _ = build_server(kind, mlp_setup, max_batch_size=4,
+                                 max_queue_delay_ms=0.5)
+        server.start()
+        accepted, refused = [], []
+        under_way = threading.Event()
+
+        def client(first):
+            for i in range(first, len(requests), 8):
+                try:
+                    accepted.append((i, server.submit(requests[i])))
+                except ExecutionError:
+                    refused.append(i)
+                if len(accepted) >= 16:
+                    under_way.set()
+
+        threads = [
+            threading.Thread(target=client, args=(k,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            under_way.wait(timeout=30)
+            server.stop()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(accepted) + len(refused) == len(requests)
+        for i, future in accepted:
+            assert_bit_identical([future.result(timeout=30)], [want[i]])
+        assert server.requests_submitted == len(accepted)
+        assert server.requests_completed == len(accepted)
