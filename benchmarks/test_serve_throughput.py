@@ -222,65 +222,6 @@ def test_optimized_plan_latency(programs):
         )
 
 
-# ---- profile-guided tuning --------------------------------------------------
-#
-# The tuner acceptance floor: when the static tiling heuristic mispredicts
-# (cache budget pinned far below the real machine's), the measured cost
-# model must reject the unprofitable chains and the A/B harness must adopt
-# a plan >= TUNE_FLOOR_SPEEDUP faster — bit-identical and fully certified —
-# on at least the two models where the misprediction bites hardest.
-
-TUNE_FLOOR_SPEEDUP = 1.1
-TUNE_MODELS = ("bert", "swin")
-MISPREDICTED_BUDGET = 2048
-
-
-def test_tuned_plan_recovery(programs):
-    """Profile-guided tuning recovers >= 1.1x from a mispredicted budget."""
-    from repro.runtime.tuner import tune
-
-    rows = [
-        f"{'model':14s} {'static ms':>10s} {'tuned ms':>9s} "
-        f"{'speedup':>8s} {'adopted':>8s} {'certified':>10s}"
-    ]
-    records = []
-    for name in TUNE_MODELS:
-        program = programs[name]
-        report = tune(
-            program, name=name, store=False, runs=2, reps=9,
-            tile_budget=MISPREDICTED_BUDGET,
-        )
-        records.append(report.to_json())
-        rows.append(
-            f"{name:14s} {report.static_seconds * 1e3:10.3f} "
-            f"{report.tuned_seconds * 1e3:9.3f} {report.speedup:8.2f} "
-            f"{str(report.adopted):>8s} {str(report.certified):>10s}"
-        )
-        assert report.bit_identical, name
-        assert report.certified, name
-
-    rows.append("")
-    rows.append(
-        f"floor: tuned plan >= {TUNE_FLOOR_SPEEDUP:.1f}x vs static plan "
-        f"at a {MISPREDICTED_BUDGET}-byte tile budget on "
-        f"{', '.join(TUNE_MODELS)}"
-    )
-    save_table("serve_tuned_plan", "\n".join(rows))
-    save_json("serve_tuned_plan", {
-        "benchmark": "serve_tuned_plan",
-        "floor_speedup": TUNE_FLOOR_SPEEDUP,
-        "tile_budget": MISPREDICTED_BUDGET,
-        "results": records,
-    })
-
-    for record in records:
-        assert record["adopted"], record["model"]
-        assert record["speedup"] >= TUNE_FLOOR_SPEEDUP, (
-            f"{record['model']}: tuned plan only {record['speedup']:.2f}x "
-            f"faster than static (floor {TUNE_FLOOR_SPEEDUP}x)"
-        )
-
-
 # ---- dynamic micro-batching -------------------------------------------------
 #
 # The batched acceptance floor: replaying one BatchedExecutionPlan over 8

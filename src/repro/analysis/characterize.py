@@ -104,18 +104,6 @@ def te_footprint_bytes(tensor: Tensor) -> int:
     return read + tensor.size_bytes
 
 
-def step_cost_features(nodes) -> tuple:
-    """Static (bytes, flops) features of one plan step's member nodes.
-
-    Unbatched: callers scale by the lane count of the shape bucket they
-    record under. Used by the measured cost model's fitted fallback when no
-    profile row exists for a step key.
-    """
-    bytes_ = sum(te_footprint_bytes(n.tensor) for n in nodes)
-    flops = sum(te_classify_ops(n.tensor) for n in nodes)
-    return (int(bytes_), int(flops))
-
-
 def characterize_te(node: TENode, threshold: float = DEFAULT_THRESHOLD) -> TECharacter:
     """Classify one TE as memory- or compute-intensive."""
     arith = te_classify_ops(node.tensor)

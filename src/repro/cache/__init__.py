@@ -3,7 +3,7 @@
 Repeat compilation is near-free: optimised TE schedules and whole compiled
 modules are content-addressed by structural hashes of the work (TE / model
 structure + device spec + compiler options) and persisted as JSON, fronted
-by an in-memory LRU. See ``DESIGN.md`` ("Compile cache & parallel build").
+by an in-memory LRU. See ``DESIGN.md`` ("Compile cache").
 """
 
 from repro.cache.certificate_cache import (

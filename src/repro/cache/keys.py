@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Sequence, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.analysis.characterize import _structure_key
 from repro.gpu.device import GPUSpec
@@ -58,40 +58,6 @@ def _digest(payload: Any) -> str:
 def structure_key(node: TENode) -> tuple:
     """Public alias for the scheduler memoisation key of one TE."""
     return _structure_key(node)
-
-
-def step_content_key(nodes: Sequence[TENode]) -> str:
-    """Durable content identity of one plan step.
-
-    Digest over the *ordered* structural keys of the TE nodes a step
-    materialises: a plain step hashes its single node, a fused step hashes
-    every member, and a tiled chain hashes the chain members once (all
-    sibling blocks share the chain's key, so profile rows survive
-    re-tiling with a different block count). Names never participate, so
-    renames and display-name changes (``a+b+c``, ``chain[blk i/n]``) do
-    not orphan profile rows, and structurally identical layers pool their
-    samples under one key.
-    """
-    return _digest([_canonical(structure_key(n)) for n in nodes])[:16]
-
-
-def program_profile_key(program: TEProgram) -> str:
-    """Name-free content identity of a program for profile bucketing.
-
-    Unlike :func:`program_structural_hash` this deliberately ignores tensor
-    names: profile rows must survive renames and display-name churn, and
-    pooling measurements across structurally identical programs is a
-    feature (the rows are step-keyed, so nothing can be misattributed).
-    Input shapes and the per-node structural keys keep different shape
-    configurations in different buckets.
-    """
-    return _digest(
-        {
-            "inputs": [[list(t.shape), t.dtype] for t in program.inputs],
-            "nodes": [_canonical(structure_key(n)) for n in program],
-            "outputs": len(program.outputs),
-        }
-    )
 
 
 def device_fingerprint(device: GPUSpec) -> str:

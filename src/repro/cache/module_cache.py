@@ -8,7 +8,7 @@ renders — keyed by the source model's structural hash, the device and the
 compiler options (:func:`repro.cache.keys.module_cache_key`). A warm
 recompile is a JSON load plus object reconstruction: near-free, and provably
 identical to the cold path (the differential suite in
-``tests/test_parallel_compile.py`` asserts byte-identical kernel IR and
+``tests/test_cached_compile.py`` asserts byte-identical kernel IR and
 identical simulated latency).
 
 The functional program is *not* serialised: a cache-hit module materialises

@@ -15,8 +15,7 @@ Usage::
     python -m repro plan-stats bert --batch 8   # plan-optimizer report
 
 ``compile`` and ``compile-stats`` honour ``--cache-dir`` (or the
-``REPRO_CACHE_DIR`` environment variable) for the persistent compile cache
-and ``--jobs`` for the parallel subprogram build pool.
+``REPRO_CACHE_DIR`` environment variable) for the persistent compile cache.
 """
 
 from __future__ import annotations
@@ -51,13 +50,9 @@ def _resolve_model(spec: str) -> Graph:
 
 def _compiler_from_args(args: argparse.Namespace,
                         validate: bool = False) -> SouffleCompiler:
-    jobs = getattr(args, "jobs", 1)
-    if jobs is not None and jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {jobs}")
     return SouffleCompiler(
         options=SouffleOptions.from_level(args.level, validate=validate),
         cache=getattr(args, "cache_dir", None),
-        max_workers=None if jobs == 0 else jobs,
     )
 
 
@@ -100,10 +95,6 @@ def render_compile_stats(stats: CompileStats, top: int = 8) -> str:
         "module cache: " + ("hit" if stats.module_cache_hit else "miss")
     )
     lines.append(f"schedule trials: {stats.schedule_trials}")
-    workers = f"parallel workers: {stats.parallel_workers}"
-    if stats.parallel_fallback:
-        workers += " (fell back to serial)"
-    lines.append(workers)
     return "\n".join(lines)
 
 
@@ -423,15 +414,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     from repro.verify.equiv import certify_model
 
     graph = _resolve_model(args.model)
-    jobs = getattr(args, "jobs", 1)
-    if jobs is not None and jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {jobs}")
     report = certify_model(
         graph,
         level=args.level,
         batch_size=args.batch if args.batch > 0 else None,
         cache=getattr(args, "cache_dir", None),
-        max_workers=None if jobs == 0 else jobs,
         tile=args.tile,
     )
     if args.json:
@@ -513,53 +500,6 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    """Profile-guided A/B tuning: measure, re-plan, prove, time, verdict."""
-    from repro.runtime.tuner import tune
-
-    if args.scale == "tiny":
-        if args.model not in TINY_MODELS:
-            raise SystemExit(
-                f"unknown tiny model {args.model!r}; choose one of "
-                f"{sorted(TINY_MODELS)} (or use --scale paper)"
-            )
-        graph = get_model(args.model, scale="tiny")
-    else:
-        graph = _resolve_model(args.model)
-    program = lower_graph(graph)
-
-    report = tune(
-        program,
-        name=graph.name,
-        store=args.store,
-        runs=args.runs,
-        reps=args.reps,
-        threshold=args.threshold,
-        seed=args.seed,
-        tile_budget=args.tile_budget,
-    )
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(f"tune: {graph.name} [{args.scale}]")
-        if report.static_stats is not None:
-            print("\nstatic plan:")
-            print(report.static_stats.render())
-        if report.tuned_stats is not None:
-            print("\ntuned plan:")
-            print(report.tuned_stats.render())
-        print()
-        print(report.render())
-        if report.verdict_path:
-            print(f"  verdict persisted: {report.verdict_path}")
-    if not report.runnable:
-        # Environment limit (grid budget), not a tuning failure.
-        return 0
-    # Identity or certification failures signal an optimizer bug; an
-    # honest speed rejection is the harness doing its job.
-    return 0 if (report.bit_identical and report.refuted == 0) else 1
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     graph = _resolve_model(args.model)
     save_graph(graph, args.path)
@@ -580,17 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, default=4, choices=range(5),
                        help="optimisation level V0..V4 (default 4)")
 
-    def add_accel(p: argparse.ArgumentParser) -> None:
+    def add_cache(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", default=None,
                        help="persistent compile-cache directory "
                             "(default: $REPRO_CACHE_DIR if set)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel subprogram build workers "
-                            "(0 = auto-size to the machine; default 1)")
 
     p = sub.add_parser("compile", help="compile and profile a model")
     add_common(p)
-    add_accel(p)
+    add_cache(p)
     p.add_argument("--validate", action="store_true",
                    help="differentially check every transformation")
     p.add_argument("--top", type=int, default=15,
@@ -602,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile and report phase/subprogram timings and cache hit rates",
     )
     add_common(p)
-    add_accel(p)
+    add_cache(p)
     p.add_argument("--repeat", type=int, default=1,
                    help="compile N times (shows warm-cache behaviour)")
     p.add_argument("--top", type=int, default=8,
@@ -663,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sync safety)",
     )
     add_common(p)
-    add_accel(p)
+    add_cache(p)
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as errors (exit 1)")
     p.add_argument("--json", action="store_true",
@@ -677,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
              "optimizer passes, tiling, batched lowering)",
     )
     add_common(p)
-    add_accel(p)
+    add_cache(p)
     p.add_argument("--batch", type=int, default=8,
                    help="certify the batched lowering at this batch size "
                         "(0 = skip explicit batch; default 8)")
@@ -713,38 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "this replica count: bytes duplicated per process "
                         "vs placed once in shared memory (0 = off)")
     p.set_defaults(fn=cmd_plan_stats)
-
-    p = sub.add_parser(
-        "tune",
-        help="profile-guided plan tuning: collect per-step measurements, "
-             "re-plan with the fitted cost model, and adopt only when the "
-             "tuned plan is bit-identical, fully certified, and measurably "
-             "faster (interleaved A/B)",
-    )
-    p.add_argument("model", help="model name or exported .json graph")
-    p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
-                   help="model scale to execute functionally (default tiny)")
-    p.add_argument("--store", default=None,
-                   help="profile-store directory (default: "
-                        "$REPRO_CACHE_DIR/profiles if set, else in-memory)")
-    p.add_argument("--runs", type=int, default=3,
-                   help="profiled exploration runs per plan variant "
-                        "(default 3)")
-    p.add_argument("--reps", type=int, default=9,
-                   help="interleaved timing repetitions per engine "
-                        "(default 9)")
-    p.add_argument("--threshold", type=float, default=1.0,
-                   help="minimum tuned-vs-static speedup to adopt "
-                        "(default 1.0)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random-feed seed (default 0)")
-    p.add_argument("--tile-budget", type=int, default=None,
-                   help="cache budget (bytes) for the tiling pass of both "
-                        "engines; measured rejection recovers the latency "
-                        "a mispredicted budget costs the static plan")
-    p.add_argument("--json", action="store_true",
-                   help="emit the tune verdict as machine-readable JSON")
-    p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser("export", help="export a model to the JSON format")
     add_common(p)

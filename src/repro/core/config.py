@@ -39,11 +39,6 @@ class SouffleOptions:
     # aborts the compile like a refutation.
     certify: bool = False
     certify_unknown: str = "warn"
-    # Record per-step execution timings into the persistent profile store
-    # (runtime.profile_store), keyed by program hash and shape bucket.
-    # Off by default: profiling adds a per-request bookkeeping cost and
-    # most sessions only *consume* profiles (through the cost model).
-    collect_profiles: bool = False
 
     @classmethod
     def from_level(cls, level: int, validate: bool = False,
@@ -51,8 +46,7 @@ class SouffleOptions:
                    optimize_plans: bool = True,
                    tile_reductions: bool = True,
                    certify: bool = False,
-                   certify_unknown: str = "warn",
-                   collect_profiles: bool = False) -> "SouffleOptions":
+                   certify_unknown: str = "warn") -> "SouffleOptions":
         """Build the Table-4 ablation configuration V<level>."""
         if not 0 <= level <= 4:
             raise ValueError(f"optimisation level must be 0..4, got {level}")
@@ -67,7 +61,6 @@ class SouffleOptions:
             tile_reductions=tile_reductions,
             certify=certify,
             certify_unknown=certify_unknown,
-            collect_profiles=collect_profiles,
         )
 
     @property

@@ -14,17 +14,16 @@ compute-intensive TEs, which the transformations never dissolve; doing the
 transforms first lets partitioning see the cleaned program (fewer TEs, the
 merged horizontal contractions) and keeps each pass whole-program.
 
-Compile acceleration (``repro.cache`` + ``repro.core.parallel``): a
-persistent two-tier cache makes repeat compilation near-free (per-TE
-schedules, then whole modules), and independent subprograms are built by a
-worker pool. Both paths are provably inert — the differential suite asserts
-cold/warm/serial/parallel compiles emit byte-identical kernels.
+Compile acceleration (``repro.cache``): a persistent two-tier cache makes
+repeat compilation near-free (per-TE schedules, then whole modules). It is
+provably inert — the differential suite asserts cold, warm and
+schedule-tier compiles emit byte-identical kernels.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.characterize import characterize_program
 from repro.analysis.partition import Partitioner
@@ -35,7 +34,6 @@ from repro.cache import (
 )
 from repro.core.config import SouffleOptions
 from repro.core.grouping import ANSOR_RULES, epilogue_groups
-from repro.core.parallel import WorkerPool
 from repro.gpu.device import GPUSpec, a100_40gb
 from repro.graph.graph import Graph
 from repro.graph.lowering import lower_graph
@@ -61,8 +59,6 @@ class SouffleCompiler:
 
     ``cache`` accepts ``None`` (honour ``$REPRO_CACHE_DIR``), ``False``
     (never cache), a directory path, or a :class:`repro.cache.CompileCache`.
-    ``max_workers`` sizes the subprogram build pool (``None`` auto-sizes,
-    ``0``/``1`` force a serial build).
     """
 
     name = "souffle"
@@ -73,7 +69,6 @@ class SouffleCompiler:
         options: Optional[SouffleOptions] = None,
         scheduler_factory=AnsorScheduler,
         cache=None,
-        max_workers: Optional[int] = 1,
     ) -> None:
         self.device = device or a100_40gb()
         self.options = options or SouffleOptions()
@@ -81,7 +76,6 @@ class SouffleCompiler:
         # by using faster optimizer like Roller, which is orthogonal").
         self.scheduler_factory = scheduler_factory
         self.cache: Optional[CompileCache] = resolve_compile_cache(cache)
-        self.max_workers = max_workers
 
     # ---- pipeline front half -------------------------------------------------
 
@@ -235,33 +229,24 @@ class SouffleCompiler:
                 schedules = {}
 
         # ---- kernel construction (Sec. 6.4) ------------------------------------
-        # Subprograms are independent: schedule lookups are lock-protected
-        # and memoised, and each TE belongs to exactly one group, so the
-        # worker pool builds them concurrently with identical results.
-        def build_group(item: Tuple[int, List]) -> BuiltKernel:
-            index, group = item
-            kernel_name = f"{program.name}_sp{index}"
-            start = time.perf_counter()
-            built = build_kernel(
-                name=kernel_name,
-                nodes=group,
-                program=program,
-                chars=chars,
-                schedules=schedules,
-                scheduler=scheduler,
-                device=self.device,
-                allow_sync=options.global_sync,
-            )
-            stats.record_subprogram(kernel_name, time.perf_counter() - start)
-            return built
-
-        pool = WorkerPool(self.max_workers)
+        kernels: List[BuiltKernel] = []
         with PhaseTimer(stats, "codegen"):
-            kernels: List[BuiltKernel] = pool.map(
-                build_group, list(enumerate(groups))
-            )
-        stats.parallel_workers = pool.used_workers
-        stats.parallel_fallback = pool.fell_back
+            for index, group in enumerate(groups):
+                kernel_name = f"{program.name}_sp{index}"
+                start = time.perf_counter()
+                kernels.append(build_kernel(
+                    name=kernel_name,
+                    nodes=group,
+                    program=program,
+                    chars=chars,
+                    schedules=schedules,
+                    scheduler=scheduler,
+                    device=self.device,
+                    allow_sync=options.global_sync,
+                ))
+                stats.record_subprogram(
+                    kernel_name, time.perf_counter() - start
+                )
         if options.verify:
             verify_kernels_or_raise(kernels, self.device, program)
 
@@ -314,7 +299,6 @@ def compile_model(
     verify: bool = False,
     certify: bool = False,
     cache=None,
-    max_workers: Optional[int] = 1,
 ) -> CompiledModule:
     """One-call convenience API: compile at optimisation level V0..V4."""
     compiler = SouffleCompiler(
@@ -323,6 +307,5 @@ def compile_model(
             level, validate, verify, certify=certify
         ),
         cache=cache,
-        max_workers=max_workers,
     )
     return compiler.compile(model)

@@ -46,7 +46,6 @@ import numpy as np
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.characterize import step_cost_features
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.te_program import TEProgram
 from repro.runtime.memory_planner import MemoryPlan, plan_memory
@@ -115,15 +114,9 @@ class PlanStep:
     ``value_fn`` (map/const steps only) produces the step's value *without*
     writing the arena — the raw compiled closure behind ``run``'s final
     ``copyto``. The plan optimizer composes these to fuse step chains.
-
-    ``step_key`` is the durable content identity (cache.keys.step_content_key)
-    used to join profile rows across recompiles — unlike ``name`` it survives
-    renames, fusion regrouping, and re-tiling. ``cost_features`` carries the
-    static (bytes, flops) pair for the cost model's fitted fallback.
     """
 
-    __slots__ = ("index", "name", "kind", "key", "run", "value_fn",
-                 "step_key", "cost_features", "block_rows")
+    __slots__ = ("index", "name", "kind", "key", "run", "value_fn")
 
     def __init__(
         self,
@@ -133,9 +126,6 @@ class PlanStep:
         key: int,
         run: Callable[[Values], None],
         value_fn: Optional[Callable[[Values], np.ndarray]] = None,
-        step_key: str = "",
-        cost_features: Tuple[int, int] = (0, 0),
-        block_rows: int = 0,
     ) -> None:
         self.index = index
         self.name = name
@@ -143,11 +133,6 @@ class PlanStep:
         self.key = key
         self.run = run
         self.value_fn = value_fn
-        self.step_key = step_key
-        self.cost_features = cost_features
-        # Tiled block steps record the chain's block size here so profile
-        # rows can keep per-block-size variants apart.
-        self.block_rows = block_rows
 
     def __repr__(self) -> str:
         return f"<PlanStep#{self.index} {self.name} [{self.kind}]>"
@@ -500,7 +485,6 @@ class ExecutionPlan:
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
         certify: bool = False,
-        cost_model: Optional[object] = None,
     ) -> None:
         # Block-level tiling of reduction chains (runtime.tiling), applied
         # by the optimizer pass pipeline: default on, profitable chains
@@ -509,11 +493,6 @@ class ExecutionPlan:
         self.tile = tile
         self.tile_budget = tile_budget
         self.tile_block_rows = tile_block_rows
-        # Injected measured cost model (runtime.cost_model.CostModel) or
-        # None: the optimizer consults it for decisions that are otherwise
-        # static constants. With no model (or an empty profile store) every
-        # decision falls back to today's static rules bit-for-bit.
-        self.cost_model = cost_model
         self._scratch_pool = None
         self.program = program
         if memory_plan is None:
@@ -580,17 +559,12 @@ class ExecutionPlan:
         return (self.batch_size,) + tuple(shape)
 
     def _build_step(self, index: int, node) -> PlanStep:
-        from repro.cache.keys import step_content_key
-
         tensor: Tensor = node.tensor
         assert tensor.op is not None
         self._note_reads(tensor.op.body)
-        step = compile_plan_step(
+        return compile_plan_step(
             tensor, index, key=id(tensor), batch_size=self.batch_size
         )
-        step.step_key = step_content_key([node])
-        step.cost_features = step_cost_features([node])
-        return step
 
     def _note_reads(self, expr: Expr) -> None:
         """Record which placeholders the program actually reads."""
@@ -901,7 +875,6 @@ class BatchedExecutionPlan(ExecutionPlan):
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
         certify: bool = False,
-        cost_model: Optional[object] = None,
     ) -> None:
         if batch_size < 1:
             raise PlanningError(
@@ -913,7 +886,6 @@ class BatchedExecutionPlan(ExecutionPlan):
             program, memory_plan, optimize=optimize,
             tile=tile, tile_budget=tile_budget,
             tile_block_rows=tile_block_rows, certify=certify,
-            cost_model=cost_model,
         )
 
     def bind_batch(

@@ -33,9 +33,9 @@ class CompileStats:
     """Wall-clock breakdown of one compilation (paper Sec. 8.5).
 
     Beyond the per-phase split the paper reports, this records the compile
-    observability the cache/parallel subsystem exposes: per-subprogram build
-    times, schedule-cache hit rates, worker-pool usage and whether the whole
-    module came from the artifact cache.
+    observability the cache subsystem exposes: per-subprogram build times,
+    schedule-cache hit rates and whether the whole module came from the
+    artifact cache.
     """
 
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -43,8 +43,6 @@ class CompileStats:
     subprogram_seconds: Dict[str, float] = field(default_factory=dict)
     schedule_cache_hits: int = 0
     schedule_cache_misses: int = 0
-    parallel_workers: int = 1
-    parallel_fallback: bool = False
     module_cache_hit: bool = False
 
     @property
@@ -64,8 +62,7 @@ class CompileStats:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
     def record_subprogram(self, name: str, seconds: float) -> None:
-        """Per-subprogram wall time; overwrite (a retry replaces the first
-        attempt's measurement rather than accumulating it)."""
+        """Per-subprogram wall time."""
         self.subprogram_seconds[name] = seconds
 
     def as_dict(self) -> Dict[str, object]:
@@ -78,8 +75,6 @@ class CompileStats:
             "schedule_cache_hits": self.schedule_cache_hits,
             "schedule_cache_misses": self.schedule_cache_misses,
             "schedule_cache_hit_rate": self.schedule_cache_hit_rate,
-            "parallel_workers": self.parallel_workers,
-            "parallel_fallback": self.parallel_fallback,
             "module_cache_hit": self.module_cache_hit,
         }
 

@@ -93,34 +93,6 @@ def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
     return True
 
 
-def _identity_reads_with_reduce(consumer: TENode, producer: Tensor) -> bool:
-    """Identity-reads check extended to ``reduce`` consumers.
-
-    A reduce step's evaluation grid spans its spatial axes *followed by*
-    its reduction axes (the executor compiles reads against exactly that
-    axis list), so a read of ``producer`` is the identity view when its
-    index list is that full sequence and the producer's shape matches the
-    combined extents — e.g. layernorm's ``sum_j sq[i, j]`` or softmax's
-    ``sum_j exp[i, j]``.
-    """
-    op = consumer.tensor.op
-    body = op.body
-    if not isinstance(body, Reduce):
-        return _identity_reads_only(consumer, producer)
-    axes = list(op.axes) + list(body.axes)
-    axis_names = [ax.name for ax in axes]
-    extents = tuple(ax.extent for ax in axes)
-    for read in collect_reads(op.body):
-        if read.tensor is not producer:
-            continue
-        names = [i.name for i in read.indices if isinstance(i, Var)]
-        if (len(names) != len(read.indices)
-                or names != axis_names
-                or tuple(producer.shape) != extents):
-            return False
-    return True
-
-
 def step_kind(tensor: Tensor) -> str:
     """Static mirror of ``ExecutionPlan._build_step`` dispatch.
 
@@ -210,11 +182,6 @@ class OptimizeStats:
     tiled_blocks: int = 0            # block sub-steps those chains became
     tile_block_rows: List[int] = field(default_factory=list)
     scratch_bytes: int = 0           # per-worker scratch buffer size
-    # Measured-cost-model decisions (zero without profiles — the static
-    # pipeline alone never sets these).
-    tuned: bool = False              # a cost model with measurements drove us
-    tuned_fusions: int = 0           # map->reduce inlines chosen by measurement
-    duplicated_maps: int = 0         # multi-consumer maps recomputed per use
 
     @property
     def arena_bytes_saved(self) -> int:
@@ -228,19 +195,13 @@ class OptimizeStats:
                 f", {self.tiled_chains} chains tiled into "
                 f"{self.tiled_blocks} blocks"
             )
-        tuned = ""
-        if self.tuned:
-            tuned = (
-                f", tuned ({self.tuned_fusions} measured fusions, "
-                f"{self.duplicated_maps} duplicated maps)"
-            )
         return (
             f"plan optimizer: {self.steps_before}->{self.steps_after} steps "
             f"({self.hoisted_steps} hoisted, {self.fused_steps} fused), "
             f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
             f"specialized, {self.elided_buffers} elided, "
             f"{self.arena_bytes_saved} arena bytes saved"
-            f"{tiled}{tuned}"
+            f"{tiled}"
         )
 
     def render(self) -> str:
@@ -265,11 +226,6 @@ class OptimizeStats:
             f"{self.workspace_after} bytes "
             f"({self.arena_bytes_saved} saved)",
         ]
-        if self.tuned:
-            lines.append(
-                f"measured tuning:   {self.tuned_fusions} map->reduce "
-                f"fusions, {self.duplicated_maps} duplicated maps"
-            )
         return "\n".join(lines)
 
 
@@ -309,7 +265,6 @@ def plan_optimization(
     tile: bool = True,
     tile_budget: Optional[int] = None,
     tile_block_rows: Optional[int] = None,
-    cost_model=None,
 ) -> PlanOptimization:
     """Run the static passes over one TE program.
 
@@ -321,13 +276,6 @@ def plan_optimization(
     model judges a chain profitable against ``tile_budget`` — default
     :data:`repro.analysis.characterize.CACHE_BUDGET_BYTES`);
     ``tile_block_rows`` forces a block size on every eligible chain.
-
-    ``cost_model`` (a :class:`repro.runtime.cost_model.CostModel` with
-    measurements) unlocks the *measured* decisions: map→reduce fusion and
-    multi-consumer map duplication where dispatch dominates, and measured
-    tile block-row selection. With no model — or a model over an empty
-    profile store — every decision below is taken by the static rules
-    alone, bit-for-bit as before.
     """
     if sizer is None:
         from repro.runtime.executor import EXEC_ITEMSIZE
@@ -395,77 +343,7 @@ def plan_optimization(
             inline_into[node.index] = consumer.index
     stats.fused_steps = len(inline_into)
 
-    # ---- measured fusion decisions (cost model required) ----------------
-    # Two inlining moves the static pass never takes, because their payoff
-    # depends on the machine: (a) a single-consumer map feeding a *reduce*
-    # — strictly saves one dispatch and one materialisation (the reduce's
-    # grid broadcast consumes the composed value), profitable whenever the
-    # producer measures dispatch-bound; (b) a *multi-consumer* map inlined
-    # into every consumer — recomputes the map per consumer, profitable
-    # only when measured dispatch + traffic outweigh the recompute. Both
-    # stay behind ``has_measurements()`` so an empty store changes nothing.
-    duplicated: Dict[int, List[TENode]] = {}
     node_by_index = {n.index: n for n in nodes}
-    if fuse and cost_model is not None and cost_model.has_measurements():
-        from repro.cache.keys import step_content_key
-
-        stats.tuned = True
-        for node in surviving:
-            if kinds[node.index] != "map" or node.index in inline_into:
-                continue
-            if program.is_output(node.tensor):
-                continue
-            consumers = program.consumers(node.tensor)
-            if len(consumers) != 1:
-                continue
-            consumer = consumers[0]
-            if id(consumer.tensor) in hoisted_ids:
-                continue
-            if kinds[consumer.index] != "reduce":
-                continue
-            if not _identity_reads_with_reduce(consumer, node.tensor):
-                continue
-            if not cost_model.fusion_profitable(
-                step_content_key([node]), step_content_key([consumer])
-            ):
-                continue
-            inline_into[node.index] = consumer.index
-            stats.tuned_fusions += 1
-
-        inline_targets = set(inline_into.values())
-        for node in surviving:
-            if kinds[node.index] != "map" or node.index in inline_into:
-                continue
-            if node.index in inline_targets:
-                continue  # already a fusion terminal; keep groups simple
-            if program.is_output(node.tensor):
-                continue
-            consumers = program.consumers(node.tensor)
-            if len(consumers) < 2:
-                continue
-            if any(
-                id(c.tensor) in hoisted_ids
-                or kinds[c.index] not in ("map", "reduce")
-                or not _identity_reads_with_reduce(c, node.tensor)
-                for c in consumers
-            ):
-                continue
-            out_bytes = node.tensor.num_elements * 8  # EXEC_ITEMSIZE
-            if not cost_model.duplication_profitable(
-                step_content_key([node]), out_bytes, len(consumers)
-            ):
-                continue
-            duplicated[node.index] = consumers
-            stats.duplicated_maps += 1
-        # No chained duplication: a duplicated map's consumers must be
-        # ordinary group members, else its insertion targets are ambiguous.
-        for idx in [
-            i for i, cs in duplicated.items()
-            if any(c.index in duplicated for c in cs)
-        ]:
-            del duplicated[idx]
-            stats.duplicated_maps -= 1
-
     root_memo: Dict[int, int] = {}
 
     def find_terminal(index: int) -> int:
@@ -480,19 +358,7 @@ def plan_optimization(
 
     members_of: Dict[int, List[TENode]] = {}
     for node in surviving:
-        if node.index in duplicated:
-            continue  # recomputed inside every consumer's group instead
         members_of.setdefault(find_terminal(node.index), []).append(node)
-    for idx, consumers in duplicated.items():
-        node = node_by_index[idx]
-        for terminal in sorted({find_terminal(c.index) for c in consumers}):
-            members_of[terminal].append(node)
-    if duplicated:
-        # Re-sort members into program order (== dependency order, and the
-        # terminal — the highest index — stays last): the fused runtime
-        # executes interiors in list order.
-        for members in members_of.values():
-            members.sort(key=lambda n: n.index)
 
     groups: List[StepGroup] = []
     for terminal_index in sorted(members_of):
@@ -527,7 +393,6 @@ def plan_optimization(
         lanes = 1 if batch_size is None else batch_size
         tiled_chains = detect_chains(
             program, groups, kinds, lanes, budget, tile_block_rows,
-            cost_model=cost_model,
         )
         if tiled_chains:
             groups = apply_tiling(groups, tiled_chains)
@@ -573,14 +438,6 @@ def plan_optimization(
     )
 
     # ---- pass 3: in-place elision ---------------------------------------
-    # With map duplication one tensor can be read by several groups even
-    # though all its program-level consumers sit inside each of them; track
-    # reader groups so elision never overwrites bytes a sibling still needs
-    # (without duplication this set is always {g.position} for candidates).
-    reader_positions: Dict[int, Set[int]] = {}
-    for g in groups:
-        for t in g.reads:
-            reader_positions.setdefault(id(t), set()).add(g.position)
     elided: Dict[int, Tensor] = {}
     if elide:
         for g in groups:
@@ -603,8 +460,6 @@ def plan_optimization(
                 if any(c not in member_nodes
                        for c in program.consumers(t)):
                     continue  # still read by another step
-                if reader_positions.get(id(t), set()) - {g.position}:
-                    continue  # a duplicated consumer reads it elsewhere
                 if _align(sizer(t)) != out_bytes:
                     continue
                 elided[g.position] = t
@@ -751,29 +606,18 @@ def plan_optimization(
 def _make_fused_run(
     interiors: Tuple[Tuple[int, Callable, Tuple[int, ...]], ...],
     terminal_run: Callable,
-    materialize: bool = False,
 ) -> Callable:
     """Compose interior value closures with the terminal's arena write.
 
     Interior values are broadcast *views* of the producer's compiled value
-    function — never copied into the arena. A ``map`` consumer (elementwise
-    ufuncs, gathers, selects) reads broadcast views bit-identically to
-    contiguous arrays. A ``reduce`` terminal accumulates over its grid,
-    where numpy's pairwise blocking *can* depend on strides — so
-    ``materialize`` forces each interior contiguous first (a no-op copy
-    unless the producer's value really broadcast), reproducing exactly the
-    bytes the unfused step would have put in the arena.
+    function — never copied into the arena. The terminal is a ``map``
+    (elementwise ufuncs, gathers, selects), which reads broadcast views
+    bit-identically to contiguous arrays.
     """
 
-    def run_fused(
-        v, interiors=interiors, terminal_run=terminal_run,
-        materialize=materialize,
-    ):
+    def run_fused(v, interiors=interiors, terminal_run=terminal_run):
         for key, fn, shape in interiors:
-            value = np.broadcast_to(fn(v), shape)
-            if materialize:
-                value = np.ascontiguousarray(value)
-            v[key] = value
+            v[key] = np.broadcast_to(fn(v), shape)
         terminal_run(v)
 
     return run_fused
@@ -906,21 +750,15 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     arena-hazard pass (in-place pairs allowlisted). Raises
     :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
     """
-    from repro.analysis.characterize import step_cost_features
-    from repro.cache.keys import step_content_key
     from repro.runtime.executor import PlanStep
     from repro.verify import Severity, verify_plan
 
-    cost_model = getattr(plan, "cost_model", None)
-    if cost_model is not None and not cost_model.has_measurements():
-        cost_model = None  # empty store: static behaviour, bit-for-bit
     if opt is None:
         opt = plan_optimization(
             plan.program, sizer=plan._sizer, batch_size=plan.batch_size,
             tile=getattr(plan, "tile", True),
             tile_budget=getattr(plan, "tile_budget", None),
             tile_block_rows=getattr(plan, "tile_block_rows", None),
-            cost_model=cost_model,
         )
 
     base_steps = plan.steps  # indexed by original node index
@@ -955,9 +793,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
             new_steps.append(PlanStep(
                 g.position, g.name, "tiled", id(g.terminal.tensor),
                 runtime.block_run(g.block_index),
-                step_key=step_content_key(chain.member_nodes),
-                cost_features=step_cost_features(chain.member_nodes),
-                block_rows=chain.block_rows,
             ))
             continue
         terminal_step = base_steps[g.terminal.index]
@@ -966,8 +801,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 g.position, terminal_step.name, terminal_step.kind,
                 terminal_step.key, terminal_step.run,
                 value_fn=terminal_step.value_fn,
-                step_key=terminal_step.step_key,
-                cost_features=terminal_step.cost_features,
             )
         else:
             interiors = tuple(
@@ -985,12 +818,7 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 )
             step = PlanStep(
                 g.position, g.name, "fused", terminal_step.key,
-                _make_fused_run(
-                    interiors, terminal_step.run,
-                    materialize=terminal_step.kind == "reduce",
-                ),
-                step_key=step_content_key(g.members),
-                cost_features=step_cost_features(g.members),
+                _make_fused_run(interiors, terminal_step.run),
             )
         new_steps.append(step)
 
@@ -999,12 +827,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
         step = new_steps[g.position]
         if step.kind != "einsum":
             continue
-        if cost_model is not None:
-            # Measured einsum-vs-matmul verdict for this step identity:
-            # skip specialization when BLAS measured slower here. (None —
-            # no measured pair — keeps the static always-try behaviour.)
-            if cost_model.prefer_matmul(step.step_key) is False:
-                continue
         matmul_run = _specialize_contraction(plan, g.terminal.tensor, step)
         if matmul_run is not None:
             step.run = matmul_run

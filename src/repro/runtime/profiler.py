@@ -145,10 +145,6 @@ class StepTiming:
     kind: str           # einsum | matmul | map | reduce | const | fused
     calls: int
     total_seconds: float
-    # Durable content identity (cache.keys.step_content_key): joins this
-    # row with persisted profile-store rows across recompiles. Display
-    # names are not durable — fusion regrouping and re-tiling rename steps.
-    step_key: str = ""
 
     @property
     def mean_us(self) -> float:

@@ -64,12 +64,6 @@ DEFAULT_MAX_POOL = 8
 # Per-request latencies kept for percentile reporting.
 DEFAULT_LATENCY_WINDOW = 2048
 
-# With collect_profiles on, accumulated step timings are flushed to the
-# profile store after this many profiled replays (and on flush_profiles()),
-# bounding both store write traffic and how much timing data one crash can
-# lose.
-PROFILE_FLUSH_REQUESTS = 64
-
 
 def resolve_feeds_by_name(
     program: TEProgram, feeds: Mapping[str, np.ndarray]
@@ -105,20 +99,14 @@ class PlanState:
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         optimize: bool = True,
         tile: bool = True,
-        cost_model: Optional[object] = None,
     ) -> None:
         self.program = program
         self.optimize = optimize
         self.tile = tile
-        # Measured cost model steering the optimizer's plan decisions
-        # (None, or an empty model, keeps static planning bit-for-bit).
-        self.cost_model = cost_model
         self.plan = (
             plan if plan is not None
-            else ExecutionPlan(program, optimize=optimize, tile=tile,
-                               cost_model=cost_model)
+            else ExecutionPlan(program, optimize=optimize, tile=tile)
         )
-        self._program_hash: Optional[str] = None
         buckets = sorted(set(int(b) for b in batch_buckets))
         if not buckets or buckets[0] < 2:
             raise ExecutionError(
@@ -135,15 +123,6 @@ class PlanState:
         # for the hoist cache.
         self.weight_feeds: Dict[Tensor, np.ndarray] = {}
         self.hoisted_by_name: Dict[str, np.ndarray] = {}
-
-    @property
-    def program_hash(self) -> str:
-        """Name-free profile bucket identity of the program (cached)."""
-        if self._program_hash is None:
-            from repro.cache.keys import program_profile_key
-
-            self._program_hash = program_profile_key(self.program)
-        return self._program_hash
 
     # ---- weights ---------------------------------------------------------
 
@@ -219,7 +198,7 @@ class PlanState:
         if plan is None:
             built = BatchedExecutionPlan(
                 self.plan.program, bucket, optimize=self.optimize,
-                tile=self.tile, cost_model=self.cost_model,
+                tile=self.tile,
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
@@ -267,11 +246,6 @@ class ArenaState:
         self.latencies: deque = deque(maxlen=latency_window)
         self.step_seconds = [0.0] * num_steps
         self.step_calls = 0
-        # collect_profiles accumulators, kept per batch bucket (None =
-        # unbatched) because each bucket's plan has its own step list.
-        self.profile_seconds: Dict[Optional[int], List[float]] = {}
-        self.profile_calls: Dict[Optional[int], int] = {}
-        self.profile_pending = 0
 
     def _pool(self, bucket: Optional[int]) -> List[Arena]:
         if bucket is None:
@@ -311,9 +285,6 @@ class InferenceSession:
         optimize: bool = True,
         tile: bool = True,
         plan_state: Optional[PlanState] = None,
-        collect_profiles: bool = False,
-        profile_store: Optional[object] = None,
-        cost_model: Optional[object] = None,
     ) -> None:
         self.name = name if name is not None else program.name
         # Serving defaults to optimized plans (the pass pipeline is proven
@@ -321,24 +292,13 @@ class InferenceSession:
         # lowering, and an explicit ``plan`` is used as-is either way.
         # ``tile`` gates the optimizer's block-level tiling of reduction
         # chains (runtime.tiling) for the plan and its batched buckets.
-        # ``collect_profiles`` measures per-step wall time on every request
-        # and flushes it to ``profile_store`` (resolved through
-        # resolve_profile_store: None honours $REPRO_CACHE_DIR) so later
-        # compiles can plan against measured costs. ``cost_model`` is the
-        # consuming side: a measured CostModel steering this session's plan.
         if plan_state is None:
             plan_state = PlanState(
                 program, plan=plan, batch_buckets=batch_buckets,
-                optimize=optimize, tile=tile, cost_model=cost_model,
+                optimize=optimize, tile=tile,
             )
         self.plan_state = plan_state
         self.profile = profile
-        self.collect_profiles = collect_profiles
-        self._profile_store = None
-        if collect_profiles:
-            from repro.runtime.profile_store import resolve_profile_store
-
-            self._profile_store = resolve_profile_store(profile_store)
         self.arena_state = ArenaState(
             max_pool=max_pool,
             latency_window=latency_window,
@@ -353,8 +313,6 @@ class InferenceSession:
         profile: bool = False,
         max_pool: int = DEFAULT_MAX_POOL,
         latency_window: int = DEFAULT_LATENCY_WINDOW,
-        collect_profiles: bool = False,
-        profile_store: Optional[object] = None,
     ) -> "InferenceSession":
         """A fresh replica over a shared :class:`PlanState` — its own arena
         pools and metrics, the same compiled plans and weight table."""
@@ -365,8 +323,6 @@ class InferenceSession:
             max_pool=max_pool,
             latency_window=latency_window,
             plan_state=plan_state,
-            collect_profiles=collect_profiles,
-            profile_store=profile_store,
         )
 
     # ---- shared-state delegation (back-compat surface) -------------------
@@ -523,8 +479,7 @@ class InferenceSession:
         feeds = self.plan_state.with_weights(feeds)
         bound = self.plan.bind_feeds(feeds)
         arena = self._acquire_arena()
-        timing = self.profile or self.collect_profiles
-        local_steps = [0.0] * self.plan.num_steps if timing else None
+        local_steps = [0.0] * self.plan.num_steps if self.profile else None
         start = time.perf_counter()
         try:
             outputs = self.plan.execute(bound, arena, local_steps)
@@ -594,8 +549,7 @@ class InferenceSession:
         padded = chunk + [chunk[-1]] * (bucket - n)
         bound = plan.bind_batch(padded)
         arena = self._acquire_arena(bucket)
-        timing = self.profile or self.collect_profiles
-        local_steps = [0.0] * plan.num_steps if timing else None
+        local_steps = [0.0] * plan.num_steps if self.profile else None
         start = time.perf_counter()
         try:
             outputs = plan.execute(bound, arena, local_steps)
@@ -615,7 +569,6 @@ class InferenceSession:
         bucket: Optional[int] = None,
     ) -> None:
         state = self.arena_state
-        flush = False
         with state.lock:
             state.request_count += requests
             state.request_seconds += elapsed
@@ -626,71 +579,10 @@ class InferenceSession:
                 state.batches_executed += 1
                 state.batched_requests += requests
                 state.occupancy_sum += requests / bucket
-            if local_steps is not None and self.profile:
+            if local_steps is not None:
                 state.step_calls += 1
                 for i, seconds in enumerate(local_steps):
                     state.step_seconds[i] += seconds
-            if local_steps is not None and self._profile_store is not None:
-                acc = state.profile_seconds.setdefault(
-                    bucket, [0.0] * len(local_steps)
-                )
-                for i, seconds in enumerate(local_steps):
-                    acc[i] += seconds
-                state.profile_calls[bucket] = (
-                    state.profile_calls.get(bucket, 0) + 1
-                )
-                state.profile_pending += 1
-                flush = state.profile_pending >= PROFILE_FLUSH_REQUESTS
-        if flush:
-            self.flush_profiles()
-
-    # ---- profile collection ----------------------------------------------
-
-    @property
-    def profile_store(self):
-        """The resolved store receiving this session's measurements."""
-        return self._profile_store
-
-    def flush_profiles(self) -> int:
-        """Flush accumulated step timings to the profile store.
-
-        Returns the number of samples recorded. Safe to call at any time
-        (including with nothing accumulated); drained accumulators reset so
-        every measurement is flushed exactly once.
-        """
-        store = self._profile_store
-        if store is None:
-            return 0
-        state = self.arena_state
-        with state.lock:
-            drained = [
-                (bucket, seconds, state.profile_calls.get(bucket, 0))
-                for bucket, seconds in state.profile_seconds.items()
-            ]
-            state.profile_seconds = {}
-            state.profile_calls = {}
-            state.profile_pending = 0
-        from repro.runtime.profile_store import samples_from_steps
-
-        flushed = 0
-        program_hash = self.plan_state.program_hash
-        for bucket, seconds, calls in drained:
-            if calls <= 0:
-                continue
-            lanes = 1 if bucket is None else bucket
-            plan = (
-                self.plan if bucket is None
-                else self.plan_state._batched_plans.get(bucket)
-            )
-            if plan is None:
-                continue
-            samples = samples_from_steps(
-                plan.steps, seconds, calls, lanes=lanes
-            )
-            if samples:
-                store.record(program_hash, lanes, samples)
-                flushed += len(samples)
-        return flushed
 
     # ---- serving ---------------------------------------------------------
 
@@ -756,7 +648,6 @@ class InferenceSession:
                     index=step.index,
                     name=step.name,
                     kind=step.kind,
-                    step_key=getattr(step, "step_key", ""),
                     calls=state.step_calls,
                     total_seconds=state.step_seconds[step.index],
                 )

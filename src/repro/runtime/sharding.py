@@ -266,6 +266,7 @@ class ShardedServer(CoreServer):
         self.replicas = replicas
         self.tile = tile
         self.request_timeout_s = request_timeout_s
+        self._cache_dir = cache_dir
         self._graph_doc = graph_to_dict(graph)
 
         # The parent holds its own PlanState over the same shared weights:
@@ -274,13 +275,7 @@ class ShardedServer(CoreServer):
         # executor (bit-identical by construction — same plans, same
         # weight bytes).
         self.plan_state = PlanState(program, tile=tile)
-        self.store = WeightStore.create(
-            program, self.plan_state.plan, weights, cache_dir=cache_dir
-        )
-        self.plan_state.bind_weights(
-            self.store.weights_by_name(),
-            hoisted_by_name=self.store.hoisted_by_name() or None,
-        )
+        self._publish_weights(weights)
         self._local: Optional[InferenceSession] = None
         self._local_lock = threading.Lock()
 
@@ -306,10 +301,30 @@ class ShardedServer(CoreServer):
         with self._lock:
             return sum(1 for r in self._replicas if r.alive)
 
+    def _publish_weights(self, weights: Mapping[str, np.ndarray]) -> None:
+        """Pack ``weights`` into a new shared segment and bind the parent's
+        PlanState to its views."""
+        self.store = WeightStore.create(
+            self.plan_state.program, self.plan_state.plan, weights,
+            cache_dir=self._cache_dir,
+        )
+        self.plan_state.bind_weights(
+            self.store.weights_by_name(),
+            hoisted_by_name=self.store.hoisted_by_name() or None,
+        )
+
     def start(self) -> "ShardedServer":
-        """Spawn every worker, wait for them to map weights, start serving."""
+        """Spawn every worker, wait for them to map weights, start serving.
+
+        A stopped server starts again: its segment was unlinked, so the
+        weights the parent still holds are published in a new one.
+        """
         if self._core.running:
             return self
+        if self.store.unlinked:
+            self._publish_weights({
+                t.name: v for t, v in self.plan_state.weight_feeds.items()
+            })
         for replica in self._replicas:
             self._spawn(replica)
         deadline = time.perf_counter() + _READY_TIMEOUT_S
@@ -342,6 +357,7 @@ class ShardedServer(CoreServer):
             proc = replica.process
             if proc is not None and proc.is_alive():
                 proc.terminate()
+        self._reap_workers()
         self.store.unlink()
 
     def _spawn(self, replica: _Replica) -> None:
@@ -393,6 +409,18 @@ class ShardedServer(CoreServer):
                         replica.conn.send(None)
                 except (OSError, ValueError):
                     pass
+        self._reap_workers()
+        watchdog = self._watchdog
+        if watchdog is not None:
+            watchdog.join(timeout=5.0)
+        self.store.unlink()
+
+    def _reap_workers(self) -> None:
+        """Join every worker and its receiver thread.
+
+        Receivers are joined before a restart can respawn their replica,
+        so a stale receiver never marks a new worker down.
+        """
         for replica in self._replicas:
             proc = replica.process
             if proc is not None:
@@ -407,10 +435,6 @@ class ShardedServer(CoreServer):
                 and replica.receiver is not threading.current_thread()
             ):
                 replica.receiver.join(timeout=5.0)
-        watchdog = self._watchdog
-        if watchdog is not None:
-            watchdog.join(timeout=5.0)
-        self.store.unlink()
 
     # ---- request entry ---------------------------------------------------
 

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.cache.keys import step_content_key
 from repro.errors import PlanningError
 from repro.graph.te_program import TENode, TEProgram
 from repro.runtime.plan_opt import StepGroup
@@ -226,29 +225,15 @@ def detect_chains(
     lanes: int,
     budget: int,
     block_rows: Optional[int] = None,
-    cost_model: Optional[object] = None,
 ) -> List[TiledChain]:
     """Find tileable chains and choose their blocking.
 
     With ``block_rows`` every eligible chain is tiled at that size (the
     test hook); otherwise a chain is tiled only when its working set
     exceeds ``budget`` bytes — the footprint model's profitability gate —
-    with the block size chosen so one block's rows fit the budget. A
-    ``cost_model`` carrying measured ``tiled@<blk>`` rows for a chain
-    overrides the static block size with the measured-best one.
+    with the block size chosen so one block's rows fit the budget.
     """
     infos = {g.position: _GroupInfo(g, kinds) for g in groups}
-    # A node duplicated into several consumer groups (tuned multi-consumer
-    # inlining) is recomputed per group and owns no arena slot of its own;
-    # internalising any of those groups would hand the chain a member whose
-    # identity the tiling certificate cannot track. Such groups stay untiled.
-    owner_count: Dict[int, int] = {}
-    for g in groups:
-        for m in g.members:
-            owner_count[m.index] = owner_count.get(m.index, 0) + 1
-    for g in groups:
-        if any(owner_count[m.index] > 1 for m in g.members):
-            infos[g.position].eligible = False
     by_pos = {g.position: g for g in groups}
     by_terminal = {id(g.terminal.tensor): g.position for g in groups}
     readers: Dict[int, List[int]] = {}
@@ -299,7 +284,7 @@ def detect_chains(
             continue
         chain = _build_chain(
             program, chain_groups, infos, len(chains), lanes, budget,
-            block_rows, cost_model,
+            block_rows,
         )
         if chain is None:
             continue
@@ -311,52 +296,6 @@ def detect_chains(
     return chains
 
 
-def _measured_block_totals(
-    member_nodes: Sequence[TENode],
-    rows: int,
-    cost_model: Optional[object],
-) -> Dict[int, float]:
-    """Measured whole-chain seconds by candidate block size (may be empty).
-
-    Profiled tiled runs record one ``tiled@<blk>`` variant per block size
-    under the chain's content key; each total is measured per-block seconds
-    times the block count that size implies at this row extent.
-    """
-    if cost_model is None or not getattr(
-        cost_model, "has_measurements", lambda: False
-    )():
-        return {}
-    variants = cost_model.tiled_variants(step_content_key(member_nodes))
-    return {
-        blk: seconds * math.ceil(rows / blk)
-        for blk, seconds in variants.items()
-        if 0 < blk < rows
-    }
-
-
-def _measured_untiled_seconds(
-    chain_groups: Sequence, cost_model: Optional[object]
-) -> Optional[float]:
-    """Measured seconds of replaying the chain's groups untiled.
-
-    Untiled, each group becomes one plan step keyed over its members (a
-    tile-off profiling run records these), so the comparison point for
-    tiling is just the sum of the group rows. ``None`` when any group is
-    unmeasured — a partial sum would bias the verdict toward tiling.
-    """
-    if cost_model is None:
-        return None
-    total = 0.0
-    for g in chain_groups:
-        measured = cost_model.measured_seconds(
-            step_content_key(list(g.members))
-        )
-        if measured is None:
-            return None
-        total += measured
-    return total
-
-
 def _build_chain(
     program: TEProgram,
     chain_groups: List,
@@ -365,7 +304,6 @@ def _build_chain(
     lanes: int,
     budget: int,
     block_rows: Optional[int],
-    cost_model: Optional[object] = None,
 ) -> Optional[TiledChain]:
     """Assemble one chain, deciding its block size (or rejecting it)."""
     terminal = chain_groups[-1].terminal
@@ -413,19 +351,12 @@ def _build_chain(
     )
     if block_rows is not None:
         blk = max(1, min(int(block_rows), rows))
+    elif per_row * rows <= budget:
+        return None  # fits in cache already: tiling is pure overhead
     else:
-        totals = _measured_block_totals(member_nodes, rows, cost_model)
-        untiled = _measured_untiled_seconds(chain_groups, cost_model)
-        if totals and untiled is not None and untiled <= min(totals.values()):
-            return None  # measured: untiled replay beats every blocking
-        if totals:
-            blk = min(totals, key=lambda b: (totals[b], b))
-        elif per_row * rows <= budget:
-            return None  # fits in cache already: tiling is pure overhead
-        else:
-            blk = max(1, min(budget // per_row, rows))
-            min_blk = -(-rows // MAX_AUTO_BLOCKS)
-            blk = max(blk, min_blk)
+        blk = max(1, min(budget // per_row, rows))
+        min_blk = -(-rows // MAX_AUTO_BLOCKS)
+        blk = max(blk, min_blk)
     ranges = _block_ranges(rows, blk)
     if len(ranges) < 2:
         return None

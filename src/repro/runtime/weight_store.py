@@ -176,6 +176,7 @@ class WeightStore:
         self.manifest = manifest
         self.owner = owner
         self.loaded_from_disk = loaded_from_disk
+        self.unlinked = False
         self._closed = False
 
     # ---- construction ----------------------------------------------------
@@ -361,7 +362,8 @@ class WeightStore:
     def unlink(self) -> None:
         """Destroy the segment (owner only; call once serving stops)."""
         self.close()
-        if self.owner:
+        if self.owner and not self.unlinked:
+            self.unlinked = True
             try:
                 self._shm.unlink()
             except FileNotFoundError:

@@ -124,9 +124,9 @@ class AnsorScheduler:
         # Optional persistent tier (repro.cache): set via attach_cache().
         self._persistent: Optional["ScheduleCache"] = None
         self._cache_context: Optional[str] = None
-        # schedule() must be callable from the parallel kernel builders; the
-        # lock also makes search_trials deterministic (each structure is
-        # built exactly once regardless of thread interleaving).
+        # schedule() may be called from several threads; the lock also
+        # makes search_trials deterministic (each structure is built exactly
+        # once regardless of thread interleaving).
         self._lock = threading.Lock()
 
     # ---- public API ---------------------------------------------------------

@@ -1507,7 +1507,7 @@ def _certify_fusion(program, opt) -> EquivalenceCertificate:
         if canonical_key(reference) == canonical_key(sequential):
             # Interior liveness: deleting a fused interior's buffer is
             # only sound when nothing outside the group reads it.
-            leaked = _fusion_leak(program, opt, group)
+            leaked = _fusion_leak(program, group)
             if leaked is None:
                 continue
             member, outsider = leaked
@@ -1552,32 +1552,15 @@ def _certify_fusion(program, opt) -> EquivalenceCertificate:
     return EquivalenceCertificate("fusion", subject, PROVED, obligations)
 
 
-def _fusion_leak(program, opt, group):
-    """An (interior member, outside consumer) pair, if any leaks.
-
-    A consumer outside *this* group is still sound when its own group also
-    carries the member as an interior — the measured duplication pass
-    recomputes a cheap map inside every consumer's group, so no group ever
-    reads the deleted buffer.
-    """
+def _fusion_leak(program, group):
+    """An (interior member, outside consumer) pair, if any leaks."""
     member_ids = {id(m.tensor) for m in group.members}
     for member in group.members[:-1]:
         if program.is_output(member.tensor):
             return member, member  # outputs must never be interiors
         for consumer in program.consumers(member.tensor):
-            if id(consumer.tensor) in member_ids:
-                continue
-            homes = [
-                g
-                for g in opt.groups
-                if any(m.tensor is consumer.tensor for m in g.members)
-            ]
-            if homes and all(
-                any(m.tensor is member.tensor for m in h.members[:-1])
-                for h in homes
-            ):
-                continue  # every home recomputes the member internally
-            return member, consumer
+            if id(consumer.tensor) not in member_ids:
+                return member, consumer
     return None
 
 
@@ -2171,7 +2154,6 @@ def certify_model(
     level: int = 4,
     batch_size: Optional[int] = None,
     cache=None,
-    max_workers: Optional[int] = 1,
     tile: bool = True,
 ) -> CertificationReport:
     """The ``repro certify`` backbone: compile with certification gates on
@@ -2188,7 +2170,6 @@ def certify_model(
     compiler = SouffleCompiler(
         options=SouffleOptions.from_level(level, certify=True),
         cache=cache,
-        max_workers=max_workers,
     )
     module = compiler.compile(model)
     report = CertificationReport(subject=module.name)

@@ -10,6 +10,8 @@ Every pass, in every combination, must also leave a layout the static
 verifier accepts.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,35 @@ def assert_levels_hold_disjoint_bytes(plan):
                 )
 
 
+# The plans served at default options: step count, step kinds, unbatched
+# workspace bytes and (fused steps, specialised contractions, tiled chains).
+# Replay stays bit-identical under many plan changes, so these pin the
+# fusion, elision and tiling decisions themselves.
+SERVED_TINY_PLANS = {
+    "bert": (76, {"fused": 6, "map": 42, "matmul": 20, "reduce": 8},
+             9216, (6, 20, 0)),
+    "efficientnet": (34, {"fused": 6, "map": 14, "matmul": 5, "reduce": 9},
+                     41984, (11, 5, 0)),
+    "lstm": (38, {"fused": 22, "matmul": 16}, 2048, (98, 16, 0)),
+    "mmoe": (27, {"fused": 5, "map": 7, "matmul": 11, "reduce": 4},
+             1792, (5, 11, 0)),
+    "resnext": (24, {"fused": 7, "map": 5, "matmul": 1, "reduce": 11},
+                83968, (20, 1, 0)),
+    "swin": (111, {"fused": 6, "map": 74, "matmul": 20, "reduce": 11},
+             49152, (6, 20, 0)),
+}
+
+
+def assert_served_plan(plan, steps, kinds, workspace, counts):
+    stats = plan.optimization.stats
+    assert plan.num_steps == steps
+    assert dict(Counter(step.kind for step in plan.steps)) == kinds
+    assert plan.workspace_bytes == workspace
+    assert (
+        stats.fused_steps, stats.specialized_contractions, stats.tiled_chains
+    ) == counts
+
+
 class TestWaves:
     def test_independent_steps_share_a_wave(self):
         """Independent steps share a dependency level, emitted as one
@@ -362,12 +393,15 @@ class TestWaves:
     def test_tiny_models_have_no_parallel_levels(self, name):
         plan = InferenceSession(lower_graph(TINY_MODELS[name]())).plan
         assert plan.optimization.stats.parallel_waves == 0
+        assert_served_plan(plan, *SERVED_TINY_PLANS[name])
 
     @pytest.mark.parametrize("bucket", [2, 4, 8])
     def test_tiny_bert_buckets_have_no_parallel_levels(self, bucket):
         session = InferenceSession(lower_graph(TINY_MODELS["bert"]()))
         plan = session.batch_plan(bucket)
         assert plan.optimization.stats.parallel_waves == 0
+        steps, kinds, workspace, counts = SERVED_TINY_PLANS["bert"]
+        assert_served_plan(plan, steps, kinds, bucket * workspace, counts)
 
     def test_attention_block_has_three_parallel_levels(self):
         """The paper-width attention block as served: three levels hold

@@ -433,6 +433,42 @@ class TestShardedServer:
             got = server.run(request, timeout=120)
         assert_bit_identical([got], [want])
 
+    def test_submit_after_stop_rejected_and_restartable(self, mlp_setup):
+        """stop() unlinks the weight segment; start() publishes a new one
+        and serves bit-identically again."""
+        graph, program, base, weights = mlp_setup
+        requests = request_stream(program, 3, seed=23)
+        want = serial_reference(program, base, requests)
+        server = ShardedServer(graph, weights, replicas=1)
+        try:
+            for _ in range(2):
+                server.start()
+                segment = server.store.manifest.shm_name
+                got = [server.run(r, timeout=120) for r in requests]
+                assert_bit_identical(got, want)
+                server.stop()
+                assert not os.path.exists(os.path.join("/dev/shm", segment))
+                with pytest.raises(ExecutionError, match="not running"):
+                    server.submit(requests[0])
+        finally:
+            server.stop()
+
+    def test_failed_start_leaves_a_restartable_server(self, mlp_setup):
+        graph, program, base, weights = mlp_setup
+        request = request_stream(program, 1, seed=29)[0]
+        want = serial_reference(program, base, [request])[0]
+        server = ShardedServer(graph, weights, replicas=1)
+        graph_doc = server._graph_doc
+        server._graph_doc = {}  # the worker cannot rebuild the plan
+        segment = server.store.manifest.shm_name
+        with pytest.raises(ExecutionError, match="failed to start"):
+            server.start()
+        assert not os.path.exists(os.path.join("/dev/shm", segment))
+        server._graph_doc = graph_doc
+        with server:
+            got = server.run(request, timeout=120)
+        assert_bit_identical([got], [want])
+
 
 def build_server(kind, mlp_setup, **options):
     """An unstarted server of ``kind`` over the MLP, and its PlanState."""
