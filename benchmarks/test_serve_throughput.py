@@ -73,8 +73,8 @@ def test_workspace_allocated_once(programs):
     session, reused across every request."""
     program = programs["bert"]
     # The per-tensor arena-backing claim is about the unoptimized layout:
-    # the plan optimizer legitimately deletes fused interiors and hoisted
-    # tensors from the arena, so they have no views to check.
+    # the plan optimizer legitimately deletes fused interiors from the
+    # arena, so they have no views to check.
     session = InferenceSession(program, optimize=False)
     feeds = random_feeds(program, seed=1)
     for _ in range(CALLS):
@@ -152,7 +152,7 @@ def test_serve_throughput(programs):
 # ---- plan-optimizer pass pipeline -------------------------------------------
 #
 # The optimizer acceptance floor: a plan-optimized session (step fusion,
-# weight hoisting, in-place elision, matmul specialization) must serve
+# in-place elision, matmul specialization) must serve
 # single requests >= OPT_FLOOR_SPEEDUP times faster than the unoptimized
 # plan, on BERT and MMoE.
 

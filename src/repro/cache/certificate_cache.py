@@ -22,7 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.equiv import EquivalenceCertificate
 
 CERTIFICATE_STORE_FORMAT = "repro-certificate-cache"
-CERTIFICATE_STORE_VERSION = 1
+# 2: plan certificate lists no longer hold a "hoist" certificate.
+CERTIFICATE_STORE_VERSION = 2
 
 
 class CertificateCache:

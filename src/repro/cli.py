@@ -458,8 +458,8 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         optimization = plan.optimization
     else:
         # Paper-scale grids exceed the functional executor's limits; the
-        # static planner still reports hoisting/fusion/elision and the
-        # repacked arena.
+        # static planner still reports fusion/elision and the repacked
+        # arena.
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
@@ -470,27 +470,14 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 
-        # Static sharded-serving memory report: the weight table and the
-        # hoisted precompute boundary are immutable at serve time, so a
-        # sharded deployment places them once in shared memory instead of
-        # once per replica.
-        weight_bytes = sum(
-            t.num_elements * EXEC_ITEMSIZE
-            for t in program.inputs if t.role == "weight"
-        )
-        boundary = optimization.hoist_boundary
-        boundary_bytes = sum(
-            t.num_elements * EXEC_ITEMSIZE for t in boundary
-        )
-        shared = weight_bytes + boundary_bytes
+        # Static sharded-serving memory report: the weight table is
+        # immutable at serve time, so a sharded deployment places it once
+        # in shared memory instead of once per replica.
+        weights = [t for t in program.inputs if t.role == "weight"]
+        shared = sum(t.num_elements * EXEC_ITEMSIZE for t in weights)
         k = args.replicas
         print(f"sharded serving ({k} replicas):")
-        print(
-            f"  weights: {weight_bytes / 1e6:.2f} MB "
-            f"({sum(1 for t in program.inputs if t.role == 'weight')} "
-            f"tensors), hoisted boundary: {boundary_bytes / 1e6:.2f} MB "
-            f"({len(boundary)} tensors)"
-        )
+        print(f"  weights: {shared / 1e6:.2f} MB ({len(weights)} tensors)")
         print(
             f"  per-process copies: {k * shared / 1e6:.2f} MB — "
             f"shared-memory placement: {shared / 1e6:.2f} MB "
@@ -631,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan-stats",
         help="what the plan optimizer does to a model's execution plan "
-             "(steps fused, weights hoisted, bytes elided)",
+             "(steps fused, bytes elided)",
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",

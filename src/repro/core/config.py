@@ -23,7 +23,7 @@ class SouffleOptions:
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
     # Serve through plan-optimized execution plans (runtime step fusion,
-    # weight hoisting, in-place elision, dependency-level step order).
+    # in-place elision, dependency-level step order).
     # Orthogonal to the V-levels: it rewrites the *runtime* step list, not
     # the TE IR.
     optimize_plans: bool = True

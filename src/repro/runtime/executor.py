@@ -39,9 +39,6 @@ down across every paper model.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-
 import numpy as np
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -73,37 +70,6 @@ EXEC_ITEMSIZE = np.dtype(EXEC_DTYPE).itemsize
 # A values table maps id(tensor) -> ndarray (feed, arena view or output).
 Values = Dict[int, np.ndarray]
 
-# Sentinel values-table key under which bind_feeds/bind_batch smuggle the
-# *original* (pre-conversion) feed objects for hoist roots to execute(),
-# which keys the per-weight-set hoist cache on their identities. Popped
-# before any step runs; absent means "recompute the hoisted subgraph".
-_HOIST_TOKEN: object = object()
-
-# Per-plan cap on cached hoisted weight-sets (a serving session feeds one).
-_HOIST_CACHE_LIMIT = 4
-
-
-def _hoist_token_digest(token: Sequence) -> str:
-    """Content hash of one hoist token (shape + dtype + bytes per array).
-
-    Identity keys break across process respawns: a worker re-attaching the
-    same shared-memory weights holds fresh array objects with identical
-    bytes. Batched tokens repeat each weight object once per lane, so the
-    per-object digest is memoized by identity within one call.
-    """
-    h = hashlib.sha256()
-    memo: Dict[int, bytes] = {}
-    for obj in token:
-        d = memo.get(id(obj))
-        if d is None:
-            arr = np.ascontiguousarray(obj)
-            item = hashlib.sha256()
-            item.update(repr((arr.shape, str(arr.dtype))).encode())
-            item.update(arr.tobytes())
-            d = item.digest()
-            memo[id(obj)] = d
-        h.update(d)
-    return h.hexdigest()
 # A compiled subexpression: either a plan-time constant array or a closure.
 _Compiled = Tuple[Optional[np.ndarray], Optional[Callable[[Values], np.ndarray]]]
 
@@ -476,6 +442,11 @@ class ExecutionPlan:
     # One request per replay; BatchedExecutionPlan overrides per instance.
     batch_size: Optional[int] = None
 
+    # Nothing is hoisted; kept empty because perfbench serve-closed reads it.
+    hoist_boundary: Tuple[Tensor, ...] = ()
+    # Nothing is hoisted; kept at 0 because perfbench serve-closed reads it.
+    hoist_evaluations = 0
+
     def __init__(
         self,
         program: TEProgram,
@@ -513,17 +484,8 @@ class ExecutionPlan:
         self._output_keys: List[int] = [id(t) for t in program.outputs]
         self._validate_layout()
         # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
-        # and fills these in (see repro.runtime.plan_opt).
+        # and sets this (see repro.runtime.plan_opt).
         self.optimization = None
-        self._hoist_steps: List[Tuple[PlanStep, Tuple[int, ...]]] = []
-        self._hoist_roots: List[Tensor] = []
-        self._hoist_input_ids: List[int] = []
-        self._hoist_boundary_ids: List[int] = []
-        self._hoist_cache: Dict[Tuple[int, ...], Values] = {}
-        self._hoist_cache_by_content: Dict[str, Values] = {}
-        self._hoist_lock = threading.Lock()
-        self.hoist_evaluations = 0
-        self.hoist_content_hits = 0
         if optimize:
             from repro.runtime.plan_opt import optimize_plan
 
@@ -651,159 +613,12 @@ class ExecutionPlan:
                 raise ExecutionError(
                     f"no feed provided for placeholder {name}"
                 )
-        if self._hoist_steps:
-            originals = {id(t): v for t, v in feeds.items()}
-            token = tuple(
-                originals.get(i) for i in self._hoist_input_ids
-            )
-            if all(o is not None for o in token):
-                bound[_HOIST_TOKEN] = token
         return bound
 
-    def _trim_hoist_cache(self) -> None:
-        """FIFO-evict both hoist caches to the limit (lock held by caller)."""
-        while len(self._hoist_cache) >= _HOIST_CACHE_LIMIT:
-            self._hoist_cache.pop(next(iter(self._hoist_cache)))
-        while len(self._hoist_cache_by_content) >= _HOIST_CACHE_LIMIT:
-            self._hoist_cache_by_content.pop(
-                next(iter(self._hoist_cache_by_content))
-            )
-
-    def _hoist_values(self, token, bound: Values) -> Values:
-        """Evaluate (or fetch) the hoisted weight subgraph for one request.
-
-        The cache is keyed on the identities of the *original* feed objects
-        for the hoist roots — a session feeding the same weight arrays every
-        request hits after the first evaluation without touching the bytes.
-        On an identity miss a content hash of the token arrays is tried
-        before recomputing: a respawned worker re-binding the same weight
-        bytes (fresh objects, e.g. re-attached shared memory) aliases the
-        cached values under its new identity key instead of re-hoisting.
-        Mutated weights can never serve stale values — a mutation changes
-        the content hash, and a missing token always recomputes.
-        """
-        key = tuple(id(o) for o in token) if token is not None else None
-        digest = None
-        if key is not None:
-            cached = self._hoist_cache.get(key)
-            if cached is not None:
-                return cached
-            digest = _hoist_token_digest(token)
-            with self._hoist_lock:
-                cached = self._hoist_cache_by_content.get(digest)
-                if cached is not None:
-                    self.hoist_content_hits += 1
-                    self._trim_hoist_cache()
-                    self._hoist_cache[key] = cached
-                    return cached
-        env: Values = {i: bound[i] for i in self._hoist_input_ids}
-        out: Values = {}
-        for step, shape in self._hoist_steps:
-            arr = np.empty(shape, dtype=EXEC_DTYPE)
-            env[step.key] = arr
-            step.run(env)
-            out[step.key] = arr
-        self.hoist_evaluations += 1
-        if key is not None:
-            with self._hoist_lock:
-                self._trim_hoist_cache()
-                self._hoist_cache[key] = out
-                self._hoist_cache_by_content[digest] = out
-        return out
-
-    @property
-    def hoist_boundary(self) -> List[Tensor]:
-        """Hoisted tensors read by live steps (empty without hoisting)."""
-        if self.optimization is None:
-            return []
-        return list(self.optimization.hoist_boundary)
-
-    def seed_hoist_values(
-        self,
-        feeds: Mapping[Tensor, np.ndarray],
-        values_by_name: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Pre-warm the hoist cache for one weight-set.
-
-        ``feeds`` must cover the hoist roots with the *same array objects*
-        later requests will feed — the cache entry is keyed on their
-        identities (plus the content-hash fallback), so every subsequent
-        replay hits without evaluating the hoisted subgraph.
-
-        Without ``values_by_name`` the hoisted steps run once, exactly as a
-        first request would trigger. With it (boundary values keyed by
-        tensor name, e.g. mapped zero-copy out of a shared-memory weight
-        store) the values are installed directly and *nothing* is
-        recomputed — the cold-start path for sharded workers. Only hoist
-        *boundary* values are installed; interior hoisted tensors are read
-        exclusively by other hoisted steps, which never run on a cache hit.
-
-        Returns the boundary values by name (lane 0 for batched plans),
-        suitable for persisting to a weight store. Empty when the plan has
-        no hoisted steps.
-        """
-        if not self._hoist_steps:
-            return {}
-        lanes = self.batch_size
-        roots = [self._inputs_by_id[i] for i in self._hoist_input_ids]
-        for t in roots:
-            if t not in feeds:
-                raise ExecutionError(
-                    f"seed_hoist_values needs a feed for hoist root {t.name}"
-                )
-        if lanes is None:
-            token = tuple(feeds[t] for t in roots)
-        else:
-            # bind_batch flattens input-major x lanes; every lane of a
-            # seeded weight-set feeds the same object.
-            token = tuple(feeds[t] for t in roots for _ in range(lanes))
-        if values_by_name is None:
-            bound: Values = {}
-            for t in roots:
-                arr = self._bind_one(t, feeds[t])
-                bound[id(t)] = (
-                    arr if lanes is None
-                    else np.broadcast_to(arr, (lanes,) + arr.shape)
-                )
-            out = self._hoist_values(token, bound)
-        else:
-            out = {}
-            for t in self.hoist_boundary:
-                value = values_by_name.get(t.name)
-                if value is None:
-                    raise ExecutionError(
-                        f"weight store is missing hoisted value {t.name!r}"
-                    )
-                arr = np.ascontiguousarray(value, dtype=EXEC_DTYPE)
-                if arr.shape != tuple(t.shape):
-                    raise ExecutionError(
-                        f"hoisted value {t.name} has shape {arr.shape}, "
-                        f"expected {tuple(t.shape)}"
-                    )
-                out[id(t)] = (
-                    arr if lanes is None
-                    else np.broadcast_to(arr, (lanes,) + arr.shape)
-                )
-            key = tuple(id(o) for o in token)
-            with self._hoist_lock:
-                self._trim_hoist_cache()
-                self._hoist_cache[key] = out
-                self._hoist_cache_by_content[
-                    _hoist_token_digest(token)
-                ] = out
-        by_name = {}
-        for t in self.hoist_boundary:
-            arr = out[id(t)]
-            by_name[t.name] = arr if lanes is None else arr[0]
-        return by_name
-
     def _prepare_values(self, bound: Values, arena: Arena) -> Values:
-        """Per-request values table: arena views, feeds, hoists, outputs."""
+        """Per-request values table: arena views, feeds, outputs."""
         values = dict(arena.views)
         values.update(bound)
-        token = values.pop(_HOIST_TOKEN, None)
-        if self._hoist_steps:
-            values.update(self._hoist_values(token, bound))
         for key, shape in self._output_allocs:
             values[key] = np.empty(shape, dtype=EXEC_DTYPE)
         return values
@@ -937,14 +752,6 @@ class BatchedExecutionPlan(ExecutionPlan):
                 raise ExecutionError(
                     f"no feed provided for placeholder {name}"
                 )
-        if self._hoist_steps:
-            token = []
-            for i in self._hoist_input_ids:
-                tensor = self._inputs_by_id[i]
-                for feeds in feeds_list:
-                    token.append(feeds.get(tensor))
-            if all(o is not None for o in token):
-                bound[_HOIST_TOKEN] = tuple(token)
         return bound
 
     def run_batch(

@@ -3,28 +3,29 @@ and arena layout before its first replay.
 
 The compiler-side global analysis (Sec. 5-6 of the paper) fuses TEs and
 plans reuse *inside* kernels; this module is its runtime mirror over the
-:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Four passes, each
+:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Three passes, each
 required to keep replay bit-identical to the unoptimized plan (the first
-three can be switched off for tests and ablation):
+two can be switched off for tests and ablation):
 
-1. **Weight-subgraph hoisting** (Sec. 5.1 temporal reuse) — steps whose
-   transitive inputs are all session-bound constants (``role="weight"``
-   placeholders) are evaluated once per weight-set at bind time and cached
-   on the plan, so pre-packed weights survive across requests.
-2. **Vertical step fusion** (Sec. 6.2, Eq. 2) — chains of one-relies-on-one
+1. **Vertical step fusion** (Sec. 6.2, Eq. 2) — chains of one-relies-on-one
    ``map`` steps whose producer has a single consumer are composed into one
    closure; the intermediate is never materialised and leaves the arena.
-3. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
+2. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
    elementwise step whose input buffer dies at that step writes into its
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
    fully evaluate their value into temporaries before the final ``copyto``.
-4. **Level ordering** (Sec. 6.1 horizontal packing) — steps are emitted in
+3. **Level ordering** (Sec. 6.1 horizontal packing) — steps are emitted in
    dependency-level order, so steps sharing a level stay live together and
    the repacked arena gives them disjoint bytes. The levels holding two or
    more steps that each move :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements
    are counted as ``OptimizeStats.parallel_waves``. Replay itself is always
    the executor's flat step loop: overlapping such steps on threads never
    measured faster on a served plan (DESIGN.md, "One replay loop").
+
+A step that reads only weights is an ordinary step: it runs on every
+request over the weights that request is served with, so a weight fed anew
+or changed in place is read as it is. No program this repo serves has such
+a step (DESIGN.md, "Dropped by measurement").
 
 On top of the mandated passes, einsum-shaped steps are *specialized* to
 direct ``np.matmul(..., out=view)`` calls — but only when a plan-time
@@ -166,7 +167,6 @@ class OptimizeStats:
 
     steps_before: int = 0
     steps_after: int = 0
-    hoisted_steps: int = 0
     fused_steps: int = 0             # producers folded into their consumer
     elided_buffers: int = 0
     elided_bytes: int = 0            # arena bytes merged away by elision
@@ -197,7 +197,7 @@ class OptimizeStats:
             )
         return (
             f"plan optimizer: {self.steps_before}->{self.steps_after} steps "
-            f"({self.hoisted_steps} hoisted, {self.fused_steps} fused), "
+            f"({self.fused_steps} fused), "
             f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
             f"specialized, {self.elided_buffers} elided, "
             f"{self.arena_bytes_saved} arena bytes saved"
@@ -212,7 +212,6 @@ class OptimizeStats:
         )
         lines = [
             f"steps:            {self.steps_before} -> {self.steps_after}",
-            f"  hoisted (run once per weight-set): {self.hoisted_steps}",
             f"  fused into consumers:              {self.fused_steps}",
             f"contractions specialized to matmul:  "
             f"{self.specialized_contractions}/{self.einsum_steps}",
@@ -239,9 +238,6 @@ class PlanOptimization:
     """
 
     program: TEProgram
-    hoisted_nodes: List[TENode]
-    hoist_roots: List[Tensor]        # weight placeholders feeding the hoist
-    hoist_boundary: List[Tensor]     # hoisted tensors read by live steps
     groups: List[StepGroup]          # optimized steps, execution order
     elided: Dict[int, Tensor]        # group position -> operand reused
     memory_plan: MemoryPlan
@@ -259,7 +255,6 @@ def plan_optimization(
     program: TEProgram,
     sizer: Optional[Callable[[Tensor], int]] = None,
     batch_size: Optional[int] = None,
-    hoist: bool = True,
     fuse: bool = True,
     elide: bool = True,
     tile: bool = True,
@@ -291,41 +286,10 @@ def plan_optimization(
         program, sizer=sizer, exclusive_writes=True
     ).workspace_bytes
 
-    # ---- pass 1: weight-subgraph hoisting -------------------------------
-    hoisted_ids: Set[int] = set()
-    hoisted_nodes: List[TENode] = []
-    if hoist:
-        const_ids = {
-            id(t) for t in program.inputs
-            if getattr(t, "role", "input") == "weight"
-        }
-        for node in nodes:
-            if program.is_output(node.tensor):
-                continue
-            if all(
-                id(d) in const_ids or id(d) in hoisted_ids
-                for d in node.inputs
-            ):
-                hoisted_ids.add(id(node.tensor))
-                hoisted_nodes.append(node)
-    read_by_hoisted = {
-        id(d) for n in hoisted_nodes for d in n.inputs
-    }
-    hoist_roots = [t for t in program.inputs if id(t) in read_by_hoisted]
-    hoist_boundary = [
-        n.tensor for n in hoisted_nodes
-        if any(
-            id(c.tensor) not in hoisted_ids
-            for c in program.consumers(n.tensor)
-        )
-    ]
-    stats.hoisted_steps = len(hoisted_nodes)
-
-    # ---- pass 2: vertical step fusion -----------------------------------
-    surviving = [n for n in nodes if id(n.tensor) not in hoisted_ids]
+    # ---- pass 1: vertical step fusion -----------------------------------
     inline_into: Dict[int, int] = {}  # node index -> consumer node index
     if fuse:
-        for node in surviving:
+        for node in nodes:
             if kinds[node.index] != "map":
                 continue
             if program.is_output(node.tensor):
@@ -334,8 +298,6 @@ def plan_optimization(
             if len(consumers) != 1:
                 continue
             consumer = consumers[0]
-            if id(consumer.tensor) in hoisted_ids:
-                continue
             if kinds[consumer.index] != "map":
                 continue
             if not _identity_reads_only(consumer, node.tensor):
@@ -357,7 +319,7 @@ def plan_optimization(
         return root
 
     members_of: Dict[int, List[TENode]] = {}
-    for node in surviving:
+    for node in nodes:
         members_of.setdefault(find_terminal(node.index), []).append(node)
 
     groups: List[StepGroup] = []
@@ -405,7 +367,7 @@ def plan_optimization(
         (c.scratch_bytes for c in tiled_chains), default=0
     )
 
-    # ---- pass 4 (ordering): emit steps in dependency-level order ---------
+    # ---- pass 3 (ordering): emit steps in dependency-level order ---------
     # The order fixes the liveness the repacker models, so it runs before
     # elision/packing: steps sharing a level stay live together and get
     # disjoint bytes.
@@ -437,7 +399,7 @@ def plan_optimization(
         groups, levels, 1 if batch_size is None else batch_size
     )
 
-    # ---- pass 3: in-place elision ---------------------------------------
+    # ---- pass 2: in-place elision ---------------------------------------
     elided: Dict[int, Tensor] = {}
     if elide:
         for g in groups:
@@ -453,8 +415,6 @@ def plan_optimization(
             for t in g.reads:
                 if program.producer(t) is None:
                     continue
-                if id(t) in hoisted_ids:
-                    continue  # cached across requests; never overwrite
                 if program.is_output(t):
                     continue
                 if any(c not in member_nodes
@@ -575,7 +535,7 @@ def plan_optimization(
     ]
     step_view = ProgramView(
         name=f"{program.name}+opt",
-        inputs=list(program.inputs) + list(hoist_boundary),
+        inputs=list(program.inputs),
         nodes=view_nodes,
         outputs=list(program.outputs),
     )
@@ -586,9 +546,6 @@ def plan_optimization(
 
     return PlanOptimization(
         program=program,
-        hoisted_nodes=hoisted_nodes,
-        hoist_roots=hoist_roots,
-        hoist_boundary=hoist_boundary,
         groups=groups,
         elided=elided,
         memory_plan=memory_plan,
@@ -745,8 +702,7 @@ def _specialize_contraction(plan, tensor: Tensor, step) -> Optional[Callable]:
 def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
-    Rewrites ``plan.steps`` and ``plan.memory_plan``, installs the hoist
-    cache and re-validates the rewritten layout through the verifier's
+    Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the rewritten layout through the verifier's
     arena-hazard pass (in-place pairs allowlisted). Raises
     :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
     """
@@ -762,11 +718,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
         )
 
     base_steps = plan.steps  # indexed by original node index
-
-    hoist_steps = [
-        (base_steps[n.index], plan._batched_shape(tuple(n.tensor.shape)))
-        for n in opt.hoisted_nodes
-    ]
 
     # Tiled chains compile once per chain (shared across its blocks): the
     # block plans rewrite every member at block extent and borrow scratch
@@ -850,10 +801,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
 
     plan.steps = new_steps
     plan.memory_plan = opt.memory_plan
-    plan._hoist_steps = hoist_steps
-    plan._hoist_roots = list(opt.hoist_roots)
-    plan._hoist_boundary_ids = [id(t) for t in opt.hoist_boundary]
-    plan._hoist_input_ids = [id(t) for t in opt.hoist_roots]
     plan.optimization = opt
     return opt
 

@@ -36,8 +36,9 @@ one over this session. Cross-process sharding lives in
 The session also feeds the profiler: per-request wall latency is always
 recorded (two clock reads plus a bounded ring buffer for p50/p95/p99),
 batch occupancy is tracked per replay, and ``profile=True`` additionally
-accumulates per-step wall time, surfaced as an :class:`~repro.runtime.
-profiler.ExecutionProfile` via :meth:`InferenceSession.profile_report`.
+accumulates the unbatched plan's per-step wall time over its replays,
+surfaced as an :class:`~repro.runtime.profiler.ExecutionProfile` via
+:meth:`InferenceSession.profile_report`.
 """
 
 from __future__ import annotations
@@ -118,28 +119,17 @@ class PlanState:
         self._batched_plans: Dict[int, BatchedExecutionPlan] = {}
         self.unbatchable_buckets: set = set()
         # Server-owned feeds (weights), merged under every request's feeds.
-        # Bound once through the plan's converter — shared-memory float64
-        # views pass through zero-copy — and used as stable identity keys
-        # for the hoist cache.
         self.weight_feeds: Dict[Tensor, np.ndarray] = {}
-        self.hoisted_by_name: Dict[str, np.ndarray] = {}
 
     # ---- weights ---------------------------------------------------------
 
-    def bind_weights(
-        self,
-        weights_by_name: Mapping[str, np.ndarray],
-        hoisted_by_name: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Install server-owned weight feeds and pre-warm the hoist cache.
+    def bind_weights(self, weights_by_name: Mapping[str, np.ndarray]) -> None:
+        """Install server-owned weight feeds, merged under every request.
 
         ``weights_by_name`` maps placeholder names to arrays; each is
-        converted once through the plan's binder (zero-copy for contiguous
-        float64, e.g. shared-memory views) and merged under every request.
-        ``hoisted_by_name`` optionally supplies precomputed hoist-boundary
-        values (a warm weight store) so the hoisted subgraph never runs in
-        this process. Returns the hoist-boundary values by name — computing
-        them now if they were not supplied — for persisting to a store.
+        converted once through the plan's binder, which rejects an unknown
+        name or a wrong shape and passes contiguous float64 arrays (e.g.
+        shared-memory views) through zero-copy.
         """
         resolved = resolve_feeds_by_name(self.program, weights_by_name)
         bound: Dict[Tensor, np.ndarray] = {
@@ -147,17 +137,6 @@ class PlanState:
         }
         with self._lock:
             self.weight_feeds = bound
-        boundary = self.plan.seed_hoist_values(
-            bound, values_by_name=hoisted_by_name
-        )
-        self.hoisted_by_name = dict(boundary)
-        # Seed any batched plans that already exist; later builds are
-        # seeded in batch_plan().
-        with self._lock:
-            built = list(self._batched_plans.values())
-        for bp in built:
-            bp.seed_hoist_values(bound, values_by_name=self.hoisted_by_name)
-        return dict(boundary)
 
     def with_weights(
         self, feeds: Mapping[Tensor, np.ndarray]
@@ -202,11 +181,6 @@ class PlanState:
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
-            if plan is built and self.weight_feeds:
-                plan.seed_hoist_values(
-                    self.weight_feeds,
-                    values_by_name=self.hoisted_by_name or None,
-                )
         return plan
 
 
@@ -549,14 +523,15 @@ class InferenceSession:
         padded = chunk + [chunk[-1]] * (bucket - n)
         bound = plan.bind_batch(padded)
         arena = self._acquire_arena(bucket)
-        local_steps = [0.0] * plan.num_steps if self.profile else None
         start = time.perf_counter()
         try:
-            outputs = plan.execute(bound, arena, local_steps)
+            # Not step-timed: the profile's rows are the unbatched plan's
+            # steps, and a bucket's plan has steps of its own.
+            outputs = plan.execute(bound, arena)
         finally:
             self._release_arena(arena, bucket)
         elapsed = time.perf_counter() - start
-        self._record(n, elapsed, local_steps, bucket=bucket)
+        self._record(n, elapsed, bucket=bucket)
         return [
             [np.array(out[lane]) for out in outputs] for lane in range(n)
         ]
@@ -565,7 +540,7 @@ class InferenceSession:
         self,
         requests: int,
         elapsed: float,
-        local_steps: Optional[List[float]],
+        local_steps: Optional[List[float]] = None,
         bucket: Optional[int] = None,
     ) -> None:
         state = self.arena_state

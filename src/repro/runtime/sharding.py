@@ -4,13 +4,12 @@ A :class:`ShardedServer` scales the single-process serving stack
 (:class:`~repro.runtime.batching.BatchingServer`) across K worker
 *processes*. Each worker rebuilds the same deterministic
 :class:`~repro.runtime.executor.ExecutionPlan` from the serialized source
-graph, then maps the model's weights — and the optimizer's precomputed
-hoist-boundary values — out of one shared
+graph, then maps the model's weights out of one shared
 :class:`~repro.runtime.weight_store.WeightStore` segment, zero-copy. K
 replicas therefore hold K arena pools but exactly *one* copy of the
-weights, and a cold worker never re-runs the hoisted weight prologue: the
-values are already in the segment (persisted to disk across server runs,
-keyed like the compile cache).
+weights. The segment exists only while the server runs: :meth:`start`
+creates it and :meth:`stop` unlinks it, so a server that is built but
+never started holds none.
 
 Admission, the batch window, the dispatcher, the stop-time drain and the
 batch-failure fallback are the :class:`~repro.runtime.batching.
@@ -114,7 +113,6 @@ def _session_stats(session: InferenceSession) -> dict:
         "arenas_allocated": state.arenas_allocated,
         "arenas_trimmed": state.arenas_trimmed,
         "pool_high_water": state.pool_high_water,
-        "hoist_evaluations": session.plan.hoist_evaluations,
         "rss_bytes": _rss_bytes(),
     }
 
@@ -142,8 +140,7 @@ def _worker_main(
         program = lower_graph(graph)
         plan_state = PlanState(program, tile=tile)
         weights = store.weights_by_name()
-        hoisted = store.hoisted_by_name()
-        plan_state.bind_weights(weights, hoisted_by_name=hoisted or None)
+        plan_state.bind_weights(weights)
         session = InferenceSession.from_plan_state(
             plan_state, name=f"{program.name}[{index}]"
         )
@@ -158,7 +155,6 @@ def _worker_main(
             "pid": os.getpid(),
             "weight_bytes_mapped": store.total_bytes,
             "weight_private_bytes": private,
-            "hoist_evaluations": plan_state.plan.hoist_evaluations,
             "rss_bytes": _rss_bytes(),
         }))
     except BaseException as exc:  # noqa: BLE001 — forwarded to parent
@@ -241,6 +237,7 @@ class ShardedServer(CoreServer):
         max_queue_delay_ms: float = 2.0,
         tile: bool = True,
         request_timeout_s: float = 30.0,
+        # Accepted and unused; kept because perfbench shard-open passes it.
         cache_dir: Optional[str] = None,
     ) -> None:
         if replicas < 1:
@@ -266,16 +263,18 @@ class ShardedServer(CoreServer):
         self.replicas = replicas
         self.tile = tile
         self.request_timeout_s = request_timeout_s
-        self._cache_dir = cache_dir
         self._graph_doc = graph_to_dict(graph)
 
-        # The parent holds its own PlanState over the same shared weights:
-        # it validates submissions, computes the hoisted prologue exactly
-        # once for the store, and serves as the all-replicas-down fallback
-        # executor (bit-identical by construction — same plans, same
-        # weight bytes).
+        # The parent holds its own PlanState over the same weights: it
+        # validates submissions and serves as the all-replicas-down
+        # fallback executor (bit-identical by construction — same plans,
+        # same weight bytes). Binding here rejects bad weights before
+        # anything is spawned; start() publishes them.
         self.plan_state = PlanState(program, tile=tile)
-        self._publish_weights(weights)
+        self.plan_state.bind_weights(weights)
+        self.store = WeightStore(WeightManifest.layout(
+            program, (t.name for t in self.plan_state.weight_feeds)
+        ))
         self._local: Optional[InferenceSession] = None
         self._local_lock = threading.Lock()
 
@@ -301,30 +300,21 @@ class ShardedServer(CoreServer):
         with self._lock:
             return sum(1 for r in self._replicas if r.alive)
 
-    def _publish_weights(self, weights: Mapping[str, np.ndarray]) -> None:
-        """Pack ``weights`` into a new shared segment and bind the parent's
-        PlanState to its views."""
-        self.store = WeightStore.create(
-            self.plan_state.program, self.plan_state.plan, weights,
-            cache_dir=self._cache_dir,
-        )
-        self.plan_state.bind_weights(
-            self.store.weights_by_name(),
-            hoisted_by_name=self.store.hoisted_by_name() or None,
-        )
-
     def start(self) -> "ShardedServer":
-        """Spawn every worker, wait for them to map weights, start serving.
+        """Publish the weights, spawn every worker, wait for them to map
+        the weights, start serving.
 
-        A stopped server starts again: its segment was unlinked, so the
-        weights the parent still holds are published in a new one.
+        The weights go into a new segment named by ``store.manifest``, and
+        the parent's PlanState rebinds to its views, so the parent and the
+        workers read the same bytes. A stopped server starts again the same
+        way.
         """
         if self._core.running:
             return self
-        if self.store.unlinked:
-            self._publish_weights({
-                t.name: v for t, v in self.plan_state.weight_feeds.items()
-            })
+        self.store = WeightStore.create(self.store.manifest, {
+            t.name: v for t, v in self.plan_state.weight_feeds.items()
+        })
+        self.plan_state.bind_weights(self.store.weights_by_name())
         for replica in self._replicas:
             self._spawn(replica)
         deadline = time.perf_counter() + _READY_TIMEOUT_S
@@ -677,9 +667,6 @@ class ShardedServer(CoreServer):
                     "weight_private_bytes": replica.info.get(
                         "weight_private_bytes", 0
                     ),
-                    "hoist_evaluations": replica.info.get(
-                        "hoist_evaluations", 0
-                    ),
                 }
             row.update({
                 f"worker_{k}": v for k, v in replica.stats.items()
@@ -713,7 +700,6 @@ class ShardedServer(CoreServer):
                 "weight_bytes_saved": (
                     (self.replicas - 1) * self.store.total_bytes
                 ),
-                "weight_store_from_disk": self.store.loaded_from_disk,
             }
         return {"per_replica": per_replica, "aggregate": aggregate}
 
@@ -730,9 +716,7 @@ class ShardedServer(CoreServer):
             f"{agg['p99_us']:.0f} us",
             f"weights: {agg['weight_bytes_total'] / 1e6:.2f} MB shared "
             f"once ({agg['weight_bytes_saved'] / 1e6:.2f} MB of per-replica "
-            f"copies avoided"
-            + (", restored from disk)" if agg["weight_store_from_disk"]
-               else ")"),
+            f"copies avoided)",
             f"faults: {agg['worker_crashes']} crashes, "
             f"{agg['worker_respawns']} respawns, "
             f"{agg['requests_redispatched']} re-dispatched, "

@@ -103,8 +103,8 @@ class Tensor:
         self.name = name if name is not None else _fresh_name("t")
         self.op = op
         # Placeholders only: "weight" marks a session-bound constant (fed
-        # identically across requests), "input" a per-request feed. The plan
-        # optimizer's hoisting pass treats weight-only subgraphs as foldable.
+        # identically across requests), "input" a per-request feed. Servers
+        # bind weights once and merge them under every request's feeds.
         self.role = role
 
     @property
@@ -145,9 +145,9 @@ def placeholder(
     """Declare a graph input or weight tensor.
 
     ``role="weight"`` marks the placeholder as a session-bound constant —
-    the same array is fed on every request — which lets the runtime plan
-    optimizer hoist subgraphs depending only on weights out of the
-    per-request step list.
+    the same array is fed on every request — which a server binds once
+    (sharded servers place it once in shared memory) and merges under
+    every request's feeds.
     """
     return Tensor(shape, dtype=dtype, name=name, role=role)
 

@@ -19,11 +19,10 @@ One certifier per transform family:
   canonicalized (positional alpha-renaming, commutative-chain sorting,
   affine index normal forms via :func:`repro.te.affine.linearize`) and
   compared structurally.
-* ``certify_plan_optimization`` — plan-level hoisting / fusion / elision /
-  matmul specialization / block tiling (``runtime/plan_opt.py`` +
+* ``certify_plan_optimization`` — plan-level fusion / elision / matmul
+  specialization / block tiling (``runtime/plan_opt.py`` +
   ``runtime/tiling.py``): obligations are re-derived independently of the
-  planner (weight-only transitive reads, sequential group composition over
-  the group's read frontier, consumer liveness of elided operands, exact
+  planner (sequential group composition over the group's read frontier, consumer liveness of elided operands, exact
   row-partition cover and per-read alignment classes, einsum spec
   re-derivation from the reduction body).
 * ``certify_batched_lowering``  — batched lowering (``runtime/executor``):
@@ -179,7 +178,7 @@ class EquivalenceCertificate:
     """The verdict for one transform application.
 
     ``obligations`` counts the proof obligations discharged (matched tensor
-    pairs, hoisted nodes, fused groups, ...) — a proved certificate with
+    pairs, fused groups, elided operands, ...) — a proved certificate with
     zero obligations records that the transform had nothing to do, which is
     still a statement worth caching.
     """
@@ -983,11 +982,9 @@ class _FeedStore:
         overrides: Optional[
             Mapping[Tuple[str, Tuple[int, ...]], float]
         ] = None,
-        perturb: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.salt = salt
         self.overrides = dict(overrides or {})
-        self.perturb = dict(perturb or {})
         self.reads: Dict[Tuple[str, Tuple[int, ...]], float] = {}
 
     def value(self, name: str, idx: Tuple[int, ...], dtype: str) -> float:
@@ -996,8 +993,6 @@ class _FeedStore:
             value = self.overrides[key]
         else:
             value = _hash_feed(self.salt, name, idx, dtype)
-            if name in self.perturb:
-                value += self.perturb[name]
         self.reads[key] = value
         return value
 
@@ -1352,87 +1347,6 @@ def certify_te_transform(
 
 
 # ---- plan-level transforms --------------------------------------------------
-
-
-def _weight_ids(program) -> Set[int]:
-    return {
-        id(t)
-        for t in program.inputs
-        if getattr(t, "role", None) == "weight"
-    }
-
-
-def _hoist_closure(
-    view: ProgramView, tensor: Tensor
-) -> Closure:
-    frontier = {t.name for t in view.inputs}
-    return _ClosureBuilder(view, frontier).closure(tensor)
-
-
-def _certify_hoist(program, opt) -> EquivalenceCertificate:
-    """Hoisted steps may transitively read only weight placeholders."""
-    subject = program.name
-    view = as_view(program)
-    allowed = _weight_ids(program) | {
-        id(node.tensor) for node in opt.hoisted_nodes
-    }
-    obligations = 0
-    for node in opt.hoisted_nodes:
-        for read in node.inputs:
-            obligations += 1
-            if id(read) in allowed:
-                continue
-            # A non-weight input feeds the hoisted subgraph: its value is
-            # cached across requests, so two requests that differ at that
-            # input observe the first request's bytes. Demonstrate.
-            try:
-                closure = _hoist_closure(view, node.tensor)
-            except ClosureBudgetExceeded as exc:
-                return EquivalenceCertificate(
-                    "hoist", subject, UNKNOWN, obligations,
-                    detail=f"{node.name} reads non-weight {read.name}; {exc}",
-                )
-            coord = tuple(0 for _ in closure.axes)
-            base_store = _FeedStore()
-            perturbed_store = _FeedStore(perturb={read.name: 1.0})
-            try:
-                base = evaluate_closure(closure, coord, base_store)
-                shifted = evaluate_closure(closure, coord, perturbed_store)
-            except RefutationBudgetExceeded as exc:
-                return EquivalenceCertificate(
-                    "hoist", subject, UNKNOWN, obligations,
-                    detail=f"{node.name} reads non-weight {read.name}; {exc}",
-                )
-            if _close(base, shifted):
-                return EquivalenceCertificate(
-                    "hoist", subject, UNKNOWN, obligations,
-                    detail=(
-                        f"{node.name} reads non-weight {read.name} but no "
-                        "divergence found within the probe budget"
-                    ),
-                )
-            entries = sorted(
-                (name, idx, value)
-                for (name, idx), value in base_store.reads.items()
-            )
-            cx = Counterexample(
-                output=node.name,
-                coordinates=coord,
-                before_value=base,
-                after_value=shifted,
-                feeds=tuple(entries[:MAX_FEED_ENTRIES]),
-                truncated=len(entries) > MAX_FEED_ENTRIES,
-            )
-            return EquivalenceCertificate(
-                "hoist", subject, REFUTED, obligations,
-                detail=(
-                    f"{node.name} hoisted but transitively reads "
-                    f"non-weight input {read.name} (second request with "
-                    f"{read.name} shifted by +1 observes a stale value)"
-                ),
-                counterexample=cx,
-            )
-    return EquivalenceCertificate("hoist", subject, PROVED, obligations)
 
 
 def _group_frontier(group) -> Set[str]:
@@ -1932,13 +1846,12 @@ def certify_plan_optimization(
 ) -> List[EquivalenceCertificate]:
     """Certify one :class:`~repro.runtime.plan_opt.PlanOptimization`.
 
-    Emits one certificate per pass family — hoist, fusion, elision,
-    tiling, matmul specialization — including proved zero-obligation
+    Emits one certificate per pass family — fusion, elision, tiling,
+    matmul specialization — including proved zero-obligation
     certificates for families the plan did not exercise, so downstream
     consumers can assert the full set is present.
     """
     return [
-        _certify_hoist(program, opt),
         _certify_fusion(program, opt),
         _certify_elision(program, opt),
         _certify_tiling(program, opt),
@@ -2214,22 +2127,6 @@ def replay_certificate(
         closures = _te_closures_for(before, after, cx.output)
         return _replay_closures(closures, cx)
 
-    if transform == "hoist":
-        view = as_view(program)
-        node = next(
-            n for n in optimization.hoisted_nodes if n.name == cx.output
-        )
-        closure = _hoist_closure(view, node.tensor)
-        bad = _first_nonweight_input(program, optimization, node)
-        base = evaluate_closure(
-            closure, cx.coordinates, _FeedStore(overrides=cx.feed_map())
-        )
-        shifted = evaluate_closure(
-            closure, cx.coordinates,
-            _FeedStore(perturb={bad.name: 1.0}),
-        )
-        return base, shifted
-
     if transform == "fusion":
         view = as_view(program)
         group = next(
@@ -2375,16 +2272,4 @@ def _elision_closures(
     overwritten = replace_tensor_reads(reference.expr, visit)
     return reference, Closure(
         reference.axes, overwritten, _ranges_for(reference.axes, overwritten)
-    )
-
-
-def _first_nonweight_input(program, optimization, node):
-    allowed = _weight_ids(program) | {
-        id(n.tensor) for n in optimization.hoisted_nodes
-    }
-    for read in node.inputs:
-        if id(read) not in allowed:
-            return read
-    raise VerificationError(
-        f"hoisted node {node.name} has no non-weight input to replay"
     )

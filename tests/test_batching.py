@@ -125,6 +125,32 @@ class TestSessionBatching:
         assert session.batches_executed == 2
         assert session.batched_requests == 13
 
+    def test_profile_rows_count_only_unbatched_replays(self):
+        """The profile's rows are the unbatched plan's steps. A batched
+        replay is not timed into them, whether its bucket's plan has more
+        steps (a wide softmax tiled only at bucket 8) or the same number
+        (tiny BERT at bucket 4)."""
+        b = GraphBuilder("wide_softmax")
+        x = b.input((256, 512), name="x")
+        program = lower_graph(b.build([b.softmax(x, axis=-1)]))
+        session = InferenceSession(program, profile=True)
+        assert session.batch_plan(8).num_steps > session.plan.num_steps
+        requests = request_feeds(program, 8)
+        session.run_batch(requests)
+        session.run(requests[0])
+        assert all(s.calls == 1 for s in session.profile_report().steps)
+
+        program = lower_graph(TINY_MODELS["bert"]())
+        session = InferenceSession(program, profile=True)
+        assert session.batch_plan(4).num_steps == session.plan.num_steps
+        requests = request_feeds(program, 4)
+        session.run_batch(requests)
+        steps = session.profile_report().steps
+        assert all(s.calls == 0 and s.total_seconds == 0.0 for s in steps)
+        session.run(requests[0])
+        session.run(requests[1])
+        assert all(s.calls == 2 for s in session.profile_report().steps)
+
     def test_single_request_falls_back_to_unbatched(self):
         program = mlp_program()
         session = InferenceSession(program)

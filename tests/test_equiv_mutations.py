@@ -11,7 +11,6 @@ Defect catalogue:
 
 * fusion   — fused group members composed in the wrong order
              (reads-before-write resolve to stale scratch);
-* hoist    — a step reading a request input cached as if weight-only;
 * elision  — an in-place write over an operand a later step still reads;
 * tiling   — an off-by-one block partition leaving the last row unwritten
              (with the runtime's own partition validator bypassed);
@@ -105,46 +104,6 @@ class TestFusionOrderMutation:
         cert = cert_for(certify_plan_optimization(program, opt), "fusion")
         with pytest.raises(VerificationError, match="refuted after plan"):
             gate_certificates([cert], "plan")
-
-
-# ---- hoist: caching a subgraph that reads a request input --------------------
-
-
-def hoist_model():
-    b = GraphBuilder("hoist_model")
-    x = b.input((3, 3), name="x")
-    w = b.weight((3, 3), name="w")
-    y = b.add(x, w, name="y")
-    out = b.relu(y, name="out")
-    return lower_graph(b.build([out]))
-
-
-class TestHoistMutation:
-    def build(self):
-        program = hoist_model()
-        opt = plan_optimization(program, tile=False)
-        node = next(n for n in program.nodes if n.name == "y")
-        assert node not in opt.hoisted_nodes  # reads x: never hoistable
-        opt.hoisted_nodes.append(node)
-        return program, opt
-
-    def test_nonweight_hoist_refuted_with_perturbation_probe(self):
-        program, opt = self.build()
-        cert = cert_for(certify_plan_optimization(program, opt), "hoist")
-        assert cert.refuted
-        assert "non-weight input x" in cert.detail
-        cx = cert.counterexample
-        assert cx.output == "y"
-        # The probe shifts x by +1; y = x + w shifts with it.
-        assert cx.after_value == pytest.approx(cx.before_value + 1.0)
-        assert_replayable(cert, program=program, optimization=opt)
-        assert_json_roundtrip(cert)
-
-    def test_refutation_is_deterministic(self):
-        program, opt = self.build()
-        first = cert_for(certify_plan_optimization(program, opt), "hoist")
-        second = cert_for(certify_plan_optimization(program, opt), "hoist")
-        assert first == second
 
 
 # ---- elision: in-place write over a still-live operand -----------------------

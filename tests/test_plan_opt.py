@@ -2,10 +2,11 @@
 
 The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
-hoisting weight-only subgraphs out of the request path (Sec. 5.1), fusing
-single-consumer map chains (Sec. 6.2), eliding dead inputs in place
+fusing single-consumer map chains (Sec. 6.2), eliding dead inputs in place
 (Sec. 6.5) and emitting steps in dependency-level order, so steps sharing
-a level hold disjoint arena bytes (Sec. 6.1).
+a level hold disjoint arena bytes (Sec. 6.1). A step that reads only
+weights stays on the request path and reads the weights each request is
+served with.
 Every pass, in every combination, must also leave a layout the static
 verifier accepts.
 """
@@ -22,6 +23,7 @@ from repro.models import TINY_MODELS, build_bert_attention_subgraph
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
 from repro.runtime.session import InferenceSession
+from repro.te.evaluator import Evaluator
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
@@ -82,7 +84,6 @@ class TestBitIdentity:
 @st.composite
 def pass_flags(draw):
     return {
-        "hoist": draw(st.booleans()),
         "fuse": draw(st.booleans()),
         "elide": draw(st.booleans()),
     }
@@ -107,96 +108,69 @@ def test_every_pass_subset_is_clean_and_exact(graph, flags):
         assert np.array_equal(g, w)
 
 
-# ---- pass 1: weight-subgraph hoisting ----------------------------------------
+# ---- weights: read on every request -----------------------------------------
 
 
-def hoistable_program():
-    """``x * relu(w1 + w2)``: the add and the relu depend only on weights,
-    so both hoist; the relu output is the hoist boundary."""
-    b = GraphBuilder("hoisty")
+def scaled_weight_program():
+    """``x @ (2·w)``: the scale reads nothing but a weight."""
+    b = GraphBuilder("scaled_weight")
     x = b.input((4, 8), name="x")
-    w1 = b.weight((4, 8), name="w1")
-    w2 = b.weight((4, 8), name="w2")
-    return lower_graph(b.build([b.mul(x, b.relu(b.add(w1, w2)))]))
+    w = b.weight((8, 3), name="w")
+    return lower_graph(b.build([b.matmul(x, b.scale(w, 2.0))]))
 
 
-class TestHoisting:
-    def test_weight_subgraph_leaves_the_request_path(self):
-        program = hoistable_program()
-        opt = plan_optimization(program)
-        assert opt.stats.hoisted_steps == 2
-        assert len(opt.hoist_boundary) == 1
-        # Hoisted tensors are dead to the arena: the memory plan must not
-        # assign bytes to them.
-        hoisted = {id(n.tensor) for n in opt.hoisted_nodes}
-        assert not hoisted & set(opt.memory_plan.assignments)
+def interpreted(program, feeds):
+    evaluator = Evaluator(feeds)
+    return [evaluator.value_of(t) for t in program.outputs]
 
-    def test_hoist_cache_hits_on_same_weight_objects(self):
-        program = hoistable_program()
-        plan = ExecutionPlan(program, optimize=True)
-        assert plan._hoist_steps, "expected a hoisted prologue"
-        feeds = random_feeds(program, seed=0)
-        want = ExecutionPlan(program, optimize=False).run(feeds)
 
-        got = plan.run(feeds)
-        assert plan.hoist_evaluations == 1
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+def assert_interpreted(program, feeds, outputs):
+    for got, want in zip(outputs, interpreted(program, feeds)):
+        assert np.array_equal(got, want)
 
-        # Same weight objects again: the cached prologue is reused.
-        plan.run(feeds)
-        assert plan.hoist_evaluations == 1
 
-        # Fresh array objects with the same bytes (a respawned worker
-        # re-binding the same weights): the content-hash fallback aliases
-        # the cached prologue instead of re-hoisting.
-        fresh = {t: np.array(v) for t, v in feeds.items()}
-        plan.run(fresh)
-        assert plan.hoist_evaluations == 1
-        assert plan.hoist_content_hits == 1
-        plan.run(fresh)
-        assert plan.hoist_evaluations == 1
-        assert plan.hoist_content_hits == 1  # identity hit, no rehash
+class TestWeightOnlySteps:
+    def test_fresh_weight_array_per_request(self):
+        """Each request feeds a new ``w`` array, which CPython may place
+        at the address of one freed earlier: every output is computed from
+        that request's own bytes."""
+        program = scaled_weight_program()
+        x_t, w_t = program.inputs
+        session = InferenceSession(program)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(x_t.shape)
+        for _ in range(50):
+            feeds = {x_t: x, w_t: rng.standard_normal(w_t.shape)}
+            assert_interpreted(program, feeds, session.run(feeds))
 
-        # Mutated weight bytes are a genuinely new weight-set: recompute.
-        mutated = {t: np.array(v) for t, v in feeds.items()}
-        weight = next(t for t in mutated if t.role == "weight")
-        mutated[weight] = mutated[weight] + 1.0
-        plan.run(mutated)
-        assert plan.hoist_evaluations == 2
+    def test_weight_changed_in_place(self):
+        """``w += 1`` on the array already served is read by the next
+        request, unbatched and at bucket 4."""
+        program = scaled_weight_program()
+        x_t, w_t = program.inputs
+        session = InferenceSession(program)
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal(w_t.shape)
+        feeds = {x_t: rng.standard_normal(x_t.shape), w_t: w}
+        before = session.run(feeds)
+        w += 1.0
+        after = session.run(feeds)
+        assert not np.array_equal(before[0], after[0])
+        assert_interpreted(program, feeds, after)
 
-    def test_batched_plan_hoists_too(self):
-        program = hoistable_program()
-        plan = BatchedExecutionPlan(program, batch_size=3, optimize=True)
-        requests = request_feeds(program, 3, seed=4)
-        # Weights are normally shared across lanes; share them here.
-        shared = requests[0]
         requests = [
-            {t: (shared[t] if t.role == "weight" else v)
-             for t, v in feeds.items()}
-            for feeds in requests
+            {x_t: rng.standard_normal(x_t.shape), w_t: w} for _ in range(4)
         ]
-        want = BatchedExecutionPlan(
-            program, batch_size=3, optimize=False
-        ).run_batch(requests)
-        got = plan.run_batch(requests)
-        assert plan.hoist_evaluations == 1
-        for lane_w, lane_g in zip(want, got):
-            for w, g in zip(lane_w, lane_g):
-                assert np.array_equal(g, w)
-        plan.run_batch(requests)
-        assert plan.hoist_evaluations == 1
-
-    def test_outputs_never_hoist(self):
-        b = GraphBuilder("wout")
-        w1 = b.weight((4, 4), name="w1")
-        w2 = b.weight((4, 4), name="w2")
-        program = lower_graph(b.build([b.add(w1, w2)]))
-        opt = plan_optimization(program)
-        assert opt.stats.hoisted_steps == 0
+        session.run_batch(requests)
+        w += 1.0
+        lanes = session.run_batch(requests)
+        assert session.batches_executed == 2
+        assert list(session._batched_plans) == [4]
+        for request, outputs in zip(requests, lanes):
+            assert_interpreted(program, request, outputs)
 
 
-# ---- pass 2: vertical step fusion --------------------------------------------
+# ---- pass 1: vertical step fusion --------------------------------------------
 
 
 def map_chain_program():
@@ -210,14 +184,14 @@ def map_chain_program():
 class TestFusion:
     def test_single_consumer_map_chain_fuses(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         assert opt.stats.fused_steps == 2  # relu->sigmoid, sigmoid->tanh
         names = [g.name for g in opt.groups]
         assert any("+" in name for name in names), names
 
     def test_fused_interiors_deleted_from_arena(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         interiors = {
             id(m.tensor)
             for g in opt.groups
@@ -238,7 +212,7 @@ class TestFusion:
         x = b.input((4, 4), name="x")
         y = b.relu(x)
         program = lower_graph(b.build([b.add(b.sigmoid(y), b.tanh(y))]))
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         producer = next(
             n for n in program.nodes if n.tensor.name.startswith("relu")
         )
@@ -247,7 +221,7 @@ class TestFusion:
                 assert g.terminal is producer
 
 
-# ---- pass 3: in-place arena elision ------------------------------------------
+# ---- pass 2: in-place arena elision ------------------------------------------
 
 
 def elidable_program():
@@ -263,9 +237,8 @@ def elidable_program():
 class TestElision:
     def test_elision_shrinks_workspace(self):
         program = elidable_program()
-        with_elide = plan_optimization(program, hoist=False, fuse=False)
-        without = plan_optimization(program, hoist=False, fuse=False,
-                                    elide=False)
+        with_elide = plan_optimization(program, fuse=False)
+        without = plan_optimization(program, fuse=False, elide=False)
         assert with_elide.stats.elided_buffers > 0
         assert with_elide.inplace_pairs
         assert (with_elide.memory_plan.workspace_bytes
@@ -294,7 +267,7 @@ class TestElision:
                         == plain.memory_plan.workspace_bytes), name
 
 
-# ---- pass 4: level ordering and the replay rule ------------------------------
+# ---- pass 3: level ordering ------------------------------
 
 
 def branchy_program():
@@ -373,7 +346,7 @@ class TestWaves:
         program = branchy_program()
         plan = ExecutionPlan(program, optimize=False)
         optimize_plan(plan, opt=plan_optimization(
-            program, hoist=False, fuse=False, elide=False
+            program, fuse=False, elide=False
         ))
         levels = plan.optimization.levels
         assert levels == sorted(levels)
@@ -431,9 +404,7 @@ class TestStats:
         stats = plan.optimization.stats
         assert stats.steps_before == len(program.nodes)
         assert stats.steps_after == len(plan.steps)
-        assert stats.steps_after == (
-            stats.steps_before - stats.hoisted_steps - stats.fused_steps
-        )
+        assert stats.steps_after == stats.steps_before - stats.fused_steps
         assert stats.workspace_after == plan.memory_plan.workspace_bytes
         assert "->" in stats.summary()
         assert "arena workspace" in stats.render()

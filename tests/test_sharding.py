@@ -1,19 +1,20 @@
 """Tests for sharded multi-process serving over shared-memory weights.
 
 The contract under test, bottom to top: ``WeightStore`` packs every
-session-bound weight plus the hoisted prologue into one shared-memory
-segment that execution plans bind zero-copy; ``PlanState`` makes one
-immutable plan + weight table shareable across sessions while each
-``InferenceSession`` keeps its own arena pool; ``ShardedServer`` fans
-requests out to K worker processes with outputs bit-identical to a serial
-single-process replay, survives SIGKILLed and hung replicas without
-dropping an accepted request, and reports that replicas map — not copy —
-the weight bytes.
+session-bound weight into one shared-memory segment that execution plans
+bind zero-copy; ``PlanState`` makes one immutable plan + weight table
+shareable across sessions while each ``InferenceSession`` keeps its own
+arena pool; ``ShardedServer`` fans requests out to K worker processes
+with outputs bit-identical to a serial single-process replay, survives
+SIGKILLed and hung replicas without dropping an accepted request, and
+reports that replicas map — not copy — the weight bytes. The segment
+exists only between ``start()`` and ``stop()``.
 
 Worker processes are spawned, so this module must run from a real file
 (pytest does); it cannot be exercised from a stdin/heredoc script.
 """
 
+import gc
 import os
 import signal
 import sys
@@ -29,7 +30,7 @@ from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import ExecutionPlan
 from repro.runtime.session import InferenceSession, PlanState
 from repro.runtime.sharding import ShardedServer, pick_least_outstanding
-from repro.runtime.weight_store import WeightStore, weight_store_key
+from repro.runtime.weight_store import WeightManifest, WeightStore
 from repro.transform import random_feeds
 
 
@@ -41,16 +42,6 @@ def mlp_graph():
     return b.build(
         [b.softmax(b.matmul(b.relu(b.matmul(x, w1)), w2), axis=-1)]
     )
-
-
-def hoist_graph():
-    """A graph with a weight-only subexpression the optimizer hoists."""
-    b = GraphBuilder("hoisty")
-    x = b.input((4, 8), name="x")
-    w1 = b.weight((8, 16), name="w1")
-    w2 = b.weight((16, 4), name="w2")
-    gate = b.relu(w1)  # weight-only: runs once per weight-set
-    return b.build([b.matmul(b.relu(b.matmul(x, gate)), w2)])
 
 
 def split_feeds(program, seed=0):
@@ -103,7 +94,9 @@ class TestWeightStore:
         program = lower_graph(mlp_graph())
         plan = ExecutionPlan(program)
         _, weights = split_feeds(program)
-        store = WeightStore.create(program, plan, weights)
+        store = WeightStore.create(
+            WeightManifest.layout(program, weights), weights
+        )
         try:
             views = store.weights_by_name()
             for t in program.inputs:
@@ -125,7 +118,9 @@ class TestWeightStore:
         want = serial_reference(program, base, requests)
 
         state = PlanState(program)
-        store = WeightStore.create(program, state.plan, weights)
+        store = WeightStore.create(
+            WeightManifest.layout(program, weights), weights
+        )
         try:
             state.bind_weights(store.weights_by_name())
             session = InferenceSession.from_plan_state(state)
@@ -134,58 +129,6 @@ class TestWeightStore:
         finally:
             store.close()
             store.unlink()
-
-    def test_disk_roundtrip_skips_rehoist(self, tmp_path):
-        graph = hoist_graph()
-        program = lower_graph(graph)
-        base, weights = split_feeds(program)
-        state = PlanState(program)
-        assert state.plan.optimization.hoist_boundary, (
-            "test graph must have a hoisted prologue"
-        )
-        cold = WeightStore.create(program, state.plan, weights,
-                                  cache_dir=str(tmp_path))
-        try:
-            assert not cold.loaded_from_disk
-            assert cold.hoisted_by_name()
-        finally:
-            cold.close()
-            cold.unlink()
-
-        # Second create with the same key mmaps the packed blob: no
-        # recompute of the hoisted prologue, bytes identical.
-        program2 = lower_graph(graph)
-        state2 = PlanState(program2)
-        warm = WeightStore.create(program2, state2.plan, weights,
-                                  cache_dir=str(tmp_path))
-        try:
-            assert warm.loaded_from_disk
-            state2.bind_weights(
-                warm.weights_by_name(),
-                hoisted_by_name=warm.hoisted_by_name(),
-            )
-            # The hoisted values were installed, never evaluated.
-            assert state2.plan.hoist_evaluations == 0
-            session = InferenceSession.from_plan_state(state2)
-            requests = request_stream(program2, 3)
-            got = [session.run_by_name(r) for r in requests]
-            want = serial_reference(program, base, requests)
-            assert_bit_identical(got, want)
-            assert state2.plan.hoist_evaluations == 0
-        finally:
-            warm.close()
-            warm.unlink()
-
-    def test_key_tracks_weight_bytes(self):
-        program = lower_graph(mlp_graph())
-        plan = ExecutionPlan(program)
-        boundary = plan.hoist_boundary
-        _, weights = split_feeds(program)
-        key = weight_store_key(program, weights, boundary)
-        assert key == weight_store_key(program, weights, boundary)
-        mutated = dict(weights)
-        mutated["w1"] = weights["w1"] + 1.0
-        assert key != weight_store_key(program, mutated, boundary)
 
 
 class TestPlanState:
@@ -222,22 +165,6 @@ class TestPlanState:
         assert not all(
             np.array_equal(g, w) for g, w in zip(changed, default)
         )
-
-    def test_content_hash_rebind_reuses_hoist(self):
-        """A respawned worker re-binding byte-equal weights from a fresh
-        mapping must hit the content-hash fallback, not re-hoist."""
-        program = lower_graph(hoist_graph())
-        _, weights = split_feeds(program)
-        state = PlanState(program)
-        state.bind_weights(weights)
-        assert state.plan.hoist_evaluations == 1
-        # Same bytes, different array objects — the identity-keyed FIFO
-        # misses, the content digest hits.
-        copies = {k: np.array(v) for k, v in weights.items()}
-        state2 = PlanState(program, plan=state.plan)
-        state2.bind_weights(copies)
-        assert state.plan.hoist_evaluations == 1
-        assert state.plan.hoist_content_hits >= 1
 
 
 class TestArenaAccounting:
@@ -291,6 +218,28 @@ class TestShardedServer:
             ShardedServer(graph, weights, max_queue_delay_ms=-1.0)
         with pytest.raises(ExecutionError, match="request_timeout_s"):
             ShardedServer(graph, weights, request_timeout_s=0.0)
+
+    def test_unstarted_server_holds_no_segment(self, mlp_setup):
+        """A server built and dropped without start() never creates a
+        shared-memory segment, and collecting it raises nothing."""
+        graph, _, _, weights = mlp_setup
+        unraisable = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            before = set(os.listdir("/dev/shm"))
+            server = ShardedServer(graph, weights, replicas=1)
+            segment = server.store.manifest.shm_name
+            del server
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert not os.path.exists(os.path.join("/dev/shm", segment))
+        assert not {
+            name for name in set(os.listdir("/dev/shm")) - before
+            if name.startswith("psm_")
+        }
+        assert not unraisable
 
     def test_bit_identical_and_zero_copy(self, mlp_setup):
         graph, program, base, weights = mlp_setup
@@ -349,6 +298,7 @@ class TestShardedServer:
         with ShardedServer(graph, weights, replicas=2,
                            request_timeout_s=20.0,
                            max_queue_delay_ms=5.0) as server:
+            segment = server.store.manifest.shm_name
             pid0 = server.metrics(refresh=False)["per_replica"][0]["pid"]
             futures = [server.submit(r) for r in requests[:16]]
             os.kill(pid0, signal.SIGKILL)
@@ -368,6 +318,7 @@ class TestShardedServer:
         assert agg["worker_respawns"] >= 1
         assert agg["alive"] == 2
         assert m["per_replica"][0]["pid"] != pid0
+        assert not os.path.exists(os.path.join("/dev/shm", segment))
 
     def test_hung_replica_killed_and_requests_recovered(self, mlp_setup):
         """A replica that stops responding is killed by the watchdog after
@@ -377,6 +328,7 @@ class TestShardedServer:
         want = serial_reference(program, base, requests)
         with ShardedServer(graph, weights, replicas=2,
                            request_timeout_s=0.4) as server:
+            segment = server.store.manifest.shm_name
             # Freeze every worker: each batch shipped to one hangs until the
             # watchdog kills it, and only respawned workers serve.
             frozen = [row["pid"] for row in
@@ -396,6 +348,7 @@ class TestShardedServer:
                         pass
         assert_bit_identical(got, want)
         assert m["aggregate"]["worker_crashes"] >= 1
+        assert not os.path.exists(os.path.join("/dev/shm", segment))
 
     def test_cancelled_request_is_skipped(self, mlp_setup):
         """A request cancelled while queued is never shipped to a replica;

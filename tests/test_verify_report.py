@@ -206,6 +206,6 @@ class TestCertifyCli:
         assert payload["refuted"] == 0 and payload["unknown"] == 0
         transforms = {c["transform"] for c in payload["certificates"]}
         assert {
-            "horizontal", "vertical", "hoist", "fusion", "elision",
+            "horizontal", "vertical", "fusion", "elision",
             "tiling", "matmul-specialize", "batched-lowering",
         } <= transforms
