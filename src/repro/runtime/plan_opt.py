@@ -702,9 +702,10 @@ def _specialize_contraction(plan, tensor: Tensor, step) -> Optional[Callable]:
 def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
-    Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the rewritten layout through the verifier's
-    arena-hazard pass (in-place pairs allowlisted). Raises
-    :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
+    Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the
+    rewritten layout through the verifier's arena-hazard pass (in-place
+    pairs allowlisted). Raises :class:`~repro.errors.PlanningError` on an
+    unsafe optimized layout.
     """
     from repro.runtime.executor import PlanStep
     from repro.verify import Severity, verify_plan

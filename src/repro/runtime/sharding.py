@@ -272,9 +272,7 @@ class ShardedServer(CoreServer):
         # anything is spawned; start() publishes them.
         self.plan_state = PlanState(program, tile=tile)
         self.plan_state.bind_weights(weights)
-        self.store = WeightStore(WeightManifest.layout(
-            program, (t.name for t in self.plan_state.weight_feeds)
-        ))
+        self.store: Optional[WeightStore] = None
         self._local: Optional[InferenceSession] = None
         self._local_lock = threading.Lock()
 
@@ -304,14 +302,13 @@ class ShardedServer(CoreServer):
         """Publish the weights, spawn every worker, wait for them to map
         the weights, start serving.
 
-        The weights go into a new segment named by ``store.manifest``, and
-        the parent's PlanState rebinds to its views, so the parent and the
-        workers read the same bytes. A stopped server starts again the same
-        way.
+        The weights go into a new segment, and the parent's PlanState
+        rebinds to its views, so the parent and the workers read the same
+        bytes. A stopped server starts again the same way.
         """
         if self._core.running:
             return self
-        self.store = WeightStore.create(self.store.manifest, {
+        self.store = WeightStore.create(self.plan_state.program, {
             t.name: v for t, v in self.plan_state.weight_feeds.items()
         })
         self.plan_state.bind_weights(self.store.weights_by_name())
@@ -403,7 +400,8 @@ class ShardedServer(CoreServer):
         watchdog = self._watchdog
         if watchdog is not None:
             watchdog.join(timeout=5.0)
-        self.store.unlink()
+        if self.store is not None:
+            self.store.unlink()
 
     def _reap_workers(self) -> None:
         """Join every worker and its receiver thread.
@@ -651,6 +649,7 @@ class ShardedServer(CoreServer):
         if refresh and self._core.accepting:
             self.refresh_replica_stats()
         percentiles = self.latency_percentiles()
+        weight_bytes = self.store.total_bytes if self.store is not None else 0
         per_replica = []
         for replica in self._replicas:
             with self._lock:
@@ -696,10 +695,8 @@ class ShardedServer(CoreServer):
                 "p50_us": percentiles["p50"] * 1e6,
                 "p95_us": percentiles["p95"] * 1e6,
                 "p99_us": percentiles["p99"] * 1e6,
-                "weight_bytes_total": self.store.total_bytes,
-                "weight_bytes_saved": (
-                    (self.replicas - 1) * self.store.total_bytes
-                ),
+                "weight_bytes_total": weight_bytes,
+                "weight_bytes_saved": (self.replicas - 1) * weight_bytes,
             }
         return {"per_replica": per_replica, "aggregate": aggregate}
 

@@ -10,20 +10,15 @@ of K. This extends the zero-stride broadcast aliasing that
 lanes to views shared across processes — safe for the same reason: every
 reader sees the same immutable bytes.
 
-A :class:`WeightManifest` is the layout — the segment's name and where
-each weight lives in it — and exists before the segment does, so an owner
-can name its segment up front and create it only when serving starts.
-
 Lifecycle: the creating process owns the segment and must :meth:`unlink`
 it when serving stops; attaching processes :meth:`close` their mapping.
 """
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -68,45 +63,18 @@ class WeightManifest:
     total_bytes: int
     slots: List[WeightSlot] = field(default_factory=list)
 
-    @classmethod
-    def layout(
-        cls, program: TEProgram, names: Iterable[str]
-    ) -> "WeightManifest":
-        """Slots for the named placeholders, in program input order (for
-        determinism), under a fresh segment name."""
-        wanted = set(names)
-        slots: List[WeightSlot] = []
-        offset = 0
-        for t in program.inputs:
-            if t.name in wanted:
-                slot = WeightSlot(t.name, offset, tuple(t.shape))
-                slots.append(slot)
-                offset = _aligned(offset + slot.nbytes)
-        missing = wanted - {s.name for s in slots}
-        if missing:
-            raise ExecutionError(
-                f"weights {sorted(missing)} name no program input"
-            )
-        # The "psm_" prefix is the one multiprocessing gives its own names.
-        name = "psm_" + secrets.token_hex(8)
-        return cls(name, max(offset, 1), slots)
-
 
 class WeightStore:
-    """One weight-set's segment, mapped by its owner or by a replica.
-
-    A store built from a manifest alone maps nothing: it only names the
-    segment that :meth:`create` makes.
-    """
+    """One weight-set's segment, mapped by its owner or by a replica."""
 
     def __init__(
         self,
+        shm: shared_memory.SharedMemory,
         manifest: WeightManifest,
-        shm: Optional[shared_memory.SharedMemory] = None,
-        owner: bool = True,
+        owner: bool,
     ) -> None:
-        self.manifest = manifest
         self._shm = shm
+        self.manifest = manifest
         self.owner = owner
         self.unlinked = False
         self._closed = False
@@ -116,20 +84,32 @@ class WeightStore:
     @classmethod
     def create(
         cls,
-        manifest: WeightManifest,
+        program: TEProgram,
         weights_by_name: Mapping[str, np.ndarray],
     ) -> "WeightStore":
-        """Create the manifest's segment and copy each weight into its slot.
+        """Pack the weights into a new segment, in program input order (for
+        determinism).
 
         The caller owns the segment and must :meth:`unlink` it once serving
         stops.
         """
-        shm = shared_memory.SharedMemory(
-            name=manifest.shm_name, create=True, size=manifest.total_bytes
-        )
-        store = cls(manifest, shm)
+        slots: List[WeightSlot] = []
+        offset = 0
+        for t in program.inputs:
+            if t.name in weights_by_name:
+                slot = WeightSlot(t.name, offset, tuple(t.shape))
+                slots.append(slot)
+                offset = _aligned(offset + slot.nbytes)
+        missing = set(weights_by_name) - {s.name for s in slots}
+        if missing:
+            raise ExecutionError(
+                f"weights {sorted(missing)} name no program input"
+            )
+        total = max(offset, 1)
+        shm = shared_memory.SharedMemory(create=True, size=total)
+        store = cls(shm, WeightManifest(shm.name, total, slots), owner=True)
         try:
-            for slot in manifest.slots:
+            for slot in slots:
                 value = np.asarray(weights_by_name[slot.name])
                 if value.shape != slot.shape:
                     raise ExecutionError(
@@ -153,7 +133,7 @@ class WeightStore:
         avoid unlinking the segment when it exits — bpo-38119.)
         """
         shm = shared_memory.SharedMemory(name=manifest.shm_name)
-        return cls(manifest, shm, owner=False)
+        return cls(shm, manifest, owner=False)
 
     # ---- views -----------------------------------------------------------
 
@@ -178,7 +158,7 @@ class WeightStore:
 
     def close(self) -> None:
         """Drop this process's mapping (views become invalid)."""
-        if self._shm is None or self._closed:
+        if self._closed:
             return
         self._closed = True
         try:
@@ -194,7 +174,7 @@ class WeightStore:
     def unlink(self) -> None:
         """Destroy the segment (owner only; call once serving stops)."""
         self.close()
-        if self.owner and self._shm is not None and not self.unlinked:
+        if self.owner and not self.unlinked:
             self.unlinked = True
             try:
                 self._shm.unlink()

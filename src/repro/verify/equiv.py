@@ -22,9 +22,10 @@ One certifier per transform family:
 * ``certify_plan_optimization`` — plan-level fusion / elision / matmul
   specialization / block tiling (``runtime/plan_opt.py`` +
   ``runtime/tiling.py``): obligations are re-derived independently of the
-  planner (sequential group composition over the group's read frontier, consumer liveness of elided operands, exact
-  row-partition cover and per-read alignment classes, einsum spec
-  re-derivation from the reduction body).
+  planner (sequential group composition over the group's read frontier,
+  consumer liveness of elided operands, exact row-partition cover and
+  per-read alignment classes, einsum spec re-derivation from the
+  reduction body).
 * ``certify_batched_lowering``  — batched lowering (``runtime/executor``):
   lane-invariance of every precomputed gather grid (no data-dependent
   indexing) and ellipsis-batched contraction formulas.

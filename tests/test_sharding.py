@@ -30,7 +30,7 @@ from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import ExecutionPlan
 from repro.runtime.session import InferenceSession, PlanState
 from repro.runtime.sharding import ShardedServer, pick_least_outstanding
-from repro.runtime.weight_store import WeightManifest, WeightStore
+from repro.runtime.weight_store import WeightStore
 from repro.transform import random_feeds
 
 
@@ -94,9 +94,7 @@ class TestWeightStore:
         program = lower_graph(mlp_graph())
         plan = ExecutionPlan(program)
         _, weights = split_feeds(program)
-        store = WeightStore.create(
-            WeightManifest.layout(program, weights), weights
-        )
+        store = WeightStore.create(program, weights)
         try:
             views = store.weights_by_name()
             for t in program.inputs:
@@ -118,9 +116,7 @@ class TestWeightStore:
         want = serial_reference(program, base, requests)
 
         state = PlanState(program)
-        store = WeightStore.create(
-            WeightManifest.layout(program, weights), weights
-        )
+        store = WeightStore.create(program, weights)
         try:
             state.bind_weights(store.weights_by_name())
             session = InferenceSession.from_plan_state(state)
@@ -229,12 +225,11 @@ class TestShardedServer:
         try:
             before = set(os.listdir("/dev/shm"))
             server = ShardedServer(graph, weights, replicas=1)
-            segment = server.store.manifest.shm_name
+            assert server.store is None
             del server
             gc.collect()
         finally:
             sys.unraisablehook = hook
-        assert not os.path.exists(os.path.join("/dev/shm", segment))
         assert not {
             name for name in set(os.listdir("/dev/shm")) - before
             if name.startswith("psm_")
@@ -413,9 +408,9 @@ class TestShardedServer:
         server = ShardedServer(graph, weights, replicas=1)
         graph_doc = server._graph_doc
         server._graph_doc = {}  # the worker cannot rebuild the plan
-        segment = server.store.manifest.shm_name
         with pytest.raises(ExecutionError, match="failed to start"):
             server.start()
+        segment = server.store.manifest.shm_name
         assert not os.path.exists(os.path.join("/dev/shm", segment))
         server._graph_doc = graph_doc
         with server:
