@@ -457,9 +457,9 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         )
         optimization = plan.optimization
     else:
-        # Paper-scale grids exceed the functional executor's limits; the
-        # static planner still reports fusion/elision and the repacked
-        # arena.
+        # Paper-scale plans are not built here (a paper-scale replay takes
+        # seconds); the static planner still reports fusion/elision and
+        # the repacked arena.
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
                    help="model scale to execute functionally (default tiny; "
-                        "paper-scale grids may exceed the evaluator limit)")
+                        "a paper-scale request takes seconds per engine)")
     p.add_argument("--calls", type=int, default=32,
                    help="timed requests per engine (default 32)")
     p.add_argument("--seed", type=int, default=0,

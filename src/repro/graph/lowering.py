@@ -21,6 +21,7 @@ from repro.te.tensor import (
     max_expr,
     placeholder,
     reduce_axis,
+    row_major_strides,
     sum_expr,
 )
 
@@ -111,13 +112,6 @@ def _broadcast_read(tensor: Tensor, out_vars: Sequence[Var], out_shape: Shape) -
         else:
             indices.append(out_vars[d + offset])
     return tensor[tuple(indices)]
-
-
-def _strides(shape: Shape) -> List[int]:
-    strides = [1] * len(shape)
-    for d in range(len(shape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    return strides
 
 
 def _maybe_pad(
@@ -376,8 +370,8 @@ def _lower_clip(node: OpNode, inputs: List[Tensor], ctx: LoweringContext) -> Ten
 @register("reshape")
 def _lower_reshape(node: OpNode, inputs: List[Tensor], ctx: LoweringContext) -> Tensor:
     (x,) = inputs
-    out_strides = _strides(node.shape)
-    in_strides = _strides(x.shape)
+    out_strides = row_major_strides(node.shape)
+    in_strides = row_major_strides(x.shape)
 
     def body(*vs: Var) -> Expr:
         linear: Expr = Const(0, "int32")

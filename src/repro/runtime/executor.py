@@ -10,6 +10,10 @@ into a topologically-ordered list of specialized step closures:
 
 * matmul-shaped contractions become a pinned ``np.einsum`` call with the
   contraction string resolved at plan time;
+* every other sum over a product of tensor reads becomes the contraction
+  :func:`~repro.te.patterns.match_contraction` lowers it to: einsum-style
+  calls over zero-copy strided views, one per output piece, with the view
+  geometry fixed at plan time (the ``Evaluator`` makes the same calls);
 * elementwise/reduction TEs have their bodies compiled bottom-up — binop,
   comparison and intrinsic dispatch resolved to concrete numpy callables,
   tensor reads resolved to identity views or precomputed integer gather
@@ -29,7 +33,8 @@ paths run the same numpy kernels on the same float64 operands.
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: einsum
 contractions gain an ellipsis batch dimension (contraction path precomputed
-for the batched shapes), elementwise/gather closures broadcast their
+for the batched shapes), strided-view contractions run their unbatched
+call once per lane, elementwise/gather closures broadcast their
 plan-time index grids over the batch, and the arena is sized for B lanes
 per intermediate. Lane ``i`` of a batched replay is bit-identical to an
 unbatched replay of request ``i`` — numpy's einsum and ufunc loops are
@@ -59,7 +64,11 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import contraction_path, match_matmul
+from repro.te.patterns import (
+    contraction_path,
+    match_contraction,
+    match_matmul,
+)
 from repro.te.tensor import Tensor
 
 # The executor computes in float64 (like the Evaluator); arena buffers are
@@ -351,6 +360,29 @@ def compile_plan_step(
             np.einsum(formula, v[lk], v[rk], out=v[key], optimize=path)
 
         return PlanStep(index, tensor.name, "einsum", key, run_einsum)
+
+    contraction = match_contraction(tensor)
+    if contraction is not None:
+        keys = tuple(id(t) for t in contraction.tensors)
+        run = contraction.run
+        if not batched:
+
+            def run_contraction(v: Values, keys=keys, key=key, run=run):
+                run([v[k] for k in keys], v[key])
+
+        else:
+            # One unbatched contraction per lane: lane i runs exactly the
+            # call an unbatched replay of request i makes.
+            def run_contraction(
+                v: Values, keys=keys, key=key, run=run,
+                lanes=range(batch_size),
+            ):
+                arrays = [v[k] for k in keys]
+                out = v[key]
+                for lane in lanes:
+                    run([a[lane] for a in arrays], out[lane])
+
+        return PlanStep(index, tensor.name, "einsum", key, run_contraction)
 
     spatial = list(op.axes)
     body = op.body

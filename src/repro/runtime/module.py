@@ -207,8 +207,17 @@ class CompiledModule:
     def run_interpreted(
         self, feeds: Mapping[Tensor, np.ndarray]
     ) -> List[np.ndarray]:
-        """Reference execution via a fresh tree-walking :class:`Evaluator`."""
+        """Reference execution via a fresh tree-walking :class:`Evaluator`.
+
+        Nodes are evaluated in program order, so every producer is
+        memoised before its consumer asks for it: reading the outputs
+        first would recurse once per producer along the longest chain,
+        past Python's recursion limit on deep models (paper-scale
+        ResNeXt-101).
+        """
         evaluator = Evaluator(feeds)
+        for node in self.program.nodes:
+            evaluator.value_of(node.tensor)
         return [evaluator.value_of(out) for out in self.program.outputs]
 
     def run_by_name(self, feeds: Mapping[str, np.ndarray]) -> List[np.ndarray]:

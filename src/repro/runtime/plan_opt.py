@@ -59,7 +59,7 @@ from repro.runtime.memory_planner import (
     plan_memory,
 )
 from repro.te.expr import Reduce, Var
-from repro.te.patterns import match_matmul
+from repro.te.patterns import match_contraction, match_matmul
 from repro.te.tensor import Tensor
 from repro.te.traversal import collect_reads, input_tensors
 from repro.verify.view import ProgramView
@@ -97,11 +97,13 @@ def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
 def step_kind(tensor: Tensor) -> str:
     """Static mirror of ``ExecutionPlan._build_step`` dispatch.
 
-    ``einsum`` for matmul-shaped contractions, ``const`` for fully
-    data-independent bodies (no tensor reads anywhere), otherwise
+    ``einsum`` for matmul-shaped contractions and for the other sums of
+    products ``match_contraction`` lowers to strided views, ``const`` for
+    fully data-independent bodies (no tensor reads anywhere), otherwise
     ``reduce``/``map`` by the presence of a top-level reduction.
     """
-    if match_matmul(tensor) is not None:
+    if (match_matmul(tensor) is not None
+            or match_contraction(tensor) is not None):
         return "einsum"
     body = tensor.op.body
     if not input_tensors(body):

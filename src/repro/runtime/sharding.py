@@ -34,6 +34,7 @@ unbatched replays by the batched-plan guarantee.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import threading
@@ -337,6 +338,11 @@ class ShardedServer(CoreServer):
         )
         self._watchdog.start()
         self._serving_since = time.perf_counter()
+        # A started server left running at interpreter exit is stopped
+        # first: otherwise its daemon workers die under it, each death
+        # reads as a crash and respawns a worker that cannot start, and
+        # the weight segment is left for the resource tracker.
+        atexit.register(self.stop)
         return self
 
     def _abort_start(self) -> None:
@@ -386,6 +392,7 @@ class ShardedServer(CoreServer):
         requests come back to the queue and are served), so no accepted
         request is dropped; then every worker is asked to exit.
         """
+        atexit.unregister(self.stop)
         self._core.stop()
         for replica in self._replicas:
             with self._lock:

@@ -5,9 +5,14 @@ programs, and validation of compiled modules. Performance numbers come from
 the analytic GPU model, never from this evaluator.
 
 Evaluation is vectorised. Elementwise TEs evaluate their body once with each
-iteration variable bound to a broadcastable ``arange``; reduction TEs add the
-reduce axes as extra broadcast dimensions and reduce at the end. Matmul-shaped
-contractions dispatch to ``einsum``.
+iteration variable bound to a broadcastable ``arange``. Matmul-shaped
+contractions dispatch to ``einsum``; every other ``sum`` over a product of
+tensor reads (composed reshapes, convolution windows, predicated horizontal
+merges) runs as the contractions over strided views that
+:func:`~repro.te.patterns.match_contraction` lowers it to, the same call the
+execution plan makes. Only the remaining reductions — max/min, and sums of
+anything but a product of reads — add the reduce axes as extra broadcast
+dimensions and reduce at the end, under :data:`MAX_GRID_ELEMENTS`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import contraction_path, match_matmul
+from repro.te.patterns import (
+    contraction_path,
+    match_contraction,
+    match_matmul,
+)
 from repro.te.tensor import Tensor
 
 # Refuse to materialise broadcast grids larger than this many elements;
@@ -160,6 +169,15 @@ class Evaluator:
             # order (and so its low-order bits) depends on operand layout,
             # and the execution plan always consumes contiguous arenas.
             return np.ascontiguousarray(result)
+
+        contraction = match_contraction(tensor)
+        if contraction is not None:
+            # The execution plan runs this same call on the same views.
+            out = np.empty(tensor.shape, dtype=np.float64)
+            contraction.run(
+                [self.value_of(t) for t in contraction.tensors], out
+            )
+            return out
 
         spatial = list(op.axes)
         body = op.body

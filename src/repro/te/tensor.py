@@ -49,6 +49,14 @@ DTYPE_BYTES = {
 }
 
 
+def row_major_strides(shape: Sequence[int]) -> List[int]:
+    """Element strides of a C-ordered (row-major) array of ``shape``."""
+    strides = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        strides[d] = strides[d + 1] * shape[d + 1]
+    return strides
+
+
 def dtype_bytes(dtype: str) -> int:
     """Byte width of a dtype string."""
     try:

@@ -257,6 +257,11 @@ class Simplifier:
                 if split is not None:
                     return self.simplify(split[0])
         elif expr.op == "mod":
+            # Only an integer-valued lhs is 0 mod 1; data values keep
+            # their fractional part.
+            if (isinstance(rc, int) and rc == 1
+                    and infer_interval(expr.lhs, self.ranges) is not None):
+                return Const(0, "int32")
             if isinstance(rc, int) and rc > 1:
                 split = _split_by_divisor(expr.lhs, rc, self.ranges)
                 if split is not None:

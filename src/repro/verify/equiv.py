@@ -72,8 +72,8 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import match_matmul
-from repro.te.tensor import Tensor, placeholder
+from repro.te.patterns import match_contraction, match_matmul
+from repro.te.tensor import Tensor, placeholder, row_major_strides
 from repro.te.traversal import (
     collect_reads,
     count_nodes,
@@ -1842,21 +1842,323 @@ def _derive_einsum(tensor: Tensor) -> Optional[str]:
     return _canonical_formula(lhs, rhs, out_names)
 
 
+def _product_reads(expr: Expr) -> Optional[List[TensorRead]]:
+    """The reads of a pure product of tensor reads, else ``None``."""
+    if isinstance(expr, TensorRead):
+        return [expr]
+    if isinstance(expr, BinOp) and expr.op == "mul":
+        lhs = _product_reads(expr.lhs)
+        rhs = _product_reads(expr.rhs)
+        if lhs is not None and rhs is not None:
+            return lhs + rhs
+    return None
+
+
+def _piece_defect(
+    tensor: Tensor, contraction, piece
+) -> Tuple[Optional[str], bool]:
+    """Re-derive one piece from the TE's own index maps.
+
+    Returns ``(reason, derivable)``: ``reason`` names the first way the
+    piece's views disagree with the TE, ``derivable=False`` means the
+    body did not re-derive to a product of affine reads (unknown, not
+    refuted).
+    """
+    op = tensor.op
+    red = op.body
+    spans = {
+        ax.name: (lo, hi) for ax, (lo, hi) in zip(op.axes, piece.box)
+    }
+    spans.update({ax.name: (ax.dom.lo, ax.dom.hi) for ax in red.axes})
+    extent = {l.letter: l.extent for l in piece.letters}
+    if len(extent) != len(piece.letters):
+        return "two letters share a name", True
+    # Every axis must split exactly into mixed-radix letters over its span.
+    mapping: Dict[str, Expr] = {}
+    ranges: Dict[str, Interval] = {}
+    for name, (lo, hi) in spans.items():
+        radix = sorted(
+            (l for l in piece.letters if l.axis == name),
+            key=lambda l: l.multiplier,
+        )
+        expected = 1
+        term: Expr = Const(lo, "int32")
+        for l in radix:
+            if l.multiplier != expected or l.extent < 1:
+                return f"letters of axis {name} are not a mixed radix", True
+            expected *= l.extent
+            var = Var(f"${l.letter}")
+            ranges[var.name] = Interval(0, l.extent - 1)
+            term = BinOp("add", term, BinOp(
+                "mul", Const(l.multiplier, "int32"), var
+            ))
+        if expected != hi - lo:
+            return (
+                f"letters of axis {name} span {expected} values, "
+                f"the piece {hi - lo}"
+            ), True
+        mapping[name] = term
+    if any(l.axis not in spans for l in piece.letters):
+        return "a letter splits no axis of the TE", True
+
+    # The output view: the box's row-major addresses, nothing else.
+    out_step = dict(zip((ax.name for ax in op.axes),
+                        row_major_strides(tensor.shape)))
+    want_offset = sum(
+        (lo - ax.dom.lo) * out_step[ax.name]
+        for ax, (lo, _) in zip(op.axes, piece.box)
+    )
+    want_out = {
+        l.letter: l.multiplier * out_step[l.axis]
+        for l in piece.letters if l.axis in out_step and l.extent > 1
+    }
+    got_out = dict(zip(piece.out.letters, piece.out.strides))
+    if piece.out.offset != want_offset or got_out != want_out:
+        return "output view does not address the piece's box", True
+
+    # The operands: the TE's body on this piece, selects and clamps folded
+    # by exact affine bounds, floordiv/mod by the interval simplifier.
+    body = substitute_vars(red.body, mapping)
+    body = simplify_expr(_prune_selects(body, ranges), ranges)
+    reads = _product_reads(body)
+    if reads is None:
+        return None, False
+    derived = []
+    for read in reads:
+        offset = 0
+        strides: Dict[str, int] = {}
+        shape = read.tensor.shape
+        steps = row_major_strides(shape)
+        for index, dim, step in zip(read.indices, shape, steps):
+            form = _linear_form(index)
+            bounds = _affine_bounds(index, ranges)
+            if form is None or bounds is None:
+                return None, False
+            if bounds[0] < 0 or bounds[1] >= dim:
+                return f"{read.tensor.name} is read out of bounds", True
+            coeffs, const = form
+            offset += const * step
+            for name, coeff in coeffs.items():
+                strides[name[1:]] = strides.get(name[1:], 0) + coeff * step
+        kept = {c: s for c, s in strides.items() if s and extent[c] > 1}
+        derived.append((id(read.tensor), offset, sorted(kept.items())))
+    for letter, size in extent.items():
+        if size > 1 and not any(letter in dict(d[2]) for d in derived):
+            return f"letter {letter} is read by no operand", True
+    got = [
+        (
+            id(contraction.tensors[view.slot]),
+            view.offset,
+            sorted(zip(view.letters, view.strides)),
+        )
+        for view in piece.operands
+    ]
+    if sorted(got) != sorted(derived):
+        return "operand views differ from the TE's read maps", True
+    return None, True
+
+
+def _contraction_value(
+    tensor: Tensor,
+    contraction,
+    coord: Tuple[int, ...],
+    feeds: _FeedStore,
+) -> float:
+    """Pointwise value the lowered contraction writes at ``coord``.
+
+    Mirrors ``Contraction.run``: the last piece whose output view covers
+    the coordinate wins, an uncovered coordinate keeps stale bytes, and
+    the covering piece sums the product of its operand views over every
+    letter its output view does not hold.
+    """
+    import numpy as np
+
+    steps = row_major_strides(tensor.shape)
+    target = sum(c * s for c, s in zip(coord, steps))
+    for piece in reversed(contraction.pieces):
+        extent = {l.letter: l.extent for l in piece.letters}
+        out = piece.out
+        addresses = np.full((1,) * len(out.letters), out.offset, np.int64)
+        for k, (letter, stride) in enumerate(zip(out.letters, out.strides)):
+            shape = [1] * len(out.letters)
+            shape[k] = extent[letter]
+            addresses = addresses + stride * np.arange(
+                extent[letter], dtype=np.int64
+            ).reshape(shape)
+        hits = np.argwhere(addresses == target)
+        if not len(hits):
+            continue
+        fixed = dict(zip(out.letters, (int(h) for h in hits[0])))
+        summed = sorted({
+            c for view in piece.operands for c in view.letters
+        } - set(fixed))
+        points = math.prod(extent[c] for c in summed)
+        if points > MAX_REDUCE_POINTS:
+            raise RefutationBudgetExceeded(
+                f"contraction of {points} points exceeds the pointwise "
+                f"budget ({MAX_REDUCE_POINTS})"
+            )
+        total = 0.0
+        for values in itertools.product(*(range(extent[c]) for c in summed)):
+            env = dict(fixed, **dict(zip(summed, values)))
+            product = 1.0
+            for view in piece.operands:
+                source = contraction.tensors[view.slot]
+                flat = view.offset + sum(
+                    env.get(c, 0) * s
+                    for c, s in zip(view.letters, view.strides)
+                )
+                if not 0 <= flat < source.num_elements:
+                    return math.nan
+                idx = tuple(
+                    int(i) for i in np.unravel_index(flat, source.shape)
+                )
+                product *= feeds.value(source.name, idx, source.dtype)
+            total += product
+        return total
+    return feeds.value(f"stale${tensor.name}", coord, tensor.dtype)
+
+
+def _contraction_values(
+    tensor: Tensor, contraction, coord: Tuple[int, ...], feeds: _FeedStore
+) -> Tuple[float, float]:
+    """(TE value, lowered value) at one output coordinate."""
+    axes = tuple(tensor.op.axes)
+    reference = Closure(axes, tensor.op.body,
+                        _ranges_for(axes, tensor.op.body))
+    before = evaluate_closure(reference, coord, feeds)
+    return before, _contraction_value(tensor, contraction, coord, feeds)
+
+
+def _contraction_witness(
+    tensor: Tensor, contraction, coords: Sequence[Tuple[int, ...]]
+) -> Optional[Counterexample]:
+    for coord in coords:
+        store = _FeedStore()
+        try:
+            before, after = _contraction_values(
+                tensor, contraction, coord, store
+            )
+        except RefutationBudgetExceeded:
+            return None
+        if _close(before, after):
+            continue
+        entries = sorted(
+            (name, idx, value) for (name, idx), value in store.reads.items()
+        )
+        return Counterexample(
+            output=tensor.name,
+            coordinates=coord,
+            before_value=before,
+            after_value=after,
+            feeds=tuple(entries[:MAX_FEED_ENTRIES]),
+            truncated=len(entries) > MAX_FEED_ENTRIES,
+        )
+    return None
+
+
+def _piece_probes(tensor: Tensor, piece) -> List[Tuple[int, ...]]:
+    """The piece's box origin, one step along each output letter, and
+    its far corner."""
+    origin = [lo for lo, _ in piece.box]
+    axis_pos = {ax.name: k for k, ax in enumerate(tensor.op.axes)}
+    probes = [tuple(origin)]
+    for l in piece.letters:
+        k = axis_pos.get(l.axis)
+        if k is not None and l.extent > 1:
+            step = list(origin)
+            step[k] += l.multiplier
+            probes.append(tuple(step))
+    probes.append(tuple(hi - 1 for _, hi in piece.box))
+    return probes
+
+
+def _certify_contraction(program) -> EquivalenceCertificate:
+    """Contraction lowering: re-derive every piece from the TE's index maps.
+
+    The interpreter and every plan call the same recogniser on the same
+    views, so their agreement cannot expose a wrong view; this family
+    checks the recogniser's output against the TE itself — the pieces'
+    boxes partition the output, each piece's letters split its axes into
+    an exact mixed radix, and the output and operand views equal the
+    addresses the TE's own (select-folded, delinearised) read maps give.
+    """
+    import numpy as np
+
+    subject = program.name
+    obligations = 0
+    for node in program.nodes:
+        tensor = node.tensor
+        if match_matmul(tensor) is not None:
+            continue
+        contraction = match_contraction(tensor)
+        if contraction is None:
+            continue
+        obligations += 1
+        counts = np.zeros(tensor.shape, dtype=np.int64)
+        reason: Optional[str] = None
+        probes: List[Tuple[int, ...]] = []
+        for k, piece in enumerate(contraction.pieces):
+            if len(piece.box) != len(tensor.shape) or any(
+                not 0 <= lo < hi <= dim
+                for (lo, hi), dim in zip(piece.box, tensor.shape)
+            ):
+                reason = f"piece {k} has a box outside the output"
+                break
+            counts[tuple(slice(lo, hi) for lo, hi in piece.box)] += 1
+        if reason is None:
+            uncovered = np.argwhere(counts != 1)
+            if len(uncovered):
+                coord = tuple(int(c) for c in uncovered[0])
+                times = int(counts[coord])
+                reason = (
+                    f"output {list(coord)} is written by {times} pieces; "
+                    "the pieces do not partition the output"
+                )
+                probes = [coord]
+        if reason is None:
+            for k, piece in enumerate(contraction.pieces):
+                obligations += 1
+                why, derivable = _piece_defect(tensor, contraction, piece)
+                if not derivable:
+                    return EquivalenceCertificate(
+                        "contraction", subject, UNKNOWN, obligations,
+                        detail=(
+                            f"{tensor.name}: piece {k} does not re-derive "
+                            "to a product of affine reads"
+                        ),
+                    )
+                if why is not None:
+                    reason = f"piece {k}: {why}"
+                    probes = _piece_probes(tensor, piece)
+                    break
+        if reason is not None:
+            return EquivalenceCertificate(
+                "contraction", subject, REFUTED, obligations,
+                detail=f"{tensor.name}: {reason}",
+                counterexample=_contraction_witness(
+                    tensor, contraction, probes
+                ),
+            )
+    return EquivalenceCertificate("contraction", subject, PROVED, obligations)
+
+
 def certify_plan_optimization(
     program, opt
 ) -> List[EquivalenceCertificate]:
     """Certify one :class:`~repro.runtime.plan_opt.PlanOptimization`.
 
     Emits one certificate per pass family — fusion, elision, tiling,
-    matmul specialization — including proved zero-obligation
-    certificates for families the plan did not exercise, so downstream
-    consumers can assert the full set is present.
+    matmul specialization, contraction lowering — including proved
+    zero-obligation certificates for families the plan did not exercise,
+    so downstream consumers can assert the full set is present.
     """
     return [
         _certify_fusion(program, opt),
         _certify_elision(program, opt),
         _certify_tiling(program, opt),
         _certify_matmul(program, opt),
+        _certify_contraction(program),
     ]
 
 
@@ -2179,6 +2481,16 @@ def replay_certificate(
             _ranges_for(reference.axes, stale_read),
         )
         return _replay_closures((reference, after_closure), cx)
+
+    if transform == "contraction":
+        tensor = next(
+            n.tensor for n in as_view(program).nodes
+            if n.tensor.name == cx.output
+        )
+        return _contraction_values(
+            tensor, match_contraction(tensor), cx.coordinates,
+            _FeedStore(overrides=cx.feed_map()),
+        )
 
     if transform == "batched-binding":
         import numpy as np

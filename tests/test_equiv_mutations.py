@@ -15,9 +15,12 @@ Defect catalogue:
 * tiling   — an off-by-one block partition leaving the last row unwritten
              (with the runtime's own partition validator bypassed);
 * batching — a binding layer that drops the weight broadcast on all lanes
-             past the first.
+             past the first;
+* contraction — a lowered view with a wrong stride or a wrong offset, and
+             a piece boundary moved so one output column is never written.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,6 +31,9 @@ from repro.models import TINY_MODELS
 from repro.runtime import tiling
 from repro.runtime.executor import BatchedExecutionPlan
 from repro.runtime.plan_opt import plan_optimization
+from repro.te import patterns
+from repro.transform import horizontal_transform
+from repro.verify import equiv
 from repro.verify import (
     CertificationReport,
     EquivalenceCertificate,
@@ -58,7 +64,7 @@ def assert_json_roundtrip(cert):
     assert EquivalenceCertificate.from_dict(payload) == cert
 
 
-# ---- fusion: members composed in the wrong order -----------------------------
+# ---- fusion: members composed in the wrong order ----------------------------
 
 
 def fused_chain():
@@ -106,7 +112,7 @@ class TestFusionOrderMutation:
             gate_certificates([cert], "plan")
 
 
-# ---- elision: in-place write over a still-live operand -----------------------
+# ---- elision: in-place write over a still-live operand ----------------------
 
 
 def elision_model():
@@ -152,7 +158,7 @@ class TestElisionMutation:
         assert first == second
 
 
-# ---- tiling: off-by-one block partition --------------------------------------
+# ---- tiling: off-by-one block partition -------------------------------------
 
 
 class TestTileBoundaryMutation:
@@ -195,7 +201,7 @@ class TestTileBoundaryMutation:
         assert first == second
 
 
-# ---- batching: binding layer drops the weight broadcast ----------------------
+# ---- batching: binding layer drops the weight broadcast ---------------------
 
 
 class DroppedBroadcastPlan(BatchedExecutionPlan):
@@ -245,7 +251,7 @@ class TestBatchBroadcastMutation:
         assert first == second
 
 
-# ---- report-level behaviour of a refuted run ---------------------------------
+# ---- report-level behaviour of a refuted run --------------------------------
 
 
 class TestRefutedReport:
@@ -261,3 +267,120 @@ class TestRefutedReport:
         payload = report.to_json()
         assert payload["refuted"] == 1
         assert payload["certificates"][0]["status"] == "refuted"
+
+
+# ---- contraction: wrong strided views ---------------------------------------
+
+
+def strided_conv():
+    b = GraphBuilder("strided_conv")
+    x = b.input((1, 2, 7, 7), name="x")
+    w = b.weight((3, 2, 3, 3), name="w")
+    return lower_graph(b.build([b.relu(b.conv2d(x, w, stride=2))]))
+
+
+def predicated_gemms():
+    b = GraphBuilder("predicated_gemms")
+    x = b.input((2, 4), name="x")
+    ys = [b.relu(b.matmul(x, b.weight((4, n)))) for n in (3, 2)]
+    program, _ = horizontal_transform(
+        lower_graph(b.build([b.concat(ys, axis=1)]))
+    )
+    return program
+
+
+def plant(monkeypatch, edit):
+    """Serve every lowered contraction through ``edit``."""
+    true_match = equiv.match_contraction
+
+    def planted(tensor):
+        contraction = true_match(tensor)
+        return None if contraction is None else edit(tensor, contraction)
+
+    monkeypatch.setattr(equiv, "match_contraction", planted)
+
+
+def edit_first_view(contraction, edit):
+    piece = contraction.pieces[0]
+    views = (edit(piece.operands[0]),) + piece.operands[1:]
+    piece = dataclasses.replace(piece, operands=views)
+    return patterns.Contraction(
+        contraction.tensors, (piece,) + contraction.pieces[1:]
+    )
+
+
+def wrong_stride(tensor, contraction):
+    """The first view steps one element too far along its first letter."""
+    return edit_first_view(contraction, lambda view: dataclasses.replace(
+        view, strides=(view.strides[0] + 1,) + view.strides[1:]
+    ))
+
+
+def wrong_offset(tensor, contraction):
+    """The first view starts one element late."""
+    return edit_first_view(contraction, lambda view: dataclasses.replace(
+        view, offset=view.offset + 1
+    ))
+
+
+def moved_boundary(tensor, contraction):
+    """Piece 0 ends one column early: that column is never written."""
+    op = tensor.op
+    box = list(contraction.pieces[0].box)
+    lo, hi = box[1]
+    box[1] = (lo, hi - 1)
+    slots = {id(t): k for k, t in enumerate(contraction.tensors)}
+    piece = patterns._lower_piece(
+        op.body, op.axes, tensor.shape, tuple(box), slots,
+        list(contraction.tensors),
+    )
+    return patterns.Contraction(
+        contraction.tensors, (piece,) + contraction.pieces[1:]
+    )
+
+
+class TestContractionMutation:
+    def certify(self, program):
+        opt = plan_optimization(program)
+        return cert_for(
+            certify_plan_optimization(program, opt), "contraction"
+        )
+
+    @pytest.mark.parametrize("program", [strided_conv, predicated_gemms])
+    def test_healthy_lowering_proves(self, program):
+        cert = self.certify(program())
+        assert cert.proved and cert.obligations >= 1
+
+    def test_wrong_stride_refuted(self, monkeypatch):
+        program = strided_conv()
+        plant(monkeypatch, wrong_stride)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "operand views differ" in cert.detail
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    def test_wrong_offset_refuted(self, monkeypatch):
+        program = strided_conv()
+        plant(monkeypatch, wrong_offset)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "operand views differ" in cert.detail
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    def test_wrong_piece_boundary_refuted(self, monkeypatch):
+        program = predicated_gemms()
+        plant(monkeypatch, moved_boundary)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "written by 0 pieces" in cert.detail
+        cx = cert.counterexample
+        assert cx.coordinates[1] == 2  # the column piece 0 no longer writes
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    def test_refutation_is_deterministic(self, monkeypatch):
+        program = strided_conv()
+        plant(monkeypatch, wrong_offset)
+        assert self.certify(program) == self.certify(program)

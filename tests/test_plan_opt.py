@@ -317,12 +317,14 @@ def assert_levels_hold_disjoint_bytes(plan):
 SERVED_TINY_PLANS = {
     "bert": (76, {"fused": 6, "map": 42, "matmul": 20, "reduce": 8},
              9216, (6, 20, 0)),
-    "efficientnet": (34, {"fused": 6, "map": 14, "matmul": 5, "reduce": 9},
+    "efficientnet": (34, {"einsum": 6, "fused": 6, "map": 14, "matmul": 5,
+                          "reduce": 3},
                      41984, (11, 5, 0)),
     "lstm": (38, {"fused": 22, "matmul": 16}, 2048, (98, 16, 0)),
     "mmoe": (27, {"fused": 5, "map": 7, "matmul": 11, "reduce": 4},
              1792, (5, 11, 0)),
-    "resnext": (24, {"fused": 7, "map": 5, "matmul": 1, "reduce": 11},
+    "resnext": (24, {"einsum": 9, "fused": 7, "map": 5, "matmul": 1,
+                     "reduce": 2},
                 83968, (20, 1, 0)),
     "swin": (111, {"fused": 6, "map": 74, "matmul": 20, "reduce": 11},
              49152, (6, 20, 0)),

@@ -236,6 +236,49 @@ class TestShardedServer:
         }
         assert not unraisable
 
+    def test_unstopped_server_exits_cleanly(self, tmp_path):
+        """A script that starts a server, serves a request and exits
+        without stop() is stopped at interpreter exit: no respawned worker
+        dies on a closed pipe and no segment is left behind."""
+        import subprocess
+
+        import repro
+
+        script = tmp_path / "unstopped.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from repro.graph import GraphBuilder\n"
+            "from repro.runtime.sharding import ShardedServer\n"
+            "if __name__ == '__main__':\n"
+            "    b = GraphBuilder('mlp')\n"
+            "    x = b.input((4, 8), name='x')\n"
+            "    w = b.weight((8, 4), name='w')\n"
+            "    graph = b.build([b.relu(b.matmul(x, w))])\n"
+            "    rng = np.random.default_rng(0)\n"
+            "    server = ShardedServer(\n"
+            "        graph, {'w': rng.standard_normal((8, 4))}, replicas=1\n"
+            "    ).start()\n"
+            "    x = rng.standard_normal((4, 8))\n"
+            "    server.submit({'x': x}).result(timeout=60)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        before = set(os.listdir("/dev/shm"))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "EOFError" not in done.stderr
+        assert "leaked shared_memory" not in done.stderr
+        assert not {
+            name for name in set(os.listdir("/dev/shm")) - before
+            if name.startswith("psm_")
+        }
+
     def test_bit_identical_and_zero_copy(self, mlp_setup):
         graph, program, base, weights = mlp_setup
         requests = request_stream(program, 24)

@@ -70,6 +70,15 @@ class TestConstantFolding:
     def test_floordiv_by_one(self):
         assert simplify_expr(I // 1, R) is I
 
+    def test_mod_by_one(self):
+        """An integer index is 0 mod 1 — Swin's composed window reverse
+        leaves ``((i*32 + j) // 128) % 1`` behind — but a data value keeps
+        its fractional part."""
+        assert simplify_expr(((I * 16 + J) // 128) % 1, R) == Const(0, "int32")
+        x = placeholder((4,), name="x")
+        data = BinOp("mod", x[I], Const(1, "int32"))
+        assert simplify_expr(data, R) == data
+
 
 class TestReshapeResidue:
     def test_linear_floordiv_collapses(self):
