@@ -20,7 +20,12 @@ import numpy as np
 
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import build_bert, build_bert_tiny
-from repro.runtime import InferenceSession, ShapeDispatcher, plan_memory
+from repro.runtime import (
+    ExecutionPlan,
+    InferenceSession,
+    ShapeDispatcher,
+    plan_memory,
+)
 
 
 def sequence_classifier(seq_len: int):
@@ -58,16 +63,17 @@ def main() -> None:
         )
     print(f"  compiled buckets: {dispatcher.compiled_buckets}")
     bucket_session = dispatcher.module_for(64).session
+    state = bucket_session.arena_state
     print(
-        f"  bucket-64 session: {bucket_session.request_count} requests "
-        f"through one plan, {bucket_session.workspace_bytes} arena bytes "
-        f"x{bucket_session.arenas_allocated}"
+        f"  bucket-64 session: {state.request_count} requests "
+        f"through one plan, {bucket_session.plan.workspace_bytes} arena bytes "
+        f"x{state.arenas_allocated}"
     )
 
     # ---- serving with an explicit session ------------------------------------
     print("\nplan-based serving (tiny BERT, 200 requests):")
     program = lower_graph(build_bert_tiny())
-    session = InferenceSession(program, profile=True, optimize=True)
+    session = InferenceSession(program, profile=True)
     feeds = {
         t.name: rng.standard_normal(t.shape) * 0.1 for t in program.inputs
     }
@@ -76,16 +82,17 @@ def main() -> None:
         session.run_by_name(feeds)
     wall = time.perf_counter() - start
     print(
-        f"  {session.request_count} requests in {wall:.3f}s "
+        f"  {session.arena_state.request_count} requests in {wall:.3f}s "
         f"({session.requests_per_second:.0f} req/s), workspace "
-        f"{session.workspace_bytes / 1e3:.1f} kB allocated "
-        f"{session.arenas_allocated}x"
+        f"{session.plan.workspace_bytes / 1e3:.1f} kB allocated "
+        f"{session.arena_state.arenas_allocated}x"
     )
     print(f"  {session.plan.optimization.stats.summary()}")
 
-    # `optimize=True` is the default; `optimize=False` keeps the plain
-    # one-step-per-TE plan (the baseline the optimizer is measured against).
-    plain = InferenceSession(program, optimize=False)
+    # Sessions serve the optimized plan; `plan=ExecutionPlan(program)` serves
+    # the plain one-step-per-TE plan (the baseline the optimizer is measured
+    # against).
+    plain = InferenceSession(program, plan=ExecutionPlan(program))
     plain.run_by_name(feeds)
     start = time.perf_counter()
     for _ in range(200):

@@ -25,8 +25,7 @@ DEFAULT_THRESHOLD = 3.0
 # Default cache budget for the plan optimizer's block-level tiling pass
 # (runtime.tiling): one chain block — scratch intermediates plus its slices
 # of row-aligned externals — should fit a per-core last-level-cache share.
-# 4 MiB is a conservative slice of a contemporary server CPU's L2+L3;
-# callers override via ``plan_optimization(tile_budget=...)``.
+# 4 MiB is a conservative slice of a contemporary server CPU's L2+L3.
 CACHE_BUDGET_BYTES = 4 << 20
 
 

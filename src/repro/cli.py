@@ -176,7 +176,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         buckets.add(args.batch)
     session = InferenceSession(
         program, name=graph.name, profile=True,
-        batch_buckets=tuple(sorted(buckets)), tile=args.tile,
+        batch_buckets=tuple(sorted(buckets)),
     )
 
     # Warm both paths once (plan construction, numpy caches).
@@ -350,7 +350,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     batch = args.batch if args.batch > 1 else 8
 
     # Serial reference for the bit-identity check.
-    ref = InferenceSession(ref_program, name=graph.name, tile=args.tile)
+    ref = InferenceSession(ref_program, name=graph.name)
     serial = [ref.run(request) for request in requests]
 
     # Baseline: one process, one session, dynamic batching.
@@ -366,7 +366,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
 
     server = ShardedServer(
         graph, weights, replicas=args.replicas,
-        max_batch_size=batch, max_queue_delay_ms=2.0, tile=args.tile,
+        max_batch_size=batch, max_queue_delay_ms=2.0,
     )
     with server:
         start = time.perf_counter()
@@ -419,7 +419,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         level=args.level,
         batch_size=args.batch if args.batch > 0 else None,
         cache=getattr(args, "cache_dir", None),
-        tile=args.tile,
     )
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -450,10 +449,9 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         )
 
         plan = (
-            BatchedExecutionPlan(program, batch, optimize=True,
-                                 tile=args.tile)
+            BatchedExecutionPlan(program, batch, optimize=True)
             if batch is not None
-            else ExecutionPlan(program, optimize=True, tile=args.tile)
+            else ExecutionPlan(program, optimize=True)
         )
         optimization = plan.optimization
     else:
@@ -462,8 +460,7 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         # the repacked arena.
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
-        optimization = plan_optimization(program, batch_size=batch,
-                                         tile=args.tile)
+        optimization = plan_optimization(program, batch_size=batch)
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())
@@ -564,10 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=0,
                    help="also time batched plan replay at this batch size "
                         "(0 = off)")
-    p.add_argument("--tile", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="block-tile eligible reduction chains "
-                        "(--no-tile serves the untiled optimized plan)")
     p.add_argument("--concurrency", type=int, default=0,
                    help="drive a dynamic-batching server with this many "
                         "client threads (0 = off)")
@@ -605,10 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8,
                    help="certify the batched lowering at this batch size "
                         "(0 = skip explicit batch; default 8)")
-    p.add_argument("--tile", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="certify the tiled plan (--no-tile certifies the "
-                        "untiled one)")
     p.add_argument("--strict", action="store_true",
                    help="treat unknown verdicts as failures (exit 1)")
     p.add_argument("--json", action="store_true",
@@ -628,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=0,
                    help="optimize the batched plan at this batch size "
                         "(0 = unbatched)")
-    p.add_argument("--tile", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="block-tile eligible reduction chains before "
-                        "reporting (--no-tile reports the untiled plan)")
     p.add_argument("--replicas", type=int, default=0,
                    help="also report the sharded-serving weight memory at "
                         "this replica count: bytes duplicated per process "

@@ -22,16 +22,6 @@ class SouffleOptions:
     subprogram_opt: bool = True
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
-    # Serve through plan-optimized execution plans (runtime step fusion,
-    # in-place elision, dependency-level step order).
-    # Orthogonal to the V-levels: it rewrites the *runtime* step list, not
-    # the TE IR.
-    optimize_plans: bool = True
-    # Block-level tiling of map->reduce->map chains (runtime.tiling):
-    # cache-blocked sub-steps with per-worker scratch, applied by the plan
-    # optimizer when profitable. On by default; only meaningful when
-    # optimize_plans is on.
-    tile_reductions: bool = True
     # Translation validation (verify.equiv): emit a symbolic equivalence
     # certificate per transform application and gate the compile on any
     # refuted certificate. ``certify_unknown`` picks what an *unknown*
@@ -43,8 +33,6 @@ class SouffleOptions:
     @classmethod
     def from_level(cls, level: int, validate: bool = False,
                    verify: bool = False,
-                   optimize_plans: bool = True,
-                   tile_reductions: bool = True,
                    certify: bool = False,
                    certify_unknown: str = "warn") -> "SouffleOptions":
         """Build the Table-4 ablation configuration V<level>."""
@@ -57,8 +45,6 @@ class SouffleOptions:
             subprogram_opt=level >= 4,
             validate=validate,
             verify=verify,
-            optimize_plans=optimize_plans,
-            tile_reductions=tile_reductions,
             certify=certify,
             certify_unknown=certify_unknown,
         )

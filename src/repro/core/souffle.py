@@ -278,8 +278,6 @@ class SouffleCompiler:
             kernels=kernels,
             device=self.device,
             stats=stats,
-            optimize_plans=options.optimize_plans,
-            tile_reductions=options.tile_reductions,
             certificates=certificates,
         )
 

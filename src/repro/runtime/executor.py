@@ -484,18 +484,8 @@ class ExecutionPlan:
         program: TEProgram,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        tile: bool = True,
-        tile_budget: Optional[int] = None,
-        tile_block_rows: Optional[int] = None,
-        certify: bool = False,
     ) -> None:
-        # Block-level tiling of reduction chains (runtime.tiling), applied
-        # by the optimizer pass pipeline: default on, profitable chains
-        # only. tile_budget overrides the footprint model's cache budget;
-        # tile_block_rows forces a block size (tests).
-        self.tile = tile
-        self.tile_budget = tile_budget
-        self.tile_block_rows = tile_block_rows
+        # Tiled chains' scratch buffers; set by optimize_plan.
         self._scratch_pool = None
         self.program = program
         if memory_plan is None:
@@ -522,22 +512,6 @@ class ExecutionPlan:
             from repro.runtime.plan_opt import optimize_plan
 
             optimize_plan(self)
-        # Translation validation of the built plan (verify.equiv): certify
-        # the optimizer's transforms and the batched lowering against this
-        # plan's program; any refuted certificate is a planning error. The
-        # report is kept on the plan for inspection (repro certify).
-        self.certification = None
-        if certify:
-            from repro.verify.equiv import certify_plan
-
-            report = certify_plan(self)
-            self.certification = report
-            refuted = report.refuted
-            if refuted:
-                raise PlanningError(
-                    "plan certification refuted: "
-                    + "; ".join(c.render() for c in refuted)
-                )
         ExecutionPlan.plans_built += 1
 
     # ---- construction ----------------------------------------------------
@@ -718,10 +692,6 @@ class BatchedExecutionPlan(ExecutionPlan):
         batch_size: int,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        tile: bool = True,
-        tile_budget: Optional[int] = None,
-        tile_block_rows: Optional[int] = None,
-        certify: bool = False,
     ) -> None:
         if batch_size < 1:
             raise PlanningError(
@@ -729,11 +699,7 @@ class BatchedExecutionPlan(ExecutionPlan):
             )
         # Set before super().__init__: the sizer and step builders read it.
         self.batch_size = int(batch_size)
-        super().__init__(
-            program, memory_plan, optimize=optimize,
-            tile=tile, tile_budget=tile_budget,
-            tile_block_rows=tile_block_rows, certify=certify,
-        )
+        super().__init__(program, memory_plan, optimize=optimize)
 
     def bind_batch(
         self, feeds_list: Sequence[Mapping[Tensor, np.ndarray]]

@@ -117,8 +117,6 @@ class CompiledModule:
         device: GPUSpec,
         stats: Optional[CompileStats] = None,
         program_loader: Optional[Callable[[], TEProgram]] = None,
-        optimize_plans: bool = True,
-        tile_reductions: bool = True,
         certificates: Sequence = (),
     ) -> None:
         self.name = name
@@ -133,12 +131,6 @@ class CompiledModule:
         # warm compile these are replayed from the certificate tier of the
         # compile cache rather than re-proved.
         self.certificates: List = list(certificates)
-        # Whether sessions built from this module serve plan-optimized
-        # execution plans (SouffleOptions.optimize_plans) and whether the
-        # plan optimizer may tile reduction chains (SouffleOptions.
-        # tile_reductions, see runtime.tiling).
-        self.optimize_plans = optimize_plans
-        self.tile_reductions = tile_reductions
         self._session: Optional["InferenceSession"] = None
 
     # ---- program materialisation ---------------------------------------------
@@ -189,11 +181,7 @@ class CompiledModule:
             # keeps module import light for performance-only consumers.
             from repro.runtime.session import InferenceSession
 
-            self._session = InferenceSession(
-                self.program, name=self.name,
-                optimize=self.optimize_plans,
-                tile=self.tile_reductions,
-            )
+            self._session = InferenceSession(self.program, name=self.name)
         return self._session
 
     def run(self, feeds: Mapping[Tensor, np.ndarray]) -> List[np.ndarray]:

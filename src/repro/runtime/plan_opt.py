@@ -707,17 +707,16 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the
     rewritten layout through the verifier's arena-hazard pass (in-place
     pairs allowlisted). Raises :class:`~repro.errors.PlanningError` on an
-    unsafe optimized layout.
+    unsafe optimized layout. ``opt`` defaults to the static planner's
+    result for the plan; a caller that isolates passes (tests, ablation)
+    passes one from :func:`plan_optimization` with the plan's batch size.
     """
     from repro.runtime.executor import PlanStep
     from repro.verify import Severity, verify_plan
 
     if opt is None:
         opt = plan_optimization(
-            plan.program, sizer=plan._sizer, batch_size=plan.batch_size,
-            tile=getattr(plan, "tile", True),
-            tile_budget=getattr(plan, "tile_budget", None),
-            tile_block_rows=getattr(plan, "tile_block_rows", None),
+            plan.program, sizer=plan._sizer, batch_size=plan.batch_size
         )
 
     base_steps = plan.steps  # indexed by original node index

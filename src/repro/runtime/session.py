@@ -98,15 +98,11 @@ class PlanState:
         program: TEProgram,
         plan: Optional[ExecutionPlan] = None,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
-        optimize: bool = True,
-        tile: bool = True,
     ) -> None:
         self.program = program
-        self.optimize = optimize
-        self.tile = tile
         self.plan = (
             plan if plan is not None
-            else ExecutionPlan(program, optimize=optimize, tile=tile)
+            else ExecutionPlan(program, optimize=True)
         )
         buckets = sorted(set(int(b) for b in batch_buckets))
         if not buckets or buckets[0] < 2:
@@ -176,8 +172,7 @@ class PlanState:
             plan = self._batched_plans.get(bucket)
         if plan is None:
             built = BatchedExecutionPlan(
-                self.plan.program, bucket, optimize=self.optimize,
-                tile=self.tile,
+                self.plan.program, bucket, optimize=True
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
@@ -256,20 +251,16 @@ class InferenceSession:
         max_pool: int = DEFAULT_MAX_POOL,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         latency_window: int = DEFAULT_LATENCY_WINDOW,
-        optimize: bool = True,
-        tile: bool = True,
         plan_state: Optional[PlanState] = None,
     ) -> None:
         self.name = name if name is not None else program.name
-        # Serving defaults to optimized plans (the pass pipeline is proven
-        # bit-identical at plan time); ``optimize=False`` serves the plain
-        # lowering, and an explicit ``plan`` is used as-is either way.
-        # ``tile`` gates the optimizer's block-level tiling of reduction
-        # chains (runtime.tiling) for the plan and its batched buckets.
+        # Serving uses optimized plans (the pass pipeline is proven
+        # bit-identical at plan time); an explicit ``plan`` is used as-is
+        # for unbatched requests, e.g. ``ExecutionPlan(program)`` to serve
+        # the plain lowering. Batched buckets are always optimized.
         if plan_state is None:
             plan_state = PlanState(
-                program, plan=plan, batch_buckets=batch_buckets,
-                optimize=optimize, tile=tile,
+                program, plan=plan, batch_buckets=batch_buckets
             )
         self.plan_state = plan_state
         self.profile = profile
@@ -299,79 +290,15 @@ class InferenceSession:
             plan_state=plan_state,
         )
 
-    # ---- shared-state delegation (back-compat surface) -------------------
+    # ---- shared state read by callers ------------------------------------
 
     @property
     def plan(self) -> ExecutionPlan:
         return self.plan_state.plan
 
     @property
-    def optimize(self) -> bool:
-        return self.plan_state.optimize
-
-    @property
-    def tile(self) -> bool:
-        return self.plan_state.tile
-
-    @property
     def batch_buckets(self) -> Tuple[int, ...]:
         return self.plan_state.batch_buckets
-
-    @property
-    def _batched_plans(self) -> Dict[int, BatchedExecutionPlan]:
-        return self.plan_state._batched_plans
-
-    @property
-    def unbatchable_buckets(self) -> set:
-        return self.plan_state.unbatchable_buckets
-
-    @property
-    def max_pool(self) -> int:
-        return self.arena_state.max_pool
-
-    @property
-    def _free_arenas(self) -> List[Arena]:
-        return self.arena_state._free_arenas
-
-    @property
-    def _lock(self) -> threading.Lock:
-        return self.arena_state.lock
-
-    @property
-    def arenas_allocated(self) -> int:
-        return self.arena_state.arenas_allocated
-
-    @property
-    def arenas_trimmed(self) -> int:
-        return self.arena_state.arenas_trimmed
-
-    @property
-    def arenas_in_use(self) -> int:
-        return self.arena_state.arenas_in_use
-
-    @property
-    def pool_high_water(self) -> int:
-        return self.arena_state.pool_high_water
-
-    @property
-    def request_count(self) -> int:
-        return self.arena_state.request_count
-
-    @property
-    def request_seconds(self) -> float:
-        return self.arena_state.request_seconds
-
-    @property
-    def last_latency_s(self) -> float:
-        return self.arena_state.last_latency_s
-
-    @property
-    def batches_executed(self) -> int:
-        return self.arena_state.batches_executed
-
-    @property
-    def batched_requests(self) -> int:
-        return self.arena_state.batched_requests
 
     # ---- arena pool ------------------------------------------------------
 
@@ -404,16 +331,6 @@ class InferenceSession:
             else:
                 state.arenas_trimmed += 1
             state.note_high_water()
-
-    @property
-    def arenas_pooled(self) -> int:
-        """Arenas currently idle in the pools (unbatched + every bucket)."""
-        return self.arena_state.pooled()
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Bytes of one unbatched arena (batched buckets scale with B)."""
-        return self.plan.workspace_bytes
 
     # ---- batched plans ---------------------------------------------------
 
@@ -585,9 +502,10 @@ class InferenceSession:
     @property
     def requests_per_second(self) -> float:
         """Mean sustained throughput over every request so far."""
-        if self.request_seconds <= 0.0:
+        state = self.arena_state
+        if state.request_seconds <= 0.0:
             return 0.0
-        return self.request_count / self.request_seconds
+        return state.request_count / state.request_seconds
 
     @property
     def mean_batch_occupancy(self) -> float:
@@ -615,8 +533,8 @@ class InferenceSession:
         )
 
         percentiles = self.latency_percentiles()
-        pooled = self.arenas_pooled
         state = self.arena_state
+        pooled = state.pooled()
         with state.lock:
             steps = [
                 StepTiming(
@@ -642,7 +560,7 @@ class InferenceSession:
                 session_name=self.name,
                 requests=state.request_count,
                 total_seconds=state.request_seconds,
-                workspace_bytes=self.workspace_bytes,
+                workspace_bytes=self.plan.workspace_bytes,
                 arenas_allocated=state.arenas_allocated,
                 arenas_trimmed=state.arenas_trimmed,
                 arenas_pooled=pooled,
@@ -661,5 +579,5 @@ class InferenceSession:
     def __repr__(self) -> str:
         return (
             f"<InferenceSession {self.name}: {self.plan.num_steps} steps, "
-            f"{self.request_count} requests served>"
+            f"{self.arena_state.request_count} requests served>"
         )

@@ -104,8 +104,8 @@ def _session_stats(session: InferenceSession) -> dict:
     pct = session.latency_percentiles()
     state = session.arena_state
     return {
-        "requests": session.request_count,
-        "request_seconds": session.request_seconds,
+        "requests": state.request_count,
+        "request_seconds": state.request_seconds,
         "p50_us": pct["p50"] * 1e6,
         "p95_us": pct["p95"] * 1e6,
         "p99_us": pct["p99"] * 1e6,
@@ -122,7 +122,6 @@ def _worker_main(
     index: int,
     graph_doc: dict,
     manifest: WeightManifest,
-    tile: bool,
     conn,
 ) -> None:
     """Replica body: rebuild the plan, map shared weights, serve batches.
@@ -139,7 +138,7 @@ def _worker_main(
         store = WeightStore.attach(manifest)
         graph = graph_from_dict(graph_doc)
         program = lower_graph(graph)
-        plan_state = PlanState(program, tile=tile)
+        plan_state = PlanState(program)
         weights = store.weights_by_name()
         plan_state.bind_weights(weights)
         session = InferenceSession.from_plan_state(
@@ -236,7 +235,6 @@ class ShardedServer(CoreServer):
         replicas: int = 2,
         max_batch_size: int = 8,
         max_queue_delay_ms: float = 2.0,
-        tile: bool = True,
         request_timeout_s: float = 30.0,
         # Accepted and unused; kept because perfbench shard-open passes it.
         cache_dir: Optional[str] = None,
@@ -262,7 +260,6 @@ class ShardedServer(CoreServer):
         )
         self.graph = graph
         self.replicas = replicas
-        self.tile = tile
         self.request_timeout_s = request_timeout_s
         self._graph_doc = graph_to_dict(graph)
 
@@ -271,7 +268,7 @@ class ShardedServer(CoreServer):
         # fallback executor (bit-identical by construction — same plans,
         # same weight bytes). Binding here rejects bad weights before
         # anything is spawned; start() publishes them.
-        self.plan_state = PlanState(program, tile=tile)
+        self.plan_state = PlanState(program)
         self.plan_state.bind_weights(weights)
         self.store: Optional[WeightStore] = None
         self._local: Optional[InferenceSession] = None
@@ -361,7 +358,6 @@ class ShardedServer(CoreServer):
                 replica.index,
                 self._graph_doc,
                 self.store.manifest,
-                self.tile,
                 child_conn,
             ),
             name=f"sharded-{self.name}-w{replica.index}",

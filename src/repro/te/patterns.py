@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import TEError
 from repro.te.affine import linearize
 from repro.te.expr import BinOp, Call, Cmp, Const, Expr, IfThenElse, Reduce, TensorRead, Var
-from repro.te.tensor import Tensor, row_major_strides
+from repro.te.tensor import ComputeOp, Tensor, row_major_strides
 from repro.te.traversal import contains_reduce, substitute_vars, walk
 
 
@@ -539,12 +539,28 @@ def match_contraction(tensor: Tensor) -> Optional[Contraction]:
     cut into pieces whose selects and clamps fold away, each writing its
     own output box. Declines max/min reductions, non-product bodies,
     out-of-bounds windows and any axis no operand reads.
+
+    A sum reduction is recognised once: the result is kept on the tensor
+    (keyed by its op, which a horizontal merge assigns after creation), so
+    plan builds at every batch size, the ``Evaluator`` and the certifier
+    share one :class:`Contraction` and the memo dies with the tensor.
     """
     op = tensor.op
-    if op is None or not isinstance(op.body, Reduce):
+    if op is None or not isinstance(op.body, Reduce) or op.body.kind != "sum":
         return None
+    memo = getattr(tensor, "_contraction", None)
+    if memo is None or memo[0] is not op:
+        memo = (op, _lower_contraction(op, tensor.shape))
+        tensor._contraction = memo
+    return memo[1]
+
+
+def _lower_contraction(
+    op: ComputeOp, shape: Tuple[int, ...]
+) -> Optional[Contraction]:
+    """The uncached recognition behind :func:`match_contraction`."""
     red = op.body
-    if red.kind != "sum" or not _selects_products(red.body):
+    if not _selects_products(red.body):
         return None
     boxes = _piece_boxes(red.body, op.axes)
     if boxes is None:
@@ -553,7 +569,7 @@ def match_contraction(tensor: Tensor) -> Optional[Contraction]:
     tensors: List[Tensor] = []
     pieces = []
     for box in boxes:
-        piece = _lower_piece(red, op.axes, tensor.shape, box, slots, tensors)
+        piece = _lower_piece(red, op.axes, shape, box, slots, tensors)
         if piece is None:
             return None
         pieces.append(piece)

@@ -2370,7 +2370,6 @@ def certify_model(
     level: int = 4,
     batch_size: Optional[int] = None,
     cache=None,
-    tile: bool = True,
 ) -> CertificationReport:
     """The ``repro certify`` backbone: compile with certification gates on
     and statically certify the optimized plan + batched lowering.
@@ -2391,7 +2390,7 @@ def certify_model(
     report = CertificationReport(subject=module.name)
     report.extend(module.certificates)
     program = module.program
-    opt = plan_optimization(program, batch_size=batch_size, tile=tile)
+    opt = plan_optimization(program, batch_size=batch_size)
     report.extend(certify_plan_optimization(program, opt))
     report.add(
         certify_batched_lowering(program, batch_size if batch_size else 8)

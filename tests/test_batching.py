@@ -122,8 +122,8 @@ class TestSessionBatching:
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
         # 13 requests chunk to 8 + 5(->bucket 8, padded); both batched.
-        assert session.batches_executed == 2
-        assert session.batched_requests == 13
+        assert session.arena_state.batches_executed == 2
+        assert session.arena_state.batched_requests == 13
 
     def test_profile_rows_count_only_unbatched_replays(self):
         """The profile's rows are the unbatched plan's steps. A batched
@@ -156,8 +156,9 @@ class TestSessionBatching:
         session = InferenceSession(program)
         (outputs,) = session.run_batch(request_feeds(program, 1))
         assert outputs[0].shape == program.outputs[0].shape
-        assert session.batches_executed == 0  # never built a batched plan
-        assert not session._batched_plans
+        # Never built a batched plan.
+        assert session.arena_state.batches_executed == 0
+        assert not session.plan_state._batched_plans
 
     def test_batched_plans_cached_per_bucket(self):
         program = mlp_program()
@@ -188,9 +189,9 @@ class TestSessionBatching:
         plan.execute(bound, arena_b)
         session._release_arena(arena_a, 4)
         session._release_arena(arena_b, 4)
-        assert session.arenas_allocated == 2
-        assert session.arenas_pooled == 1
-        assert session.arenas_trimmed == 1
+        assert session.arena_state.arenas_allocated == 2
+        assert session.arena_state.pooled() == 1
+        assert session.arena_state.arenas_trimmed == 1
 
     def test_unbatchable_bucket_degrades_to_smaller(self):
         """A bucket whose batched plan cannot build (e.g. paper-scale
@@ -198,27 +199,28 @@ class TestSessionBatching:
         the next usable bucket, re-chunking — never error."""
         program = mlp_program()
         session = InferenceSession(program, batch_buckets=(2, 4, 8))
-        session.unbatchable_buckets.add(8)
+        session.plan_state.unbatchable_buckets.add(8)
         requests = request_feeds(program, 8, seed=21)
         singles = [InferenceSession(program).run(f) for f in requests]
         for want, got in zip(singles, session.run_batch(requests)):
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
-        assert sorted(session._batched_plans) == [4]  # two bucket-4 batches
-        assert session.batches_executed == 2
-        assert session.batched_requests == 8
+        # Two bucket-4 batches.
+        assert sorted(session.plan_state._batched_plans) == [4]
+        assert session.arena_state.batches_executed == 2
+        assert session.arena_state.batched_requests == 8
 
     def test_all_buckets_unbatchable_falls_back_unbatched(self):
         program = mlp_program()
         session = InferenceSession(program, batch_buckets=(2, 4))
-        session.unbatchable_buckets.update((2, 4))
+        session.plan_state.unbatchable_buckets.update((2, 4))
         requests = request_feeds(program, 4, seed=22)
         singles = [InferenceSession(program).run(f) for f in requests]
         for want, got in zip(singles, session.run_batch(requests)):
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
-        assert session.batches_executed == 0
-        assert not session._batched_plans
+        assert session.arena_state.batches_executed == 0
+        assert not session.plan_state._batched_plans
 
     def test_build_failure_marks_bucket_unbatchable(self, monkeypatch):
         program = mlp_program()
@@ -229,7 +231,7 @@ class TestSessionBatching:
 
         monkeypatch.setattr(session, "batch_plan", boom)
         assert session._batch_plan_or_none(8) is None
-        assert 8 in session.unbatchable_buckets
+        assert 8 in session.plan_state.unbatchable_buckets
         monkeypatch.undo()
         # The failure is remembered: no rebuild attempt on the next call.
         assert session._batch_plan_or_none(8) is None
@@ -294,7 +296,8 @@ class TestBatchingServer:
         assert server.requests_completed == workers * per_worker
         # Each pool (unbatched + one per touched bucket) obeys max_pool.
         max_pools = 1 + len(session.batch_buckets)
-        assert session.arenas_pooled <= session.max_pool * max_pools
+        state = session.arena_state
+        assert state.pooled() <= state.max_pool * max_pools
 
     def test_stop_drains_queue(self):
         program = mlp_program()

@@ -344,6 +344,48 @@ def test_attention_block_batched_lanes_match_unbatched():
             assert np.array_equal(got, want)
 
 
+# ---- one recognition per sum reduction --------------------------------------
+
+
+def test_each_sum_reduction_is_recognised_once(monkeypatch):
+    """An optimized build, a bucket-4 build, two interpreted runs and the
+    certifier share one recognition per sum reduction that is not
+    matmul-shaped (the only ones any caller hands to the recogniser)."""
+    from collections import Counter
+
+    from repro.te import patterns
+    from repro.te.expr import Reduce
+    from repro.verify import certify_plan
+
+    recognised = Counter()
+    real = patterns._lower_contraction
+
+    def counting(op, shape):
+        recognised[id(op)] += 1
+        return real(op, shape)
+
+    monkeypatch.setattr(patterns, "_lower_contraction", counting)
+    expected = set()
+    for name in sorted(TINY_MODELS):
+        module = SouffleCompiler(cache=False).compile(TINY_MODELS[name]())
+        program = module.program
+        expected |= {
+            id(n.tensor.op) for n in program.nodes
+            if isinstance(n.tensor.op.body, Reduce)
+            and n.tensor.op.body.kind == "sum"
+            and match_matmul(n.tensor) is None
+        }
+        ExecutionPlan(program, optimize=True)
+        batched = BatchedExecutionPlan(program, batch_size=4, optimize=True)
+        feeds = random_feeds(program, seed=7)
+        module.run_interpreted(feeds)
+        module.run_interpreted(feeds)
+        certify_plan(batched)
+    assert expected
+    assert set(recognised) == expected
+    assert set(recognised.values()) == {1}
+
+
 # ---- declines ---------------------------------------------------------------
 
 

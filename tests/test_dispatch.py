@@ -103,8 +103,8 @@ class TestPlanReuse:
             dispatcher.run(feeds_for(seq_len, rng))
         assert module.session.plan is plan
         assert ExecutionPlan.plans_built == built  # no re-planning
-        assert module.session.request_count == 5
-        assert module.session.arenas_allocated == 1
+        assert module.session.arena_state.request_count == 5
+        assert module.session.arena_state.arenas_allocated == 1
 
     def test_each_bucket_gets_its_own_plan(self, dispatcher):
         rng = np.random.default_rng(4)
@@ -136,7 +136,8 @@ class TestPlanReuse:
         # Shape-bucket groups replayed batched where more than one request
         # landed (7+8+5 -> bucket 8; 30+25 -> bucket 32; 11+16 -> bucket 16).
         for bucket in (8, 16, 32):
-            assert dispatcher.module_for(bucket).session.batched_requests > 0
+            state = dispatcher.module_for(bucket).session.arena_state
+            assert state.batched_requests > 0
 
     def test_batch_of_one_uses_unbatched_path(self, dispatcher):
         rng = np.random.default_rng(7)
@@ -144,7 +145,8 @@ class TestPlanReuse:
         (batched,) = dispatcher.run_batch([feeds])
         (single,) = dispatcher.run(feeds)
         assert np.array_equal(batched[0], single)
-        assert dispatcher.module_for(16).session.batches_executed == 0
+        state = dispatcher.module_for(16).session.arena_state
+        assert state.batches_executed == 0
 
     def test_empty_batch(self, dispatcher):
         assert dispatcher.run_batch([]) == []

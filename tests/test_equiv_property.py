@@ -82,13 +82,6 @@ def test_batched_plan_certifies(name):
     assert "batched-binding" in transforms
 
 
-def test_certified_plan_construction_succeeds():
-    """``ExecutionPlan(certify=True)`` self-certifies at build time."""
-    plan = ExecutionPlan(program_for("mmoe"), optimize=True, certify=True)
-    assert plan.certification is not None
-    assert plan.certification.all_proved
-
-
 # ---- determinism: certificates are byte-stable artifacts ---------------------
 
 

@@ -153,7 +153,7 @@ class TestArena:
         (second,) = session.run(feeds)
         assert first is not second
         assert not np.shares_memory(first, second)
-        arena = session._free_arenas[0]
+        arena = session.arena_state._free_arenas[0]
         assert not np.shares_memory(first, arena.buffer)
 
 
@@ -209,9 +209,8 @@ class TestSession:
         feeds = random_feeds(program, seed=0)
         for _ in range(32):
             session.run(feeds)
-        assert session.arenas_allocated == 1
-        assert session.request_count == 32
-        assert session.workspace_bytes == session.plan.workspace_bytes
+        assert session.arena_state.arenas_allocated == 1
+        assert session.arena_state.request_count == 32
 
     def test_concurrent_requests_are_correct(self):
         program = mlp_program()
@@ -234,9 +233,9 @@ class TestSession:
         for t in threads:
             t.join()
         assert not failures
-        assert session.request_count == 32
+        assert session.arena_state.request_count == 32
         # The pool never exceeds the worst-case concurrency.
-        assert 1 <= session.arenas_allocated <= 4
+        assert 1 <= session.arena_state.arenas_allocated <= 4
 
     def test_run_by_name_lists_available_inputs(self):
         program = mlp_program()
@@ -278,7 +277,7 @@ class TestSession:
         program = mlp_program()
         session = InferenceSession(program)
         session.run(random_feeds(program, seed=0))
-        assert session.last_latency_s > 0
+        assert session.arena_state.last_latency_s > 0
         assert session.requests_per_second > 0
         report = session.profile_report()
         assert "per-step timing disabled" in report.render()

@@ -164,8 +164,8 @@ class TestWeightOnlySteps:
         session.run_batch(requests)
         w += 1.0
         lanes = session.run_batch(requests)
-        assert session.batches_executed == 2
-        assert list(session._batched_plans) == [4]
+        assert session.arena_state.batches_executed == 2
+        assert list(session.plan_state._batched_plans) == [4]
         for request, outputs in zip(requests, lanes):
             assert_interpreted(program, request, outputs)
 
@@ -341,6 +341,14 @@ def assert_served_plan(plan, steps, kinds, workspace, counts):
     ) == counts
 
 
+@pytest.fixture(scope="module")
+def attention():
+    """The paper-width attention block, compiled as served."""
+    from repro import SouffleCompiler
+
+    return SouffleCompiler().compile(build_bert_attention_subgraph())
+
+
 class TestWaves:
     def test_independent_steps_share_a_wave(self):
         """Independent steps share a dependency level, emitted as one
@@ -378,13 +386,11 @@ class TestWaves:
         steps, kinds, workspace, counts = SERVED_TINY_PLANS["bert"]
         assert_served_plan(plan, steps, kinds, bucket * workspace, counts)
 
-    def test_attention_block_has_three_parallel_levels(self):
+    def test_attention_block_has_three_parallel_levels(self, attention):
         """The paper-width attention block as served: three levels hold
         two or more big steps, whatever the host's core count, and the
         flat replay stays bit-identical to the interpreter."""
-        from repro import SouffleCompiler
-
-        module = SouffleCompiler().compile(build_bert_attention_subgraph())
+        module = attention
         plan = module.session.plan
         assert plan.num_steps == 17
         assert plan.workspace_bytes == 3_932_160
@@ -394,6 +400,28 @@ class TestWaves:
         want = module.run_interpreted(feeds)
         for g, w in zip(module.session.run(feeds), want):
             assert np.array_equal(g, w)
+
+    def test_attention_block_tiling_decisions(self, attention):
+        """The footprint model alone decides tiling; on the served
+        attention block it tiles the softmax chain at every bucket.
+        Bucket -> (steps, workspace bytes, tiled chains, tiled blocks)."""
+        session = attention.session
+        plans = {1: session.plan}
+        plans.update({b: session.batch_plan(b) for b in (2, 4, 8)})
+        got = {
+            bucket: (
+                plan.num_steps, plan.workspace_bytes,
+                plan.optimization.stats.tiled_chains,
+                plan.optimization.stats.tiled_blocks,
+            )
+            for bucket, plan in plans.items()
+        }
+        assert got == {
+            1: (17, 3_932_160, 1, 2),
+            2: (19, 2 * 3_932_160, 1, 4),
+            4: (25, 4 * 3_932_160, 2, 14),
+            8: (27, 8 * 3_932_160, 2, 16),
+        }
 
 
 # ---- stats and reporting -----------------------------------------------------

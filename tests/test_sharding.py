@@ -142,9 +142,10 @@ class TestPlanState:
             a.run_by_name({lead.name: r[lead.name]})
             b.run_by_name({lead.name: r[lead.name]})
         # Batched plans are built once and shared...
-        assert a._batched_plans is b._batched_plans
+        assert a.plan_state._batched_plans is b.plan_state._batched_plans
         # ...but each session pools its own arenas.
-        assert a.arenas_allocated >= 1 and b.arenas_allocated >= 1
+        assert a.arena_state.arenas_allocated >= 1
+        assert b.arena_state.arenas_allocated >= 1
         assert a.arena_state is not b.arena_state
 
     def test_request_feeds_override_weight_table(self):
@@ -187,10 +188,11 @@ class TestArenaAccounting:
             t.join()
         report = session.profile_report()
         assert report.pool_high_water >= 1
-        assert report.arenas_trimmed == session.arenas_trimmed
-        if session.arenas_allocated > 1:
+        state = session.arena_state
+        assert report.arenas_trimmed == state.arenas_trimmed
+        if state.arenas_allocated > 1:
             # max_pool=1: every extra arena must have been trimmed.
-            assert report.arenas_trimmed >= session.arenas_allocated - 1
+            assert report.arenas_trimmed >= state.arenas_allocated - 1
         assert "arena pool" in report.render()
 
 

@@ -25,7 +25,7 @@ from repro.graph import lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime import tiling
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
-from repro.runtime.plan_opt import plan_optimization
+from repro.runtime.plan_opt import optimize_plan, plan_optimization
 from repro.runtime.tiling import (
     ScratchPool,
     TiledStepGroup,
@@ -41,6 +41,20 @@ CHAIN_MODELS = ("bert", "swin")
 
 def program_for(name):
     return lower_graph(TINY_MODELS[name]())
+
+
+def optimized(program, batch_size=None, **passes):
+    """An optimized plan whose static passes run with ``passes``: the
+    pass-isolation flags of ``plan_optimization`` (``tile=False``, a
+    forced ``tile_block_rows``, a small ``tile_budget``)."""
+    plan = (
+        ExecutionPlan(program) if batch_size is None
+        else BatchedExecutionPlan(program, batch_size)
+    )
+    optimize_plan(
+        plan, plan_optimization(program, batch_size=batch_size, **passes)
+    )
+    return plan
 
 
 def assert_outputs_equal(got, want, context):
@@ -60,10 +74,8 @@ class TestBitIdentity:
     def test_any_block_size_matches_untiled(self, name, block_rows):
         program = program_for(name)
         feeds = random_feeds(program, seed=13)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-        plan = ExecutionPlan(
-            program, optimize=True, tile_block_rows=block_rows
-        )
+        want = optimized(program, tile=False).run(feeds)
+        plan = optimized(program, tile_block_rows=block_rows)
         assert_outputs_equal(
             plan.run(feeds), want, f"{name} blk={block_rows}"
         )
@@ -74,12 +86,9 @@ class TestBitIdentity:
     def test_batched_any_block_size_matches_untiled(self, name, block_rows):
         program = program_for(name)
         requests = [random_feeds(program, seed=17 + i) for i in range(4)]
-        want = BatchedExecutionPlan(
-            program, batch_size=4, optimize=True, tile=False
-        ).run_batch(requests)
-        got = BatchedExecutionPlan(
-            program, batch_size=4, optimize=True,
-            tile_block_rows=block_rows,
+        want = optimized(program, 4, tile=False).run_batch(requests)
+        got = optimized(
+            program, 4, tile_block_rows=block_rows
         ).run_batch(requests)
         for lane_want, lane_got in zip(want, got):
             assert_outputs_equal(
@@ -90,7 +99,7 @@ class TestBitIdentity:
     def test_replay_is_stable(self, name):
         """Scratch reuse across requests must not leak state."""
         program = program_for(name)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = optimized(program, tile_block_rows=2)
         feeds = random_feeds(program, seed=23)
         first = plan.run(feeds)
         for _ in range(3):
@@ -103,9 +112,7 @@ class TestBitIdentity:
 class TestDetection:
     def test_chain_models_tile(self):
         for name in CHAIN_MODELS:
-            plan = ExecutionPlan(
-                program_for(name), optimize=True, tile_block_rows=1
-            )
+            plan = optimized(program_for(name), tile_block_rows=1)
             chains = plan.optimization.tiled_chains
             assert chains, name
             for c in chains:
@@ -121,10 +128,9 @@ class TestDetection:
 
     def test_tile_off_disables_the_pass(self):
         for name in CHAIN_MODELS:
-            plan = ExecutionPlan(program_for(name), optimize=True,
-                                 tile=False)
-            assert plan.optimization.tiled_chains == []
-            assert plan.optimization.stats.tiled_chains == 0
+            opt = plan_optimization(program_for(name), tile=False)
+            assert opt.tiled_chains == []
+            assert opt.stats.tiled_chains == 0
 
     def test_auto_gate_skips_cache_resident_models(self):
         """Tiny working sets sit far under the default budget: the
@@ -139,14 +145,13 @@ class TestDetection:
         assert opt.stats.tiled_chains > 0
         assert opt.stats.scratch_bytes > 0
         feeds = random_feeds(program, seed=3)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=True, tile_budget=512)
+        want = optimized(program, tile=False).run(feeds)
+        plan = optimized(program, tile_budget=512)
         assert plan.optimization.tiled_chains
         assert_outputs_equal(plan.run(feeds), want, "bert budget=512")
 
     def test_tiled_groups_carry_block_names(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = optimized(program_for("bert"), tile_block_rows=2)
         tiled = [g for g in plan.optimization.groups
                  if isinstance(g, TiledStepGroup)]
         assert tiled
@@ -158,8 +163,7 @@ class TestDetection:
         assert positions == list(range(len(positions)))
 
     def test_stats_report_tiling(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = optimized(program_for("bert"), tile_block_rows=2)
         stats = plan.optimization.stats
         assert stats.tiled_chains == 4
         assert stats.tiled_blocks == sum(
@@ -167,8 +171,7 @@ class TestDetection:
         )
         assert "chains tiled" in stats.summary()
         assert "tiled chains:" in stats.render()
-        untiled = ExecutionPlan(program_for("bert"), optimize=True,
-                                tile=False).optimization.stats
+        untiled = plan_optimization(program_for("bert"), tile=False).stats
         assert "chains tiled" not in untiled.summary()
 
 
@@ -184,8 +187,7 @@ class TestWrongBlockBoundary:
 
         monkeypatch.setattr(tiling, "_block_ranges", gapped)
         with pytest.raises(PlanningError, match="partition|cover"):
-            ExecutionPlan(program_for("bert"), optimize=True,
-                          tile_block_rows=2)
+            optimized(program_for("bert"), tile_block_rows=2)
 
     def test_partition_validator_rejects_overlap(self, monkeypatch):
         real = tiling._block_ranges
@@ -198,8 +200,7 @@ class TestWrongBlockBoundary:
 
         monkeypatch.setattr(tiling, "_block_ranges", overlapped)
         with pytest.raises(PlanningError, match="partition"):
-            ExecutionPlan(program_for("bert"), optimize=True,
-                          tile_block_rows=2)
+            optimized(program_for("bert"), tile_block_rows=2)
 
     def test_oracle_catches_gap_when_validation_bypassed(self, monkeypatch):
         """Defence in depth: with the validator stubbed out, the seeded
@@ -207,7 +208,7 @@ class TestWrongBlockBoundary:
         oracle must observe the mismatch."""
         program = program_for("bert")
         feeds = random_feeds(program, seed=29)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
+        want = optimized(program, tile=False).run(feeds)
 
         real = tiling._block_ranges
 
@@ -217,7 +218,7 @@ class TestWrongBlockBoundary:
         monkeypatch.setattr(tiling, "_block_ranges", gapped)
         monkeypatch.setattr(tiling, "validate_partition",
                             lambda rows, ranges: None)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = optimized(program, tile_block_rows=2)
         assert plan.optimization.tiled_chains  # the mutant did tile
         got = plan.run(feeds)
         assert any(
@@ -230,8 +231,7 @@ class TestWrongBlockBoundary:
 
 class TestScratchAliasing:
     def build(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = optimized(program_for("bert"), tile_block_rows=2)
         opt = plan.optimization
         assert opt.memory_plan.scratch_chains
         return plan, opt
@@ -295,7 +295,7 @@ class TestProfiler:
         from repro.runtime.session import InferenceSession
 
         program = program_for("bert")
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = optimized(program, tile_block_rows=2)
         session = InferenceSession(program, plan=plan, profile=True)
         feeds = random_feeds(program, seed=37)
         for _ in range(2):
@@ -328,7 +328,7 @@ class TestScratchPool:
 
     def test_steady_state_serving_allocates_nothing_new(self):
         program = program_for("bert")
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = optimized(program, tile_block_rows=2)
         feeds = random_feeds(program, seed=41)
         plan.run(feeds)
         allocated = plan._scratch_pool.allocated
