@@ -14,7 +14,7 @@ from repro.errors import AnalysisError
 from repro.graph.te_program import TENode, TEProgram
 from repro.te.patterns import count_arith_ops
 from repro.te.tensor import Tensor, dtype_bytes
-from repro.te.traversal import input_tensors
+from repro.te.traversal import tensor_inputs
 
 MEMORY_INTENSIVE = "memory-intensive"
 COMPUTE_INTENSIVE = "compute-intensive"
@@ -91,7 +91,7 @@ def te_elements_accessed(tensor: Tensor) -> int:
     """Tensor elements read (whole accessed input tensors) plus written."""
     if tensor.op is None:
         raise AnalysisError(f"{tensor.name} is a placeholder")
-    read = sum(t.num_elements for t in input_tensors(tensor.op.body))
+    read = sum(t.num_elements for t in tensor_inputs(tensor))
     return read + tensor.num_elements
 
 
@@ -99,7 +99,7 @@ def te_footprint_bytes(tensor: Tensor) -> int:
     """Bytes of all accessed tensors (inputs + output), used by cost models."""
     if tensor.op is None:
         raise AnalysisError(f"{tensor.name} is a placeholder")
-    read = sum(t.size_bytes for t in input_tensors(tensor.op.body))
+    read = sum(t.size_bytes for t in tensor_inputs(tensor))
     return read + tensor.size_bytes
 
 
@@ -144,9 +144,7 @@ def _structure_key(node: TENode) -> tuple:
 
     tensor = node.tensor
     assert tensor.op is not None
-    input_shapes = tuple(
-        (t.shape, t.dtype) for t in input_tensors(tensor.op.body)
-    )
+    input_shapes = tuple((t.shape, t.dtype) for t in tensor_inputs(tensor))
     reduce_extents = tuple(ax.extent for ax in tensor.op.reduce_axes)
     fingerprint = (
         count_arith_ops(tensor.op.body),

@@ -429,7 +429,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_plan_stats(args: argparse.Namespace) -> int:
     """Report what the plan-optimizer pass pipeline does to one model."""
-    from repro.runtime.plan_opt import plan_optimization
+    from repro.runtime.memory_planner import plan_memory
+    from repro.runtime.plan_opt import arena_sizer, plan_optimization
 
     batch = args.batch if args.batch > 1 else None
     if args.scale == "tiny":
@@ -461,6 +462,11 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch)
+        # No plan packs the unoptimized arena here, so pack it for the
+        # report.
+        optimization.stats.workspace_before = plan_memory(
+            program, sizer=arena_sizer(batch), exclusive_writes=True
+        ).workspace_bytes
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())

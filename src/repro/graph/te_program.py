@@ -8,11 +8,11 @@ The program exposes producer/consumer queries used by every analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AnalysisError
 from repro.te.tensor import Tensor
-from repro.te.traversal import input_tensors
+from repro.te.traversal import tensor_inputs
 
 
 @dataclass
@@ -33,11 +33,9 @@ class TENode:
         return self.tensor.name
 
     @property
-    def inputs(self) -> List[Tensor]:
+    def inputs(self) -> Tuple[Tensor, ...]:
         """Tensors this TE reads (placeholders or other TE outputs)."""
-        if self.tensor.op is None:
-            return []
-        return input_tensors(self.tensor.op.body)
+        return tensor_inputs(self.tensor)
 
     def __repr__(self) -> str:
         return f"<TE#{self.index} {self.name} from {self.op_name}>"
@@ -70,31 +68,26 @@ class TEProgram:
                 raise AnalysisError(f"tensor {node.name} produced twice")
             self._producer[id(node.tensor)] = node
 
+        # One pass over every node's (memoised) reads: each read must name
+        # a program input or a TE produced earlier in program order.
         self._consumers: Dict[int, List[TENode]] = {}
-        known = set(self._producer) | {id(t) for t in self.inputs}
-        for node in self.nodes:
-            for tensor in node.inputs:
-                if id(tensor) not in known:
-                    raise AnalysisError(
-                        f"TE {node.name} reads unknown tensor {tensor.name}"
-                    )
-                self._consumers.setdefault(id(tensor), []).append(node)
-        for out in self.outputs:
-            if id(out) not in self._producer:
-                raise AnalysisError(f"output {out.name} has no producer TE")
-
-        self._check_topological()
-
-    def _check_topological(self) -> None:
         seen: Set[int] = {id(t) for t in self.inputs}
         for node in self.nodes:
             for tensor in node.inputs:
                 if id(tensor) not in seen:
+                    if id(tensor) not in self._producer:
+                        raise AnalysisError(
+                            f"TE {node.name} reads unknown tensor {tensor.name}"
+                        )
                     raise AnalysisError(
                         f"TE program not topologically ordered: {node.name} "
                         f"reads {tensor.name} before it is produced"
                     )
+                self._consumers.setdefault(id(tensor), []).append(node)
             seen.add(id(node.tensor))
+        for out in self.outputs:
+            if id(out) not in self._producer:
+                raise AnalysisError(f"output {out.name} has no producer TE")
 
     # ---- queries --------------------------------------------------------
 

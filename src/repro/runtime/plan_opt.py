@@ -56,12 +56,11 @@ from repro.runtime.memory_planner import (
     MemoryPlan,
     _align,
     pack_intervals,
-    plan_memory,
 )
 from repro.te.expr import Reduce, Var
 from repro.te.patterns import match_contraction, match_matmul
 from repro.te.tensor import Tensor
-from repro.te.traversal import collect_reads, input_tensors
+from repro.te.traversal import collect_reads, tensor_inputs
 from repro.verify.view import ProgramView
 
 # Only steps that move at least this many elements count towards a
@@ -106,7 +105,7 @@ def step_kind(tensor: Tensor) -> str:
             or match_contraction(tensor) is not None):
         return "einsum"
     body = tensor.op.body
-    if not input_tensors(body):
+    if not tensor_inputs(tensor):
         return "const"
     return "reduce" if isinstance(body, Reduce) else "map"
 
@@ -253,6 +252,14 @@ class PlanOptimization:
 # ---- static pass pipeline ---------------------------------------------------
 
 
+def arena_sizer(batch_size: Optional[int] = None) -> Callable[[Tensor], int]:
+    """The executor's arena sizing: float64 elements, ``batch_size`` lanes."""
+    from repro.runtime.executor import EXEC_ITEMSIZE
+
+    lanes = 1 if batch_size is None else batch_size
+    return lambda t: lanes * t.num_elements * EXEC_ITEMSIZE
+
+
 def plan_optimization(
     program: TEProgram,
     sizer: Optional[Callable[[Tensor], int]] = None,
@@ -273,20 +280,19 @@ def plan_optimization(
     model judges a chain profitable against ``tile_budget`` — default
     :data:`repro.analysis.characterize.CACHE_BUDGET_BYTES`);
     ``tile_block_rows`` forces a block size on every eligible chain.
+
+    ``stats.workspace_before`` is left at 0: the unoptimized arena belongs
+    to the plan, which has already packed it, so :func:`optimize_plan`
+    reads it off ``plan.memory_plan``; a static report that prints it packs
+    the baseline itself.
     """
     if sizer is None:
-        from repro.runtime.executor import EXEC_ITEMSIZE
-
-        lanes = 1 if batch_size is None else batch_size
-        sizer = lambda t: lanes * t.num_elements * EXEC_ITEMSIZE  # noqa: E731
+        sizer = arena_sizer(batch_size)
 
     nodes = program.nodes
     kinds = {n.index: step_kind(n.tensor) for n in nodes}
     stats = OptimizeStats(steps_before=len(nodes))
     stats.einsum_steps = sum(1 for k in kinds.values() if k == "einsum")
-    stats.workspace_before = plan_memory(
-        program, sizer=sizer, exclusive_writes=True
-    ).workspace_bytes
 
     # ---- pass 1: vertical step fusion -----------------------------------
     inline_into: Dict[int, int] = {}  # node index -> consumer node index
@@ -718,6 +724,9 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
         opt = plan_optimization(
             plan.program, sizer=plan._sizer, batch_size=plan.batch_size
         )
+    # The baseline is the plan's own unoptimized layout, packed (and
+    # validated) once when the plan was built.
+    opt.stats.workspace_before = plan.memory_plan.workspace_bytes
 
     base_steps = plan.steps  # indexed by original node index
 

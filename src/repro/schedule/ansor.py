@@ -37,7 +37,7 @@ from repro.schedule.schedule import (
 from repro.te.expr import Reduce
 from repro.te.patterns import count_arith_ops, match_matmul
 from repro.te.tensor import Tensor, dtype_bytes
-from repro.te.traversal import input_tensors
+from repro.te.traversal import tensor_inputs
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -206,7 +206,6 @@ class AnsorScheduler:
         tensor = node.tensor
         use_tc = tensor.dtype == "float16"
         bytes_el = dtype_bytes(tensor.dtype)
-        inputs = input_tensors(tensor.op.body)  # type: ignore[union-attr]
 
         best: Optional[TESchedule] = None
         best_time = math.inf
@@ -264,7 +263,7 @@ class AnsorScheduler:
             # Direct convolution reads each input element once per output
             # tile that covers it — NOT the im2col-expanded M*K footprint
             # (overlapping patches are served from shared memory).
-            inputs = input_tensors(node.tensor.op.body)  # type: ignore[union-attr]
+            inputs = tensor_inputs(node.tensor)
             sizes = sorted((t.size_bytes for t in inputs), reverse=True)
             lhs_bytes = float(sizes[0]) if sizes else 0.0
             rhs_bytes = float(sum(sizes[1:]))
@@ -310,7 +309,7 @@ class AnsorScheduler:
         for ax in tensor.op.body.axes:
             reduce_size *= ax.extent
         bytes_el = dtype_bytes(tensor.dtype)
-        inputs = input_tensors(tensor.op.body)
+        inputs = tensor_inputs(tensor)
         load_bytes = float(sum(t.size_bytes for t in inputs))
         flops = float(te_flops(tensor))
         threads = 256
@@ -361,7 +360,7 @@ class AnsorScheduler:
         assert tensor.op is not None
         elems = tensor.num_elements
         bytes_el = dtype_bytes(tensor.dtype)
-        inputs = input_tensors(tensor.op.body)
+        inputs = tensor_inputs(tensor)
         load_bytes = float(sum(t.size_bytes for t in inputs))
         arith = count_arith_ops(tensor.op.body)
         threads = 256

@@ -16,7 +16,7 @@ from repro.graph.te_program import TENode
 from repro.schedule.schedule import ScheduleStep, TESchedule
 from repro.te.patterns import count_arith_ops
 from repro.te.tensor import dtype_bytes
-from repro.te.traversal import input_tensors
+from repro.te.traversal import tensor_inputs
 
 
 def propagate_schedule(producer_sched: TESchedule, consumer: TENode) -> TESchedule:
@@ -32,7 +32,7 @@ def propagate_schedule(producer_sched: TESchedule, consumer: TENode) -> TESchedu
     producer_tensor = producer_sched.node.tensor
 
     extra_loads = 0.0
-    for read in input_tensors(tensor.op.body):
+    for read in tensor_inputs(tensor):
         if read is producer_tensor:
             continue  # arrives via shared memory / registers
         extra_loads += read.size_bytes
@@ -66,9 +66,7 @@ def inline_elementwise(consumer_sched: TESchedule, producer: TENode) -> TESchedu
     """
     producer_tensor = producer.tensor
     assert producer_tensor.op is not None
-    producer_inputs = sum(
-        t.size_bytes for t in input_tensors(producer_tensor.op.body)
-    )
+    producer_inputs = sum(t.size_bytes for t in tensor_inputs(producer_tensor))
     load_bytes = (
         consumer_sched.load_bytes - producer_tensor.size_bytes + producer_inputs
     )

@@ -31,7 +31,6 @@ from repro.schedule.ansor import (
 from repro.schedule.schedule import CONV, MATMUL, ScheduleStep, TESchedule
 from repro.te.expr import Reduce
 from repro.te.tensor import dtype_bytes
-from repro.te.traversal import input_tensors
 
 # Native alignment units: a tensor-core fragment is 16x16x16; a 128-byte
 # memory transaction holds 64 halves / 32 floats.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.te.tensor import Tensor
-from repro.te.traversal import input_tensors
+from repro.te.traversal import tensor_inputs
 
 
 def format_tensor(tensor: Tensor) -> str:
@@ -29,5 +29,5 @@ def describe_dependencies(tensor: Tensor) -> str:
     """Summarise which tensors a compute tensor reads."""
     if tensor.op is None:
         return f"{tensor.name}: (input)"
-    names = ", ".join(t.name for t in input_tensors(tensor.op.body))
+    names = ", ".join(t.name for t in tensor_inputs(tensor))
     return f"{tensor.name} <- [{names}]"

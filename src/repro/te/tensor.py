@@ -65,12 +65,14 @@ def dtype_bytes(dtype: str) -> int:
         raise TEError(f"unknown dtype {dtype!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComputeOp:
     """The defining computation of a non-placeholder tensor.
 
     ``axes`` are the spatial iteration variables (one per output dim);
-    ``body`` is the scalar expression computing one output element.
+    ``body`` is the scalar expression computing one output element. An op
+    is immutable: passes that keep per-tensor results (read sets,
+    contraction lowerings) key them by the op's identity.
     """
 
     axes: Tuple[IterVar, ...]

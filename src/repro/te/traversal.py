@@ -53,7 +53,11 @@ def collect_reads(expr: Expr) -> List[TensorRead]:
 
 
 def input_tensors(expr: Expr) -> List[Tensor]:
-    """Distinct tensors read by an expression, in first-read order."""
+    """Distinct tensors read by an expression, in first-read order.
+
+    For a tensor's own body use :func:`tensor_inputs`, which collects the
+    reads once per body.
+    """
     seen: Set[int] = set()
     out: List[Tensor] = []
     for read in collect_reads(expr):
@@ -61,6 +65,25 @@ def input_tensors(expr: Expr) -> List[Tensor]:
             seen.add(id(read.tensor))
             out.append(read.tensor)  # type: ignore[arg-type]
     return out
+
+
+def tensor_inputs(tensor: Tensor) -> Tuple[Tensor, ...]:
+    """Distinct tensors a compute tensor's body reads, in first-read order
+    (``()`` for a placeholder).
+
+    The reads of a body are collected once: the result is kept on the
+    tensor, keyed by its op (a horizontal merge assigns ``op`` after
+    creating the tensor; a :class:`ComputeOp` never changes its body), so
+    every pass shares one walk and the memo dies with the tensor.
+    """
+    op = tensor.op
+    if op is None:
+        return ()
+    memo = getattr(tensor, "_inputs", None)
+    if memo is None or memo[0] is not op:
+        memo = (op, tuple(input_tensors(op.body)))
+        tensor._inputs = memo
+    return memo[1]
 
 
 def free_vars(expr: Expr) -> Set[str]:

@@ -12,7 +12,7 @@ branches must share the reduction signature, producing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dependence import independent, reachability_masks
 from repro.analysis.reuse import find_reuse
@@ -161,7 +161,9 @@ class _MergeGroup:
     name: str
 
 
-def _apply_merges(program: TEProgram, merges: List[_MergeGroup]) -> TEProgram:
+def _apply_merges(
+    program: TEProgram, merges: List[_MergeGroup], caller_tensors: Set[int]
+) -> TEProgram:
     """Rebuild the program replacing every merge group by one TE each.
 
     Groups are disjoint and no member reads another selected group's member
@@ -169,6 +171,12 @@ def _apply_merges(program: TEProgram, merges: List[_MergeGroup]) -> TEProgram:
     up-front (so reads can redirect to it immediately) but its body is built
     lazily at the group's last member, from the members' *rewritten* bodies —
     replacements of upstream nodes thus propagate into the merged TE.
+
+    Only nodes reading a merged or replaced tensor are rewritten. A
+    rewritten tensor of the caller's program (``caller_tensors`` holds their
+    ids) is never edited: it is rebuilt and its readers are redirected to
+    the copy. One an earlier sweep built takes the new op in place, so its
+    readers stay untouched and each sweep costs what it changes.
     """
     merged_tensors: Dict[int, Tuple[Tensor, int, int]] = {}
     group_of_member: Dict[TENode, _MergeGroup] = {}
@@ -207,7 +215,13 @@ def _apply_merges(program: TEProgram, merges: List[_MergeGroup]) -> TEProgram:
     for node in program:
         old = node.tensor
         assert old.op is not None
-        body = replace_tensor_reads(old.op.body, redirect)
+        body = old.op.body
+        # Only a node reading a merged or replaced tensor changes; an
+        # untouched one keeps its tensor object (and its memoised reads).
+        if any(
+            id(t) in merged_tensors or id(t) in replaced for t in node.inputs
+        ):
+            body = replace_tensor_reads(body, redirect)
         merge = group_of_member.get(node)
         if merge is not None:
             bodies = pending_bodies[id(merge)]
@@ -221,19 +235,17 @@ def _apply_merges(program: TEProgram, merges: List[_MergeGroup]) -> TEProgram:
                     TENode(len(new_nodes), merged, node.op_name, node.op_type)
                 )
             continue
-        if body is old.op.body:
-            new_nodes.append(
-                TENode(len(new_nodes), old, node.op_name, node.op_type)
-            )
-            continue
-        new_tensor = Tensor(
-            old.shape, dtype=old.dtype, name=old.name,
-            op=ComputeOp(old.op.axes, body),
-        )
-        replaced[id(old)] = new_tensor
-        new_nodes.append(
-            TENode(len(new_nodes), new_tensor, node.op_name, node.op_type)
-        )
+        if body is not old.op.body:
+            op = ComputeOp(old.op.axes, body)
+            if id(old) in caller_tensors:
+                new_tensor = Tensor(
+                    old.shape, dtype=old.dtype, name=old.name, op=op
+                )
+                replaced[id(old)] = new_tensor
+                old = new_tensor
+            else:
+                old.op = op
+        new_nodes.append(TENode(len(new_nodes), old, node.op_name, node.op_type))
 
     outputs = [replaced.get(id(out), out) for out in program.outputs]
     return rebuild(program, new_nodes, outputs)
@@ -285,7 +297,6 @@ def _find_groups(
         reads_selected = any(
             id(t) in member_tensor_ids for m in members for t in m.inputs
         )
-        produces_read_by_selected = False  # disjointness via `used` below
         if reads_selected:
             continue
         members.sort(key=lambda n: n.index)
@@ -313,6 +324,7 @@ def horizontal_transform(
     """
     report = HorizontalReport()
     serial = 0
+    caller_tensors = {id(node.tensor) for node in program}
     while True:
         merges = _find_groups(program, groups, max_branches, serial)
         if not merges:
@@ -320,4 +332,4 @@ def horizontal_transform(
         serial += len(merges)
         for merge in merges:
             report.merged.append((merge.name, [m.name for m in merge.members]))
-        program = _apply_merges(program, merges)
+        program = _apply_merges(program, merges, caller_tensors)

@@ -11,7 +11,7 @@ bodies small and their dependence analysis precise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.te.expr import (
     BinOp,
@@ -62,42 +62,7 @@ def ranges_for_tensor(tensor: Tensor) -> VarRanges:
 
 def infer_interval(expr: Expr, ranges: VarRanges) -> Optional[Interval]:
     """Best-effort value interval of an integer expression, or ``None``."""
-    if isinstance(expr, Const):
-        if isinstance(expr.value, bool) or not isinstance(expr.value, (int, float)):
-            return None
-        if isinstance(expr.value, float) and not expr.value.is_integer():
-            return None
-        v = int(expr.value)
-        return Interval(v, v)
-    if isinstance(expr, Var):
-        return ranges.get(expr.name)
-    if isinstance(expr, BinOp):
-        lhs = infer_interval(expr.lhs, ranges)
-        rhs = infer_interval(expr.rhs, ranges)
-        if lhs is None or rhs is None:
-            return None
-        if expr.op == "add":
-            return Interval(lhs.lo + rhs.lo, lhs.hi + rhs.hi)
-        if expr.op == "sub":
-            return Interval(lhs.lo - rhs.hi, lhs.hi - rhs.lo)
-        if expr.op == "mul":
-            corners = [
-                lhs.lo * rhs.lo, lhs.lo * rhs.hi, lhs.hi * rhs.lo, lhs.hi * rhs.hi
-            ]
-            return Interval(min(corners), max(corners))
-        if expr.op == "floordiv" and rhs.lo == rhs.hi and rhs.lo > 0:
-            return Interval(lhs.lo // rhs.lo, lhs.hi // rhs.lo)
-        if expr.op == "mod" and rhs.lo == rhs.hi and rhs.lo > 0:
-            if lhs.lo >= 0 and lhs.hi < rhs.lo:
-                return Interval(lhs.lo, lhs.hi)
-            if lhs.lo >= 0:
-                return Interval(0, rhs.lo - 1)
-            return None
-        if expr.op == "max":
-            return Interval(max(lhs.lo, rhs.lo), max(lhs.hi, rhs.hi))
-        if expr.op == "min":
-            return Interval(min(lhs.lo, rhs.lo), min(lhs.hi, rhs.hi))
-    return None
+    return Simplifier(ranges).interval(expr)
 
 
 def _as_const(expr: Expr) -> Optional[float]:
@@ -162,7 +127,7 @@ def _rebuild_linear(terms: Dict[Expr, int], const: int) -> Expr:
 
 
 def _split_by_divisor(
-    expr: Expr, divisor: int, ranges: VarRanges
+    expr: Expr, divisor: int, interval_of: Callable[[Expr], Optional[Interval]]
 ) -> Optional[Tuple[Expr, Expr]]:
     """Split ``expr = q*divisor + r`` with ``r`` provably in [0, divisor).
 
@@ -184,45 +149,130 @@ def _split_by_divisor(
         r_const = const
         q_const = 0
     remainder = _rebuild_linear(r_terms, r_const)
-    interval = infer_interval(remainder, ranges)
+    interval = interval_of(remainder)
     if interval is None or not interval.within(0, divisor - 1):
         return None
     quotient = _rebuild_linear(q_terms, q_const)
     return quotient, remainder
 
 
+_UNSEEN = object()
+
+
 class Simplifier:
-    """Bottom-up simplification with a variable-range context."""
+    """Bottom-up simplification with a variable-range context.
+
+    Simplified forms and value intervals are memoised by node identity for
+    the simplifier's lifetime (one :func:`simplify_expr` call). Expression
+    nodes are immutable, and substitution puts one index object at every
+    occurrence of a variable, so a shared subtree is simplified once and
+    an interval query at an ancestor reuses its children's intervals.
+    """
 
     def __init__(self, ranges: VarRanges) -> None:
         self.ranges = ranges
+        self._simplified: Dict[int, Expr] = {}
+        self._intervals: Dict[int, Optional[Interval]] = {}
+        # Every memo key's node: holding it keeps its id unique while the
+        # memo lives.
+        self._alive: List[Expr] = []
 
     def simplify(self, expr: Expr) -> Expr:
+        if isinstance(expr, (Const, Var)):
+            return expr
+        result = self._simplified.get(id(expr))
+        if result is None:
+            result = self._simplify(expr)
+            self._simplified[id(expr)] = result
+            self._alive.append(expr)
+        return result
+
+    def _simplify(self, expr: Expr) -> Expr:
+        # A node whose children all come back unchanged is kept as is.
         if isinstance(expr, BinOp):
-            return self._binop(
-                BinOp(expr.op, self.simplify(expr.lhs), self.simplify(expr.rhs))
-            )
+            lhs, rhs = self.simplify(expr.lhs), self.simplify(expr.rhs)
+            if lhs is not expr.lhs or rhs is not expr.rhs:
+                expr = BinOp(expr.op, lhs, rhs)
+            return self._binop(expr)
         if isinstance(expr, Cmp):
-            return self._cmp(
-                Cmp(expr.op, self.simplify(expr.lhs), self.simplify(expr.rhs))
-            )
+            lhs, rhs = self.simplify(expr.lhs), self.simplify(expr.rhs)
+            if lhs is not expr.lhs or rhs is not expr.rhs:
+                expr = Cmp(expr.op, lhs, rhs)
+            return self._cmp(expr)
         if isinstance(expr, Call):
-            return Call(expr.func, tuple(self.simplify(a) for a in expr.args))
+            args = tuple(self.simplify(a) for a in expr.args)
+            if any(a is not b for a, b in zip(args, expr.args)):
+                expr = Call(expr.func, args)
+            return expr
         if isinstance(expr, TensorRead):
-            return TensorRead(
-                expr.tensor, tuple(self.simplify(i) for i in expr.indices)
-            )
+            indices = tuple(self.simplify(i) for i in expr.indices)
+            if any(a is not b for a, b in zip(indices, expr.indices)):
+                expr = TensorRead(expr.tensor, indices)
+            return expr
         if isinstance(expr, Reduce):
-            return Reduce(expr.kind, self.simplify(expr.body), expr.axes)
+            body = self.simplify(expr.body)
+            if body is not expr.body:
+                expr = Reduce(expr.kind, body, expr.axes)
+            return expr
         if isinstance(expr, IfThenElse):
-            return self._select(
-                IfThenElse(
-                    self.simplify(expr.cond),
-                    self.simplify(expr.then_value),
-                    self.simplify(expr.else_value),
-                )
-            )
+            cond = self.simplify(expr.cond)
+            then_value = self.simplify(expr.then_value)
+            else_value = self.simplify(expr.else_value)
+            if (cond is not expr.cond or then_value is not expr.then_value
+                    or else_value is not expr.else_value):
+                expr = IfThenElse(cond, then_value, else_value)
+            return self._select(expr)
         return expr
+
+    def interval(self, expr: Expr) -> Optional[Interval]:
+        """Best-effort value interval of an integer expression, or ``None``."""
+        if isinstance(expr, Var):
+            return self.ranges.get(expr.name)
+        result = self._intervals.get(id(expr), _UNSEEN)
+        if result is _UNSEEN:
+            result = self._interval(expr)
+            self._intervals[id(expr)] = result
+            self._alive.append(expr)
+        return result
+
+    def _interval(self, expr: Expr) -> Optional[Interval]:
+        if isinstance(expr, Const):
+            if isinstance(expr.value, bool) or not isinstance(
+                expr.value, (int, float)
+            ):
+                return None
+            if isinstance(expr.value, float) and not expr.value.is_integer():
+                return None
+            v = int(expr.value)
+            return Interval(v, v)
+        if isinstance(expr, BinOp):
+            lhs = self.interval(expr.lhs)
+            rhs = self.interval(expr.rhs)
+            if lhs is None or rhs is None:
+                return None
+            if expr.op == "add":
+                return Interval(lhs.lo + rhs.lo, lhs.hi + rhs.hi)
+            if expr.op == "sub":
+                return Interval(lhs.lo - rhs.hi, lhs.hi - rhs.lo)
+            if expr.op == "mul":
+                corners = [
+                    lhs.lo * rhs.lo, lhs.lo * rhs.hi,
+                    lhs.hi * rhs.lo, lhs.hi * rhs.hi,
+                ]
+                return Interval(min(corners), max(corners))
+            if expr.op == "floordiv" and rhs.lo == rhs.hi and rhs.lo > 0:
+                return Interval(lhs.lo // rhs.lo, lhs.hi // rhs.lo)
+            if expr.op == "mod" and rhs.lo == rhs.hi and rhs.lo > 0:
+                if lhs.lo >= 0 and lhs.hi < rhs.lo:
+                    return Interval(lhs.lo, lhs.hi)
+                if lhs.lo >= 0:
+                    return Interval(0, rhs.lo - 1)
+                return None
+            if expr.op == "max":
+                return Interval(max(lhs.lo, rhs.lo), max(lhs.hi, rhs.hi))
+            if expr.op == "min":
+                return Interval(min(lhs.lo, rhs.lo), min(lhs.hi, rhs.hi))
+        return None
 
     # ---- node rules -------------------------------------------------------
 
@@ -253,22 +303,22 @@ class Simplifier:
             if rc == 1:
                 return expr.lhs
             if isinstance(rc, int) and rc > 1:
-                split = _split_by_divisor(expr.lhs, rc, self.ranges)
+                split = _split_by_divisor(expr.lhs, rc, self.interval)
                 if split is not None:
                     return self.simplify(split[0])
         elif expr.op == "mod":
             # Only an integer-valued lhs is 0 mod 1; data values keep
             # their fractional part.
             if (isinstance(rc, int) and rc == 1
-                    and infer_interval(expr.lhs, self.ranges) is not None):
+                    and self.interval(expr.lhs) is not None):
                 return Const(0, "int32")
             if isinstance(rc, int) and rc > 1:
-                split = _split_by_divisor(expr.lhs, rc, self.ranges)
+                split = _split_by_divisor(expr.lhs, rc, self.interval)
                 if split is not None:
                     return self.simplify(split[1])
         elif expr.op in ("max", "min"):
-            li = infer_interval(expr.lhs, self.ranges)
-            ri = infer_interval(expr.rhs, self.ranges)
+            li = self.interval(expr.lhs)
+            ri = self.interval(expr.rhs)
             if li is not None and ri is not None:
                 if expr.op == "max":
                     if li.lo >= ri.hi:
@@ -307,8 +357,8 @@ class Simplifier:
         raise AssertionError(op)
 
     def _cmp(self, expr: Cmp) -> Expr:
-        li = infer_interval(expr.lhs, self.ranges)
-        ri = infer_interval(expr.rhs, self.ranges)
+        li = self.interval(expr.lhs)
+        ri = self.interval(expr.rhs)
         if li is not None and ri is not None:
             checks = {
                 "lt": (li.hi < ri.lo, li.lo >= ri.hi),

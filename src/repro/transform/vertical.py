@@ -23,17 +23,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.te_program import TENode, TEProgram
-from repro.te.expr import Expr, Reduce, TensorRead
+from repro.te.expr import Expr, IterVar, Reduce, TensorRead
 from repro.te.patterns import count_arith_ops
 from repro.te.tensor import ComputeOp, Tensor
-from repro.te.traversal import (
-    contains_reduce,
-    count_nodes,
-    free_vars,
-    replace_tensor_reads,
-    substitute_vars,
-    walk,
-)
+from repro.te.traversal import replace_tensor_reads, substitute_vars, walk
 from repro.transform.common import rebuild
 from repro.transform.simplify import Interval, simplify_expr
 
@@ -82,15 +75,33 @@ def _is_index_remap_only(body: Expr) -> bool:
     return count_arith_ops(body, include_index_math=False) == 0
 
 
-def _ranges_for(node_axes, body: Expr) -> Dict[str, Interval]:
-    ranges = {
-        ax.name: Interval(ax.dom.lo, ax.dom.hi - 1) for ax in node_axes
-    }
+def _interval(ax: IterVar) -> Interval:
+    return Interval(ax.dom.lo, ax.dom.hi - 1)
+
+
+def _summarise(body: Expr) -> Tuple[int, Dict[str, Interval]]:
+    """Node count and reduce-axis intervals of a body, in one walk."""
+    count = 0
+    reduces: Dict[str, Interval] = {}
     for sub in walk(body):
+        count += 1
         if isinstance(sub, Reduce):
             for ax in sub.axes:
-                ranges[ax.name] = Interval(ax.dom.lo, ax.dom.hi - 1)
-    return ranges
+                reduces[ax.name] = _interval(ax)
+    return count, reduces
+
+
+@dataclass(frozen=True)
+class _Inlined:
+    """A rewritten TE body waiting to be substituted into its consumer."""
+
+    axes: tuple
+    body: Expr
+    # Intervals of the reduce axes inside ``body``; empty for an
+    # elementwise body.
+    reduces: Dict[str, Interval]
+    # (op_name, op_type) a memory-op consumer adopts with a reduction.
+    identity: Tuple[str, str]
 
 
 def vertical_transform(
@@ -113,10 +124,8 @@ def vertical_transform(
 
     # old tensor -> rebuilt tensor (kept nodes)
     kept: Dict[int, Tensor] = {}
-    # old tensor -> (axes, rewritten body) available for substitution
-    inline_def: Dict[int, Tuple[tuple, Expr]] = {}
-    # name of node whose op identity a memory-op consumer should adopt
-    adopted_identity: Dict[int, Tuple[str, str]] = {}
+    # old tensor -> rewritten body available for substitution
+    inline_def: Dict[int, _Inlined] = {}
 
     new_nodes: List[TENode] = []
     for node in program:
@@ -124,24 +133,36 @@ def vertical_transform(
         assert old.op is not None
         original_body = old.op.body
         adopted: Optional[Tuple[str, str]] = None
+        # Variable intervals of the rewritten body: the TE's own axes, the
+        # reduce axes of its body and those each inlined body brings in
+        # (reduce-axis names are unique per TE, and substitution keeps
+        # them), so the rewritten body is never walked for them.
+        ranges = {ax.name: _interval(ax) for ax in old.op.axes}
+        ranges.update(_summarise(original_body)[1])
 
         def redirect(read: TensorRead) -> Optional[Expr]:
             nonlocal adopted
             target = read.tensor
             definition = inline_def.get(id(target))
             if definition is not None:
-                axes, body = definition
-                mapping = {ax.name: idx for ax, idx in zip(axes, read.indices)}
-                if contains_reduce(body):
-                    adopted = adopted_identity.get(id(target))
-                return substitute_vars(body, mapping)
+                mapping = {
+                    ax.name: idx
+                    for ax, idx in zip(definition.axes, read.indices)
+                }
+                if definition.reduces:
+                    adopted = definition.identity
+                    ranges.update(definition.reduces)
+                return substitute_vars(definition.body, mapping)
             replacement = kept.get(id(target))
             if replacement is not None and replacement is not target:
                 return TensorRead(replacement, read.indices)
             return None
 
         body = replace_tensor_reads(original_body, redirect)
-        body = simplify_expr(body, _ranges_for(old.op.axes, body))
+        # Each inlined body had this node as its one consumer: let it go.
+        for tensor in node.inputs:
+            inline_def.pop(id(tensor), None)
+        body = simplify_expr(body, ranges)
 
         # Decide whether this (rewritten) TE should be inlined downstream.
         single_consumer = consumer_count.get(id(old), 0) == 1
@@ -150,15 +171,15 @@ def vertical_transform(
             consumer = consumer_of[id(old)]
             same_group = groups.get(node) == groups.get(consumer)
         inlinable = (
-            single_consumer
-            and same_group
-            and not program.is_output(old)
-            and count_nodes(body) <= max_body_nodes
+            single_consumer and same_group and not program.is_output(old)
         )
+        if inlinable:
+            size, reduces = _summarise(body)
+            inlinable = size <= max_body_nodes
         if inlinable:
             consumer = consumer_of[id(old)]
             assert consumer.tensor.op is not None
-            if not contains_reduce(body):
+            if not reduces:
                 # Elementwise producer: inlinable unless inlining would
                 # recompute each element many times (arithmetic body read
                 # repeatedly under a consumer's reduction axis). Pure index
@@ -170,9 +191,10 @@ def vertical_transform(
                 inlinable = _is_pure_memory_body(consumer.tensor.op.body, old)
 
         if inlinable:
-            inline_def[id(old)] = (old.op.axes, body)
-            identity = adopted or (node.op_name, node.op_type)
-            adopted_identity[id(old)] = identity
+            inline_def[id(old)] = _Inlined(
+                old.op.axes, body, reduces,
+                adopted or (node.op_name, node.op_type),
+            )
             report.inlined.append(
                 (node.name, consumer_of[id(old)].name)
             )

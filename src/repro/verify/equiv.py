@@ -504,83 +504,102 @@ def _prune_selects(expr: Expr, ranges: Mapping[str, Interval]) -> Expr:
     memoised postorder scan up front), so the rebuild + bounds cost is
     paid only along fold-bearing paths.
     """
-    return _prune(expr, ranges, {})
+    return _Pruner({}).prune(expr, ranges)
 
 
-def _has_folds(expr: Expr, memo: Dict[int, bool]) -> bool:
-    cached = memo.get(id(expr))
-    if cached is not None:
-        return cached
-    if isinstance(expr, (IfThenElse, Cmp)):
-        result = True
-    elif isinstance(expr, BinOp):
-        result = (
-            expr.op in _FOLD_OPS
-            or _has_folds(expr.lhs, memo)
-            or _has_folds(expr.rhs, memo)
-        )
-    elif isinstance(expr, Call):
-        result = any(_has_folds(a, memo) for a in expr.args)
-    elif isinstance(expr, TensorRead):
-        result = any(_has_folds(i, memo) for i in expr.indices)
-    elif isinstance(expr, Reduce):
-        result = _has_folds(expr.body, memo)
-    else:
-        result = False
-    memo[id(expr)] = result
-    return result
+class _Pruner:
+    """:func:`_prune_selects` of ``substitute_vars(expr, mapping)``.
 
+    Substitution happens as the prune goes, so a branch the prune drops is
+    never copied: an inline site that keeps one branch of a producer's
+    concat-select chain pays for that branch alone. ``has_folds`` is
+    memoised per (substituted) subtree for the pruner's lifetime.
+    """
 
-def _prune(
-    expr: Expr, ranges: Mapping[str, Interval], memo: Dict[int, bool]
-) -> Expr:
-    if not _has_folds(expr, memo):
+    def __init__(self, mapping: Mapping[str, Expr]) -> None:
+        self.mapping = mapping
+        # Substituted indices are consumer expressions: nothing in them is
+        # substituted again, so they get a pruner (and a memo) of their own.
+        self._index = _Pruner({}) if mapping else self
+        self._folds: Dict[int, bool] = {}
+
+    def has_folds(self, expr: Expr) -> bool:
+        cached = self._folds.get(id(expr))
+        if cached is not None:
+            return cached
+        if isinstance(expr, (IfThenElse, Cmp)):
+            result = True
+        elif isinstance(expr, BinOp):
+            result = (
+                expr.op in _FOLD_OPS
+                or self.has_folds(expr.lhs)
+                or self.has_folds(expr.rhs)
+            )
+        elif isinstance(expr, Call):
+            result = any(self.has_folds(a) for a in expr.args)
+        elif isinstance(expr, TensorRead):
+            result = any(self.has_folds(i) for i in expr.indices)
+        elif isinstance(expr, Reduce):
+            result = self.has_folds(expr.body)
+        elif isinstance(expr, Var) and expr.name in self.mapping:
+            result = self._index.has_folds(self.mapping[expr.name])
+        else:
+            result = False
+        self._folds[id(expr)] = result
+        return result
+
+    def prune(self, expr: Expr, ranges: Mapping[str, Interval]) -> Expr:
+        if not self.has_folds(expr):
+            return substitute_vars(expr, self.mapping) if self.mapping else expr
+        if isinstance(expr, Var):
+            return self._index.prune(self.mapping[expr.name], ranges)
+        if isinstance(expr, IfThenElse):
+            cond = self.prune(expr.cond, ranges)
+            verdict = (
+                _decide_cmp(cond, ranges) if isinstance(cond, Cmp) else None
+            )
+            if verdict is True:
+                return self.prune(expr.then_value, ranges)
+            if verdict is False:
+                return self.prune(expr.else_value, ranges)
+            return IfThenElse(
+                cond,
+                self.prune(expr.then_value, ranges),
+                self.prune(expr.else_value, ranges),
+            )
+        if isinstance(expr, Reduce):
+            inner = dict(ranges)
+            for ax in expr.axes:
+                inner[ax.name] = Interval(ax.dom.lo, ax.dom.hi - 1)
+            return Reduce(expr.kind, self.prune(expr.body, inner), expr.axes)
+        if isinstance(expr, BinOp):
+            lhs = self.prune(expr.lhs, ranges)
+            rhs = self.prune(expr.rhs, ranges)
+            if expr.op in ("min", "max"):
+                bounds = _affine_bounds(BinOp("sub", lhs, rhs), ranges)
+                if bounds is not None:
+                    lo, hi = bounds
+                    if hi <= 0:
+                        return lhs if expr.op == "min" else rhs
+                    if lo >= 0:
+                        return rhs if expr.op == "min" else lhs
+            return BinOp(expr.op, lhs, rhs)
+        if isinstance(expr, Cmp):
+            return Cmp(
+                expr.op,
+                self.prune(expr.lhs, ranges),
+                self.prune(expr.rhs, ranges),
+            )
+        if isinstance(expr, Call):
+            return Call(
+                expr.func, tuple(self.prune(a, ranges) for a in expr.args)
+            )
+        if isinstance(expr, TensorRead):
+            return TensorRead(
+                expr.tensor,
+                tuple(self.prune(i, ranges) for i in expr.indices),
+            )
         return expr
-    if isinstance(expr, IfThenElse):
-        cond = _prune(expr.cond, ranges, memo)
-        verdict = _decide_cmp(cond, ranges) if isinstance(cond, Cmp) else None
-        if verdict is True:
-            return _prune(expr.then_value, ranges, memo)
-        if verdict is False:
-            return _prune(expr.else_value, ranges, memo)
-        return IfThenElse(
-            cond,
-            _prune(expr.then_value, ranges, memo),
-            _prune(expr.else_value, ranges, memo),
-        )
-    if isinstance(expr, Reduce):
-        inner = dict(ranges)
-        for ax in expr.axes:
-            inner[ax.name] = Interval(ax.dom.lo, ax.dom.hi - 1)
-        return Reduce(expr.kind, _prune(expr.body, inner, memo), expr.axes)
-    if isinstance(expr, BinOp):
-        lhs = _prune(expr.lhs, ranges, memo)
-        rhs = _prune(expr.rhs, ranges, memo)
-        if expr.op in ("min", "max"):
-            bounds = _affine_bounds(BinOp("sub", lhs, rhs), ranges)
-            if bounds is not None:
-                lo, hi = bounds
-                if hi <= 0:
-                    return lhs if expr.op == "min" else rhs
-                if lo >= 0:
-                    return rhs if expr.op == "min" else lhs
-        return BinOp(expr.op, lhs, rhs)
-    if isinstance(expr, Cmp):
-        return Cmp(
-            expr.op,
-            _prune(expr.lhs, ranges, memo),
-            _prune(expr.rhs, ranges, memo),
-        )
-    if isinstance(expr, Call):
-        return Call(
-            expr.func, tuple(_prune(a, ranges, memo) for a in expr.args)
-        )
-    if isinstance(expr, TensorRead):
-        return TensorRead(
-            expr.tensor,
-            tuple(_prune(i, ranges, memo) for i in expr.indices),
-        )
-    return expr
 
 
 class _ClosureBuilder:
@@ -650,21 +669,24 @@ class _ClosureBuilder:
                     ax.name: idx
                     for ax, idx in zip(target.op.axes, read.indices)
                 }
-                inner = substitute_vars(renamed, mapping)
                 # Fold at the inline site (clamped indices land inside the
                 # producer body during substitution, making its concat-
                 # selects decidable); folding here, with only the inlined
                 # subtree in hand, keeps cost proportional to the subtree
                 # and stops 3-way select chains costing 3^depth copies.
-                # The site ranges are the sweep body's ranges plus the
-                # producer's own (cached) reduce ranges — the substituted
-                # index expressions are subtrees of the sweep body, so
-                # their reduce variables are already covered.
+                # The pruner substitutes as it folds, so a branch the fold
+                # drops is never copied. The site ranges are the sweep
+                # body's ranges plus the producer's own (cached) reduce
+                # ranges — the substituted index expressions are subtrees
+                # of the sweep body, so their reduce variables are
+                # already covered.
+                pruner = _Pruner(mapping)
+                if not pruner.has_folds(renamed):
+                    return substitute_vars(renamed, mapping)
+                site = {**ranges, **reduce_ranges}
+                inner = pruner.prune(renamed, site)
                 if _foldable(inner):
-                    site = {**ranges, **reduce_ranges}
-                    inner = _prune_selects(inner, site)
-                    if _foldable(inner):
-                        inner = simplify_expr(inner, site)
+                    inner = simplify_expr(inner, site)
                 return inner
 
             body = replace_tensor_reads(body, visit)

@@ -358,10 +358,12 @@ def test_each_sum_reduction_is_recognised_once(monkeypatch):
     from repro.verify import certify_plan
 
     recognised = Counter()
+    alive = []  # holds every counted op, so no id is reused across models
     real = patterns._lower_contraction
 
     def counting(op, shape):
         recognised[id(op)] += 1
+        alive.append(op)
         return real(op, shape)
 
     monkeypatch.setattr(patterns, "_lower_contraction", counting)

@@ -439,6 +439,35 @@ class TestStats:
         assert "->" in stats.summary()
         assert "arena workspace" in stats.render()
 
+    @pytest.mark.parametrize("name", sorted(TINY_MODELS))
+    def test_served_build_packs_the_unoptimized_arena_once(
+        self, name, monkeypatch
+    ):
+        import sys
+
+        from repro.runtime import memory_planner
+
+        calls = []
+        original = memory_planner.plan_memory
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "plan_memory", None) is original:
+                monkeypatch.setattr(module, "plan_memory", counted)
+        program = lower_graph(TINY_MODELS[name]())
+        plan = ExecutionPlan(program, optimize=True)
+        assert calls == [program.name]
+        # The reported baseline is the layout the plan packed.
+        baseline = ExecutionPlan(program, optimize=False)
+        assert (plan.optimization.stats.workspace_before
+                == baseline.memory_plan.workspace_bytes)
+        calls.clear()
+        BatchedExecutionPlan(program, batch_size=4, optimize=True)
+        assert calls == [program.name]
+
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()
         assert "optimized" in repr(ExecutionPlan(program, optimize=True))
