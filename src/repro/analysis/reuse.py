@@ -17,7 +17,7 @@ Two flavours, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dependence import independent, reachability_masks
 from repro.graph.te_program import TENode, TEProgram
@@ -58,15 +58,19 @@ class ReuseAnalysis:
         return [opp.tensor for opp in self.spatial]
 
 
-def find_reuse(program: TEProgram) -> ReuseAnalysis:
+def find_reuse(
+    program: TEProgram, masks: Optional[Dict[TENode, int]] = None
+) -> ReuseAnalysis:
     """Classify every multiply-consumed tensor as spatial or temporal reuse.
 
     A shared tensor whose consumers are pairwise independent is a spatial
     reuse opportunity; if any pair of consumers is dependent the tensor is a
     temporal reuse opportunity (its value stays live across dependent TEs and
-    is worth caching on-chip).
+    is worth caching on-chip). ``masks`` is the program's
+    :func:`reachability_masks`, computed here when not given.
     """
-    masks = reachability_masks(program)
+    if masks is None:
+        masks = reachability_masks(program)
     analysis = ReuseAnalysis()
     for tensor in program.tensors:
         consumers = program.consumers(tensor)

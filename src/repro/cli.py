@@ -440,33 +440,17 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
                 f"{sorted(TINY_MODELS)} (or use --scale paper)"
             )
         graph = get_model(args.model, scale="tiny")
-        program = lower_graph(graph)
-        # Tiny models build the real optimized plan, so the report includes
-        # the per-step matmul-specialization counts (decided at plan time
-        # by the differential bit-identity gate).
-        from repro.runtime.executor import (
-            BatchedExecutionPlan,
-            ExecutionPlan,
-        )
-
-        plan = (
-            BatchedExecutionPlan(program, batch, optimize=True)
-            if batch is not None
-            else ExecutionPlan(program, optimize=True)
-        )
-        optimization = plan.optimization
     else:
-        # Paper-scale plans are not built here (a paper-scale replay takes
-        # seconds); the static planner still reports fusion/elision and
-        # the repacked arena.
         graph = _resolve_model(args.model)
-        program = lower_graph(graph)
-        optimization = plan_optimization(program, batch_size=batch)
-        # No plan packs the unoptimized arena here, so pack it for the
-        # report.
-        optimization.stats.workspace_before = plan_memory(
-            program, sizer=arena_sizer(batch), exclusive_writes=True
-        ).workspace_bytes
+    # The static planner decides every optimized plan, so its report is
+    # the served plan's without building one (a paper-scale replay takes
+    # seconds). No plan packs the unoptimized arena here, so pack it for
+    # the report.
+    program = lower_graph(graph)
+    optimization = plan_optimization(program, batch_size=batch)
+    optimization.stats.workspace_before = plan_memory(
+        program, sizer=arena_sizer(batch), exclusive_writes=True
+    ).workspace_bytes
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())
@@ -617,9 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
-                   help="tiny builds the real optimized plan (includes "
-                        "matmul specialization); paper reports the static "
-                        "planner only (default tiny)")
+                   help="model scale; both report the static planner's "
+                        "decisions, which every served plan follows "
+                        "(default tiny)")
     p.add_argument("--batch", type=int, default=0,
                    help="optimize the batched plan at this batch size "
                         "(0 = unbatched)")

@@ -2,18 +2,17 @@
 
 The interpretive :class:`~repro.te.evaluator.Evaluator` re-walks every
 expression tree on every call — rebuilding iteration-variable grids,
-re-evaluating index arithmetic, re-matching matmul patterns and allocating
-every intermediate from scratch. None of that depends on the request: tensor
-shapes, index maps, broadcast grids and operator dispatch are all fixed at
-compile time. :class:`ExecutionPlan` therefore lowers the program *once*
-into a topologically-ordered list of specialized step closures:
+re-evaluating index arithmetic and allocating every intermediate from
+scratch. None of that depends on the request: tensor shapes, index maps,
+broadcast grids and operator dispatch are all fixed at compile time.
+:class:`ExecutionPlan` therefore lowers the program *once* into a
+topologically-ordered list of specialized step closures:
 
-* matmul-shaped contractions become a pinned ``np.einsum`` call with the
-  contraction string resolved at plan time;
-* every other sum over a product of tensor reads becomes the contraction
-  :func:`~repro.te.patterns.match_contraction` lowers it to: einsum-style
-  calls over zero-copy strided views, one per output piece, with the view
-  geometry fixed at plan time (the ``Evaluator`` makes the same calls);
+* every sum over a product of tensor reads, GEMMs included, runs the
+  contraction :func:`~repro.te.patterns.match_contraction` lowers it to:
+  one ``np.matmul``, batched-matmul or ``np.einsum`` call per output piece
+  over zero-copy views, the kernel chosen by shape and the view geometry
+  fixed at plan time (the ``Evaluator`` runs the same object);
 * elementwise/reduction TEs have their bodies compiled bottom-up — binop,
   comparison and intrinsic dispatch resolved to concrete numpy callables,
   tensor reads resolved to identity views or precomputed integer gather
@@ -31,22 +30,23 @@ optimized or not, batched or not. Results are bit-identical to the
 paths run the same numpy kernels on the same float64 operands.
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
-batch axis so B concurrent requests replay the step list *once*: einsum
-contractions gain an ellipsis batch dimension (contraction path precomputed
-for the batched shapes), strided-view contractions run their unbatched
-call once per lane, elementwise/gather closures broadcast their
+batch axis so B concurrent requests replay the step list *once*: a matmul
+piece runs one ``np.matmul`` over the stacked lanes (it loops over leading
+axes outside each BLAS call), every other contraction piece runs its
+unbatched call once per lane, elementwise/gather closures broadcast their
 plan-time index grids over the batch, and the arena is sized for B lanes
 per intermediate. Lane ``i`` of a batched replay is bit-identical to an
-unbatched replay of request ``i`` — numpy's einsum and ufunc loops are
-batch-independent per output element — which the differential tests pin
-down across every paper model.
+unbatched replay of request ``i`` — every lane makes the unbatched BLAS
+call, and numpy's ufunc loops are batch-independent per output element —
+which the differential tests pin down across every served model.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.te_program import TEProgram
@@ -64,12 +64,9 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import (
-    contraction_path,
-    match_contraction,
-    match_matmul,
-)
+from repro.te.patterns import match_contraction
 from repro.te.tensor import Tensor
+from repro.te.traversal import tensor_inputs
 
 # The executor computes in float64 (like the Evaluator); arena buffers are
 # sized for that representation, not the tensor's declared storage dtype.
@@ -327,8 +324,8 @@ def compile_plan_step(
 ) -> PlanStep:
     """Lower one computed tensor to an executable :class:`PlanStep`.
 
-    The core of :meth:`ExecutionPlan._build_step`, callable outside a plan:
-    the tiling pass (:mod:`repro.runtime.tiling`) compiles cache-block
+    What :class:`ExecutionPlan` builds each step with, callable outside a
+    plan: the tiling pass (:mod:`repro.runtime.tiling`) compiles cache-block
     clones of chain members through this same path, so a block step runs
     exactly the numpy kernels per output row the untiled step would.
     ``key`` defaults to ``id(tensor)``.
@@ -339,48 +336,20 @@ def compile_plan_step(
     assert op is not None
     batched = batch_size is not None
 
-    pattern = match_matmul(tensor)
-    if pattern is not None:
-        lk, rk = id(pattern.lhs), id(pattern.rhs)
-        formula = pattern.einsum_formula
-        lhs_shape = tuple(pattern.lhs.shape)
-        rhs_shape = tuple(pattern.rhs.shape)
-        if batched:
-            formula = (
-                f"...{pattern.lhs_spec},...{pattern.rhs_spec}"
-                f"->...{pattern.out_spec}"
-            )
-            lhs_shape = _batched(lhs_shape, batch_size)
-            rhs_shape = _batched(rhs_shape, batch_size)
-        path = contraction_path(formula, lhs_shape, rhs_shape)
-
-        def run_einsum(
-            v: Values, formula=formula, lk=lk, rk=rk, key=key, path=path
-        ):
-            np.einsum(formula, v[lk], v[rk], out=v[key], optimize=path)
-
-        return PlanStep(index, tensor.name, "einsum", key, run_einsum)
-
     contraction = match_contraction(tensor)
     if contraction is not None:
         keys = tuple(id(t) for t in contraction.tensors)
-        run = contraction.run
-        if not batched:
+        fetch = (
+            itemgetter(*keys) if len(keys) > 1
+            else lambda v, k=keys[0]: (v[k],)
+        )
+        run = (
+            contraction.run if batch_size is None
+            else contraction.batched(batch_size)
+        )
 
-            def run_contraction(v: Values, keys=keys, key=key, run=run):
-                run([v[k] for k in keys], v[key])
-
-        else:
-            # One unbatched contraction per lane: lane i runs exactly the
-            # call an unbatched replay of request i makes.
-            def run_contraction(
-                v: Values, keys=keys, key=key, run=run,
-                lanes=range(batch_size),
-            ):
-                arrays = [v[k] for k in keys]
-                out = v[key]
-                for lane in lanes:
-                    run([a[lane] for a in arrays], out[lane])
+        def run_contraction(v: Values, fetch=fetch, key=key, run=run):
+            run(fetch(v), v[key])
 
         return PlanStep(index, tensor.name, "einsum", key, run_contraction)
 
@@ -496,9 +465,17 @@ class ExecutionPlan:
         self._inputs_by_id: Dict[int, Tensor] = {
             id(t): t for t in program.inputs
         }
-        self._used_input_ids: set = set()
+        # The placeholders the program reads; a request must feed each.
+        self._used_input_ids = {
+            id(t) for node in program.nodes
+            for t in tensor_inputs(node.tensor)
+        } & self._inputs_by_id.keys()
         self.steps: List[PlanStep] = [
-            self._build_step(i, node) for i, node in enumerate(program.nodes)
+            compile_plan_step(
+                node.tensor, i, key=id(node.tensor),
+                batch_size=self.batch_size,
+            )
+            for i, node in enumerate(program.nodes)
         ]
         self._output_allocs: List[Tuple[int, Tuple[int, ...]]] = [
             (id(t), self._batched_shape(t.shape)) for t in program.outputs
@@ -525,34 +502,6 @@ class ExecutionPlan:
         if self.batch_size is None:
             return tuple(shape)
         return (self.batch_size,) + tuple(shape)
-
-    def _build_step(self, index: int, node) -> PlanStep:
-        tensor: Tensor = node.tensor
-        assert tensor.op is not None
-        self._note_reads(tensor.op.body)
-        return compile_plan_step(
-            tensor, index, key=id(tensor), batch_size=self.batch_size
-        )
-
-    def _note_reads(self, expr: Expr) -> None:
-        """Record which placeholders the program actually reads."""
-        if isinstance(expr, TensorRead):
-            if id(expr.tensor) in self._inputs_by_id:
-                self._used_input_ids.add(id(expr.tensor))
-            for i in expr.indices:
-                self._note_reads(i)
-        elif isinstance(expr, (BinOp, Cmp)):
-            self._note_reads(expr.lhs)
-            self._note_reads(expr.rhs)
-        elif isinstance(expr, Call):
-            for a in expr.args:
-                self._note_reads(a)
-        elif isinstance(expr, IfThenElse):
-            self._note_reads(expr.cond)
-            self._note_reads(expr.then_value)
-            self._note_reads(expr.else_value)
-        elif isinstance(expr, Reduce):
-            self._note_reads(expr.body)
 
     def _validate_layout(self) -> None:
         """Fail loudly at plan time on any unsafe arena layout.
@@ -595,9 +544,10 @@ class ExecutionPlan:
     def _bind_one(self, tensor: Tensor, value: np.ndarray) -> np.ndarray:
         """Convert one feed to the execution dtype, validating its shape.
 
-        C-contiguous canonical layout: einsum's accumulation order (and so
-        its low-order bits) depends on operand strides once contraction
-        paths are in play, and arenas/evaluator feeds are contiguous too.
+        C-contiguous canonical layout: contraction views are built over
+        C-ordered buffers, numpy picks its BLAS or einsum loop (and so the
+        low-order bits) by operand strides, and arenas and evaluator feeds
+        are contiguous too.
         """
         arr = np.ascontiguousarray(value, dtype=EXEC_DTYPE)
         if arr.shape != tensor.shape:
@@ -673,13 +623,13 @@ class ExecutionPlan:
 class BatchedExecutionPlan(ExecutionPlan):
     """An execution plan compiled once for a fixed leading batch axis.
 
-    Every step processes ``batch_size`` independent requests in one numpy
-    call: einsum contractions run the ellipsis-batched formula with a path
-    precomputed for the batched operand shapes, elementwise and gather
-    steps broadcast their plan-time index grids over the batch, and the
-    arena packs ``batch_size`` lanes per intermediate (the memory plan is
-    computed with the batch-aware sizer, so disjoint live ranges still
-    share bytes).
+    Every step processes ``batch_size`` independent requests: matmul
+    contraction pieces in one stacked ``np.matmul`` call, other pieces
+    once per lane, elementwise and gather steps broadcasting their
+    plan-time index grids over the batch, and the arena packs
+    ``batch_size`` lanes per intermediate (the memory plan is computed
+    with the batch-aware sizer, so disjoint live ranges still share
+    bytes).
 
     Lane ``i`` is bit-identical to an unbatched replay of request ``i``,
     which makes padding safe: a partially-filled batch replays duplicate

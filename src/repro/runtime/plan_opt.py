@@ -27,13 +27,10 @@ request over the weights that request is served with, so a weight fed anew
 or changed in place is read as it is. No program this repo serves has such
 a step (DESIGN.md, "Dropped by measurement").
 
-On top of the mandated passes, einsum-shaped steps are *specialized* to
-direct ``np.matmul(..., out=view)`` calls — but only when a plan-time
-differential check proves the replacement bit-identical on the step's exact
-operand shapes (including zero-stride batched-weight layouts); otherwise
-the einsum closure is kept. This is where most of the measured single-
-request speedup comes from: the models' hot steps are small GEMMs whose
-``np.einsum`` dispatch overhead dwarfs the BLAS call.
+Sum-of-products steps are not rewritten here: each runs the contraction
+:func:`~repro.te.patterns.match_contraction` lowers its tensor to, with the
+kernel (``np.matmul`` for dense GEMM pieces) chosen by shape inside the one
+call the interpreter also makes.
 
 The optimized layout is re-verified by the verifier's arena-hazard pass
 (with an explicit allowlist for the deliberate in-place pairs) and the
@@ -58,7 +55,7 @@ from repro.runtime.memory_planner import (
     pack_intervals,
 )
 from repro.te.expr import Reduce, Var
-from repro.te.patterns import match_contraction, match_matmul
+from repro.te.patterns import match_contraction
 from repro.te.tensor import Tensor
 from repro.te.traversal import collect_reads, tensor_inputs
 from repro.verify.view import ProgramView
@@ -94,15 +91,14 @@ def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
 
 
 def step_kind(tensor: Tensor) -> str:
-    """Static mirror of ``ExecutionPlan._build_step`` dispatch.
+    """Static mirror of ``executor.compile_plan_step`` dispatch.
 
-    ``einsum`` for matmul-shaped contractions and for the other sums of
-    products ``match_contraction`` lowers to strided views, ``const`` for
-    fully data-independent bodies (no tensor reads anywhere), otherwise
-    ``reduce``/``map`` by the presence of a top-level reduction.
+    ``einsum`` for the sums of products ``match_contraction`` lowers to
+    strided views, ``const`` for fully data-independent bodies (no tensor
+    reads anywhere), otherwise ``reduce``/``map`` by the presence of a
+    top-level reduction.
     """
-    if (match_matmul(tensor) is not None
-            or match_contraction(tensor) is not None):
+    if match_contraction(tensor) is not None:
         return "einsum"
     body = tensor.op.body
     if not tensor_inputs(tensor):
@@ -171,8 +167,6 @@ class OptimizeStats:
     fused_steps: int = 0             # producers folded into their consumer
     elided_buffers: int = 0
     elided_bytes: int = 0            # arena bytes merged away by elision
-    specialized_contractions: int = 0
-    einsum_steps: int = 0
     parallel_waves: int = 0          # levels holding >= 2 big steps
     workspace_before: int = 0
     workspace_after: int = 0
@@ -199,8 +193,7 @@ class OptimizeStats:
         return (
             f"plan optimizer: {self.steps_before}->{self.steps_after} steps "
             f"({self.fused_steps} fused), "
-            f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
-            f"specialized, {self.elided_buffers} elided, "
+            f"{self.elided_buffers} elided, "
             f"{self.arena_bytes_saved} arena bytes saved"
             f"{tiled}"
         )
@@ -214,8 +207,6 @@ class OptimizeStats:
         lines = [
             f"steps:            {self.steps_before} -> {self.steps_after}",
             f"  fused into consumers:              {self.fused_steps}",
-            f"contractions specialized to matmul:  "
-            f"{self.specialized_contractions}/{self.einsum_steps}",
             f"in-place elisions: {self.elided_buffers} buffers "
             f"({self.elided_bytes} bytes merged)",
             f"tiled chains:      {self.tiled_chains} "
@@ -292,7 +283,6 @@ def plan_optimization(
     nodes = program.nodes
     kinds = {n.index: step_kind(n.tensor) for n in nodes}
     stats = OptimizeStats(steps_before=len(nodes))
-    stats.einsum_steps = sum(1 for k in kinds.values() if k == "einsum")
 
     # ---- pass 1: vertical step fusion -----------------------------------
     inline_into: Dict[int, int] = {}  # node index -> consumer node index
@@ -588,125 +578,6 @@ def _make_fused_run(
     return run_fused
 
 
-def _specialize_contraction(plan, tensor: Tensor, step) -> Optional[Callable]:
-    """A ``np.matmul(..., out=view)`` replacement for one einsum step.
-
-    Only natural GEMM shapes qualify (single contracted letter, disjoint
-    free letters, output = lhs-free then rhs-free); the candidate is then
-    differentially checked against the original einsum closure on random
-    operands at the step's exact shapes — contiguous and, for batched
-    plans, zero-stride broadcast variants (the weight-feed layout). Any bit
-    mismatch keeps the einsum closure, so adoption can only preserve
-    results.
-    """
-    pattern = match_matmul(tensor)
-    if pattern is None:
-        return None
-    ls, rs, os = pattern.lhs_spec, pattern.rhs_spec, pattern.out_spec
-    if any(len(set(s)) != len(s) for s in (ls, rs, os)):
-        return None  # diagonal reads: not a matmul shape
-    contracted = [c for c in ls if c in rs and c not in os]
-    if len(contracted) != 1:
-        return None
-    k = contracted[0]
-    # Letters shared by both operands *and* the output are stacked batch
-    # dims (np.matmul broadcasts leading axes); output-order prefix only.
-    batch = [c for c in os if c in ls and c in rs]
-    free_l = [c for c in ls if c != k and c not in batch]
-    free_r = [c for c in rs if c != k and c not in batch]
-    if set(free_l) & set(free_r):
-        return None
-    if os != "".join(batch + free_l + free_r):
-        return None
-    if set(ls) != set(batch) | set(free_l) | {k}:
-        return None  # a letter summed outside the contraction
-    if set(rs) != set(batch) | set(free_r) | {k}:
-        return None
-    plan_batched = plan.batch_size is not None
-    if batch or plan_batched:
-        # Leading batch axes must broadcast 1:1, so the cores are 2-D.
-        if len(free_l) > 1 or len(free_r) > 1:
-            return None
-    elif len(free_r) > 1:
-        return None  # multi-dim lhs is fine against a 2-D rhs, not this
-    lperm = tuple(ls.index(c) for c in batch + free_l + [k])
-    rperm = tuple(rs.index(c) for c in batch + [k] + free_r)
-    if plan_batched:
-        lperm = (0,) + tuple(1 + i for i in lperm)
-        rperm = (0,) + tuple(1 + i for i in rperm)
-    identity_l = lperm == tuple(range(len(lperm)))
-    identity_r = rperm == tuple(range(len(rperm)))
-    # Empty free sides (e.g. row-wise dot products "ij,ij->i") pad a unit
-    # core dim; the output view is then reshaped (contiguous, no copy) to
-    # the matmul result shape.
-    pad_l = not free_l
-    pad_r = not free_r
-
-    def extent(spec: str, shape, c: str) -> int:
-        return shape[spec.index(c)]
-
-    lhs_shape = tuple(pattern.lhs.shape)
-    rhs_shape = tuple(pattern.rhs.shape)
-    mm_shape = (
-        tuple(extent(ls, lhs_shape, c) for c in batch)
-        + ((1,) if pad_l else
-           tuple(extent(ls, lhs_shape, c) for c in free_l))
-        + ((1,) if pad_r else
-           tuple(extent(rs, rhs_shape, c) for c in free_r))
-    )
-    mm_shape = plan._batched_shape(mm_shape)
-    reshape_out = mm_shape if (pad_l or pad_r) else None
-    lk, rk, key = id(pattern.lhs), id(pattern.rhs), id(tensor)
-
-    def run_matmul(
-        v, lk=lk, rk=rk, key=key, lperm=lperm, rperm=rperm,
-        il=identity_l, ir=identity_r, pl=pad_l, pr=pad_r,
-        reshape_out=reshape_out,
-    ):
-        a = v[lk]
-        b = v[rk]
-        if not il:
-            a = a.transpose(lperm)
-        if not ir:
-            b = b.transpose(rperm)
-        if pl:
-            a = a[..., None, :]
-        if pr:
-            b = b[..., None]
-        out = v[key]
-        if reshape_out is not None:
-            out = out.reshape(reshape_out)
-        np.matmul(a, b, out=out)
-
-    from repro.runtime.executor import EXEC_DTYPE
-
-    lhs_full = plan._batched_shape(lhs_shape)
-    rhs_full = plan._batched_shape(rhs_shape)
-    out_shape = plan._batched_shape(tuple(tensor.shape))
-    rng = np.random.default_rng(0x50FF1E)
-    lhs_c = np.ascontiguousarray(
-        rng.standard_normal(lhs_full), dtype=EXEC_DTYPE
-    )
-    rhs_c = np.ascontiguousarray(
-        rng.standard_normal(rhs_full), dtype=EXEC_DTYPE
-    )
-    variants = [(lhs_c, rhs_c)]
-    if plan_batched:
-        # Weights bound once per batch arrive as zero-stride broadcast
-        # views; the check must cover those stride patterns too.
-        lhs_b = np.broadcast_to(lhs_c[0], lhs_full)
-        rhs_b = np.broadcast_to(rhs_c[0], rhs_full)
-        variants += [(lhs_b, rhs_c), (lhs_c, rhs_b), (lhs_b, rhs_b)]
-    for a, b in variants:
-        want = np.empty(out_shape, dtype=EXEC_DTYPE)
-        got = np.empty(out_shape, dtype=EXEC_DTYPE)
-        step.run({lk: a, rk: b, key: want})
-        run_matmul({lk: a, rk: b, key: got})
-        if want.tobytes() != got.tobytes():
-            return None
-    return run_matmul
-
-
 def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
@@ -783,18 +654,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 _make_fused_run(interiors, terminal_step.run),
             )
         new_steps.append(step)
-
-    specialized = 0
-    for g in opt.groups:
-        step = new_steps[g.position]
-        if step.kind != "einsum":
-            continue
-        matmul_run = _specialize_contraction(plan, g.terminal.tensor, step)
-        if matmul_run is not None:
-            step.run = matmul_run
-            step.kind = "matmul"
-            specialized += 1
-    opt.stats.specialized_contractions = specialized
 
     opt.memory_plan.validate()
     report = verify_plan(

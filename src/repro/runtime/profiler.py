@@ -142,7 +142,7 @@ class StepTiming:
 
     index: int
     name: str           # fused steps: "+"-joined constituent TE names
-    kind: str           # einsum | matmul | map | reduce | const | fused
+    kind: str           # einsum | map | reduce | const | fused | tiled
     calls: int
     total_seconds: float
 

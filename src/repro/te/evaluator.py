@@ -5,14 +5,13 @@ programs, and validation of compiled modules. Performance numbers come from
 the analytic GPU model, never from this evaluator.
 
 Evaluation is vectorised. Elementwise TEs evaluate their body once with each
-iteration variable bound to a broadcastable ``arange``. Matmul-shaped
-contractions dispatch to ``einsum``; every other ``sum`` over a product of
-tensor reads (composed reshapes, convolution windows, predicated horizontal
-merges) runs as the contractions over strided views that
-:func:`~repro.te.patterns.match_contraction` lowers it to, the same call the
-execution plan makes. Only the remaining reductions — max/min, and sums of
-anything but a product of reads — add the reduce axes as extra broadcast
-dimensions and reduce at the end, under :data:`MAX_GRID_ELEMENTS`.
+iteration variable bound to a broadcastable ``arange``. Every ``sum`` over a
+product of tensor reads (GEMMs, composed reshapes, convolution windows,
+predicated horizontal merges) runs as the contractions over strided views
+that :func:`~repro.te.patterns.match_contraction` lowers it to, the same
+call the execution plan makes. Only the remaining reductions — max/min, and
+sums of anything but a product of reads — add the reduce axes as extra
+broadcast dimensions and reduce at the end, under :data:`MAX_GRID_ELEMENTS`.
 """
 
 from __future__ import annotations
@@ -35,11 +34,7 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import (
-    contraction_path,
-    match_contraction,
-    match_matmul,
-)
+from repro.te.patterns import match_contraction
 from repro.te.tensor import Tensor
 
 # Refuse to materialise broadcast grids larger than this many elements;
@@ -119,8 +114,8 @@ class Evaluator:
         self._values: Dict[int, np.ndarray] = {}
         self._tensors: Dict[int, Tensor] = {}
         for tensor, value in feeds.items():
-            # C-contiguous like the plan engine's bound feeds: einsum bits
-            # depend on operand layout once contraction paths are in play.
+            # C-contiguous like the plan engine's bound feeds: contraction
+            # views are built over C-ordered buffers.
             arr = np.ascontiguousarray(value, dtype=np.float64)
             if arr.shape != tensor.shape:
                 raise ExecutionError(
@@ -152,24 +147,6 @@ class Evaluator:
     def _compute(self, tensor: Tensor) -> np.ndarray:
         op = tensor.op
         assert op is not None
-        pattern = match_matmul(tensor)
-        if pattern is not None:
-            lhs = self.value_of(pattern.lhs)
-            rhs = self.value_of(pattern.rhs)
-            # The precomputed path keeps this call identical to the
-            # execution plan's einsum steps (see patterns.contraction_path).
-            path = contraction_path(
-                pattern.einsum_formula, lhs.shape, rhs.shape
-            )
-            result = np.einsum(
-                pattern.einsum_formula, lhs, rhs, optimize=path
-            )
-            # An optimized einsum may hand back a transposed view; memoised
-            # values must stay C-contiguous because einsum's summation
-            # order (and so its low-order bits) depends on operand layout,
-            # and the execution plan always consumes contiguous arenas.
-            return np.ascontiguousarray(result)
-
         contraction = match_contraction(tensor)
         if contraction is not None:
             # The execution plan runs this same call on the same views.

@@ -1,9 +1,8 @@
 """Structural pattern recognisers over tensor expressions.
 
-Used by the evaluator and the execution plan (to dispatch matmul-like TEs
-to ``einsum`` and other sum-of-products reductions to contractions over
-strided views), by the scheduler (tensor-core eligibility) and by TE
-characterisation.
+Used by the evaluator and the execution plan (to run every sum-of-products
+reduction as contractions over strided views), by the scheduler
+(tensor-core eligibility) and by TE characterisation.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import itertools
 import math
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,23 +20,6 @@ from repro.te.affine import linearize
 from repro.te.expr import BinOp, Call, Cmp, Const, Expr, IfThenElse, Reduce, TensorRead, Var
 from repro.te.tensor import ComputeOp, Tensor, row_major_strides
 from repro.te.traversal import contains_reduce, substitute_vars, walk
-
-
-@lru_cache(maxsize=None)
-def contraction_path(formula: str, *operand_shapes: Tuple[int, ...]) -> list:
-    """The ``np.einsum_path`` contraction order for one formula + shapes.
-
-    Shapes are known wherever a contraction is dispatched (plan time in the
-    executor, operand evaluation time in the evaluator), so the path — which
-    unlocks numpy's BLAS dispatch — is computed once per (formula, shapes)
-    and shared process-wide. Every einsum site must use this helper: the
-    optimized path changes low-order summation bits versus the default
-    strided loop, and bit-identity between the evaluator oracle, the
-    execution plan and the batched plan holds because all three issue the
-    *same* einsum call.
-    """
-    operands = [np.broadcast_to(np.float64(0.0), s) for s in operand_shapes]
-    return np.einsum_path(formula, *operands, optimize="optimal")[0]
 
 
 def is_elementwise(tensor: Tensor) -> bool:
@@ -74,10 +55,6 @@ class MatmulPattern:
     rhs_spec: str
     out_spec: str
 
-    @property
-    def einsum_formula(self) -> str:
-        return f"{self.lhs_spec},{self.rhs_spec}->{self.out_spec}"
-
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -96,8 +73,10 @@ def match_matmul(tensor: Tensor) -> Optional[MatmulPattern]:
     """Recognise GEMM / batched-matmul / GEMV-shaped contractions.
 
     Matches ``sum(lhs[vars...] * rhs[vars...])`` where every index is a bare
-    iteration variable. Convolutions (whose indices are affine like
-    ``h + rh``) intentionally do not match and use the generic evaluator.
+    iteration variable; convolutions (whose indices are affine like
+    ``h + rh``) do not match. The scheduler's tensor-core test is its only
+    caller: execution runs every sum of products through
+    :func:`match_contraction`.
     """
     if tensor.op is None or not isinstance(tensor.op.body, Reduce):
         return None
@@ -152,9 +131,12 @@ def match_matmul(tensor: Tensor) -> Optional[MatmulPattern]:
 # ---- contractions over strided views ----------------------------------------
 
 # A piece's kernel follows from its shapes alone, so every caller issues the
-# same numpy call: below this many multiply-adds one C-level ``np.einsum``
-# loop beats the batched-matmul lowering's transposes and copies, above it
-# BLAS wins (3x at 16K multiply-adds, 10x at 600K on a 2-core x86 host).
+# same numpy call. A two-operand piece whose views are dense matrices in
+# matmul order calls ``np.matmul`` straight into its output at any size
+# (1.1 us against einsum's 3.8 us at 1x8x32 on a 2-core x86 host). Any other
+# piece runs one C-level ``np.einsum`` loop below this many multiply-adds,
+# where it beats the batched-matmul lowering's transposes and copies; above
+# it BLAS wins (3x at 16K multiply-adds, 10x at 600K).
 BMM_MIN_MACS = 1 << 12
 
 # Contractions read and write float64 buffers (the execution dtype).
@@ -188,7 +170,8 @@ class ContractionLetter:
 class ContractionView:
     """A zero-copy strided view: element ``offset`` plus one element
     stride per letter into the C-ordered buffer of operand ``slot`` (the
-    output's buffer when used as :attr:`ContractionPiece.out`)."""
+    output's buffer when used as :attr:`ContractionPiece.out`). Letters
+    are listed in memory order, largest stride first."""
 
     slot: int
     offset: int
@@ -205,12 +188,30 @@ class ContractionPiece:
     letters: Tuple[ContractionLetter, ...]
     operands: Tuple[ContractionView, ...]
     out: ContractionView
-    kernel: str  # "einsum" (one C loop) or "bmm" (batched matmul)
 
     @property
     def formula(self) -> str:
         ins = ",".join(view.letters for view in self.operands)
         return f"{ins}->{self.out.letters}"
+
+    @property
+    def kernel(self) -> str:
+        """``"matmul"`` (``np.matmul`` into the output), ``"bmm"``
+        (batched matmul through transposed copies) or ``"einsum"`` (one C
+        loop). It follows from the views alone, so every kernel computes
+        what the strided views say: ``matmul`` reads each view as one
+        dense block, which only a dense view in matmul order is."""
+        extent = {l.letter: l.extent for l in self.letters}
+        if _matmul_order(self.operands, self.out, extent) is not None:
+            return "matmul"
+        if len(self.operands) == 2:
+            a, b = (view.letters for view in self.operands)
+            batch, rows, cols, inner = _groups(a, b, self.out.letters)
+            grouped = set(a + b) <= set(batch + rows + cols + inner)
+            if (inner and grouped
+                    and math.prod(extent.values()) >= BMM_MIN_MACS):
+                return "bmm"
+        return "einsum"
 
 
 @dataclass(frozen=True)
@@ -218,23 +219,63 @@ class Contraction:
     """A ``sum`` over a product of tensor reads, lowered to pieces.
 
     :meth:`run` takes one C-contiguous float64 array per entry of
-    ``tensors`` plus the output array, and writes every piece's box.
+    ``tensors`` plus the output array of ``shape``, and writes every
+    piece's box.
     """
 
     tensors: Tuple[Tensor, ...]
     pieces: Tuple[ContractionPiece, ...]
+    shape: Tuple[int, ...]
     _calls: Tuple[Callable, ...] = field(
         init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "_calls", tuple(_piece_call(p) for p in self.pieces)
+            self, "_calls", tuple(self._call(p) for p in self.pieces)
         )
+
+    def _call(self, piece: ContractionPiece, lanes: Optional[int] = None):
+        shapes = [t.shape for t in self.tensors]
+        return _piece_call(piece, shapes, self.shape, lanes)
 
     def run(self, arrays: Sequence[np.ndarray], out: np.ndarray) -> None:
         for call in self._calls:
             call(arrays, out)
+
+    def batched(self, lanes: int) -> Callable:
+        """:meth:`run` for arrays and an output that lead with an axis of
+        ``lanes`` requests (a weight lane may have stride 0).
+
+        A matmul piece runs once over the stacked lanes: ``np.matmul``
+        loops over leading axes outside each BLAS call, so every lane
+        makes the call an unbatched run makes. Any other piece runs its
+        unbatched call once per lane.
+        """
+        stacked = [
+            self._call(p, lanes) for p in self.pieces if p.kernel == "matmul"
+        ]
+        looped = [
+            call for p, call in zip(self.pieces, self._calls)
+            if p.kernel != "matmul"
+        ]
+        if len(stacked) == 1 and not looped:
+            return stacked[0]
+
+        def run_batched(arrays, out):
+            for call in stacked:
+                call(arrays, out)
+            if looped:
+                for lane in range(lanes):
+                    lane_arrays = [a[lane] for a in arrays]
+                    for call in looped:
+                        call(lane_arrays, out[lane])
+
+        return run_batched
+
+
+def _same(arr: np.ndarray) -> np.ndarray:
+    return arr
 
 
 def _view(
@@ -246,61 +287,156 @@ def _view(
     )
 
 
-def _piece_call(piece: ContractionPiece) -> Callable:
-    """The numpy call for one piece, its geometry resolved up front."""
+def _dense(view: ContractionView, extent: Dict[str, int]) -> bool:
+    """Whether ``view`` addresses one C-ordered block in letter order."""
+    dims = [extent[c] for c in view.letters]
+    return list(view.strides) == row_major_strides(dims)
+
+
+def _groups(a: str, b: str, out: str) -> Tuple[str, str, str, str]:
+    """Letters of a two-operand piece as ``(batch, rows, cols, inner)``:
+    in both operands and the output, in ``a`` and the output, in ``b``
+    and the output, in both operands only."""
+    return (
+        "".join(c for c in out if c in a and c in b),
+        "".join(c for c in out if c in a and c not in b),
+        "".join(c for c in out if c in b and c not in a),
+        "".join(c for c in a if c in b and c not in out),
+    )
+
+
+def _matmul_order(
+    operands: Sequence[ContractionView], out: ContractionView,
+    extent: Dict[str, int],
+) -> Optional[Tuple[ContractionView, ContractionView]]:
+    """The two operands in ``np.matmul`` call order when they and the
+    output are dense matrices ``(batch, rows, inner)``, ``(batch, inner,
+    cols)`` and ``(batch, rows, cols)``, else ``None``."""
+    if len(operands) != 2 or not all(
+        _dense(view, extent) for view in (*operands, out)
+    ):
+        return None
+    for a, b in (operands, operands[::-1]):
+        batch, rows, cols, inner = _groups(a.letters, b.letters, out.letters)
+        if (inner and a.letters == batch + rows + inner
+                and b.letters == batch + inner + cols
+                and out.letters == batch + rows + cols):
+            return a, b
+    return None
+
+
+def _strided(
+    view: ContractionView, shape: Sequence[int], extent: Dict[str, int]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array -> ``view`` of it. A view of the whole array is the array
+    itself or a reshape of it: building an ``np.ndarray`` over a buffer
+    costs about as much as a small piece's kernel call."""
+    dims = tuple(extent[c] for c in view.letters)
+    if (view.offset == 0 and math.prod(dims) == math.prod(shape)
+            and _dense(view, extent)):
+        return _same if dims == tuple(shape) else (
+            lambda arr: arr.reshape(dims)
+        )
+    offset = view.offset * _ITEMSIZE
+    strides = tuple(s * _ITEMSIZE for s in view.strides)
+    return lambda arr: _view(arr, offset, dims, strides)
+
+
+def _matrix(
+    view: ContractionView, shape: Sequence[int], lead: Tuple[int, ...],
+    mat: Tuple[int, ...],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array -> its dense block ``view`` as a ``mat``-shaped array, without
+    a copy; ``lead`` is the lanes axis a batched array carries in front."""
+    size = math.prod(mat)
+    target = lead + mat
+    if view.offset == 0 and size == math.prod(shape):
+        return _same if mat == tuple(shape) else (
+            lambda arr: arr.reshape(target)
+        )
+    flat, lo, hi = lead + (-1,), view.offset, view.offset + size
+    return lambda arr: arr.reshape(flat)[..., lo:hi].reshape(target)
+
+
+def _piece_call(
+    piece: ContractionPiece,
+    shapes: Sequence[Tuple[int, ...]],
+    out_shape: Tuple[int, ...],
+    lanes: Optional[int] = None,
+) -> Callable:
+    """The numpy call for one piece, its geometry resolved up front.
+
+    ``shapes`` holds each operand slot's array shape. With ``lanes`` (a
+    matmul piece only) every array and the output lead with that many
+    requests, and one ``np.matmul`` call covers them all.
+    """
     extent = {l.letter: l.extent for l in piece.letters}
 
-    def geometry(view: ContractionView):
-        return (
-            view.slot,
-            view.offset * _ITEMSIZE,
-            tuple(extent[c] for c in view.letters),
-            tuple(s * _ITEMSIZE for s in view.strides),
-        )
+    def size(letters: str) -> int:
+        return math.prod(extent[c] for c in letters)
 
-    ins = tuple(geometry(view) for view in piece.operands)
-    _, o_off, o_shape, o_strides = geometry(piece.out)
-    if piece.kernel == "einsum":
+    kernel = piece.kernel
+    if kernel == "matmul":
+        a, b = _matmul_order(piece.operands, piece.out, extent)
+        batch, rows, cols, inner = _groups(
+            a.letters, b.letters, piece.out.letters
+        )
+        lead = () if lanes is None else (lanes,)
+        core = (size(batch),) if batch else ()
+        take_a = _matrix(a, shapes[a.slot], lead,
+                         core + (size(rows), size(inner)))
+        take_b = _matrix(b, shapes[b.slot], lead,
+                         core + (size(inner), size(cols)))
+        take_o = _matrix(piece.out, out_shape, lead,
+                         core + (size(rows), size(cols)))
+        sa, sb = a.slot, b.slot
+        if take_a is take_b is take_o is _same:
+
+            def call_matmul(arrays, out):
+                np.matmul(arrays[sa], arrays[sb], out=out)
+
+        else:
+
+            def call_matmul(arrays, out):
+                np.matmul(
+                    take_a(arrays[sa]), take_b(arrays[sb]), out=take_o(out)
+                )
+
+        return call_matmul
+
+    takes = tuple(
+        (view.slot, _strided(view, shapes[view.slot], extent))
+        for view in piece.operands
+    )
+    take_o = _strided(piece.out, out_shape, extent)
+    if kernel == "einsum":
         formula = piece.formula
 
         def call_einsum(arrays, out):
             np.einsum(
-                formula,
-                *[_view(arrays[s], off, sh, st) for s, off, sh, st in ins],
-                out=_view(out, o_off, o_shape, o_strides),
+                formula, *[take(arrays[s]) for s, take in takes],
+                out=take_o(out),
             )
 
         return call_einsum
 
     a_l, b_l = (view.letters for view in piece.operands)
     o_l = piece.out.letters
-    batch = [c for c in o_l if c in a_l and c in b_l]
-    keep_a = [c for c in o_l if c in a_l and c not in b_l]
-    keep_b = [c for c in o_l if c in b_l and c not in a_l]
-    con = [c for c in a_l if c in b_l and c not in o_l]
-
-    def size(letters) -> int:
-        return math.prod(extent[c] for c in letters)
-
+    batch, keep_a, keep_b, con = _groups(a_l, b_l, o_l)
     perm_a = tuple(a_l.index(c) for c in batch + keep_a + con)
     perm_b = tuple(b_l.index(c) for c in batch + con + keep_b)
     perm_o = tuple(o_l.index(c) for c in batch + keep_a + keep_b)
     mat_a = (size(batch), size(keep_a), size(con))
     mat_b = (size(batch), size(con), size(keep_b))
     result = tuple(extent[c] for c in batch + keep_a + keep_b)
-    (sa, a_off, a_shape, a_str), (sb, b_off, b_shape, b_str) = ins
+    (sa, take_a), (sb, take_b) = takes
 
     def call_bmm(arrays, out):
-        a = _view(arrays[sa], a_off, a_shape, a_str)
-        b = _view(arrays[sb], b_off, b_shape, b_str)
         product = np.matmul(
-            a.transpose(perm_a).reshape(mat_a),
-            b.transpose(perm_b).reshape(mat_b),
+            take_a(arrays[sa]).transpose(perm_a).reshape(mat_a),
+            take_b(arrays[sb]).transpose(perm_b).reshape(mat_b),
         )
-        np.copyto(
-            _view(out, o_off, o_shape, o_strides).transpose(perm_o),
-            product.reshape(result),
-        )
+        np.copyto(take_o(out).transpose(perm_o), product.reshape(result))
 
     return call_bmm
 
@@ -483,7 +619,10 @@ def _lower_piece(
             if lo < 0 or hi >= dim:
                 return None
             offset += const * step
-        kept = [n for n in names if strides[n] and extent_of[n] > 1]
+        kept = sorted(
+            (n for n in names if strides[n] and extent_of[n] > 1),
+            key=lambda n: -abs(strides[n]),
+        )
         slot = slots.setdefault(id(read.tensor), len(tensors))
         if slot == len(tensors):
             tensors.append(read.tensor)
@@ -515,25 +654,18 @@ def _lower_piece(
     letters = tuple(
         ContractionLetter(letter_of[n], *parts[n]) for n in names
     )
-    kernel = "einsum"
-    if len(operands) == 2:
-        a, b = (set(view.letters) for view in operands)
-        lone = (a ^ b) - set(out.letters)
-        if (a & b) - set(out.letters) and not lone and math.prod(
-            extent_of.values()
-        ) >= BMM_MIN_MACS:
-            kernel = "bmm"
-    return ContractionPiece(box, letters, tuple(operands), out, kernel)
+    return ContractionPiece(box, letters, tuple(operands), out)
 
 
 def match_contraction(tensor: Tensor) -> Optional[Contraction]:
     """Lower a ``sum`` over a product of tensor reads to contractions on
     zero-copy strided views, or return ``None``.
 
-    Covers what Souffle's transforms leave behind when a GEMM stops being
-    :func:`match_matmul`-shaped (callers check that first): floordiv/mod
-    index maps of composed reshapes (delinearised by mixed-radix axis
-    splits and re-simplified), affine window and offset reads
+    Covers plain and batched GEMMs (one piece, whole-array views) and what
+    Souffle's transforms leave behind when a GEMM stops being one:
+    floordiv/mod index maps of composed reshapes (delinearised by
+    mixed-radix axis splits and re-simplified), affine window and offset
+    reads
     (``x[c, 2k+rh, 2l+rw]``, ``t[i, k, r+8]``) and predicated horizontal
     merges — ``if_then_else`` over constant thresholds of output axes,
     cut into pieces whose selects and clamps fold away, each writing its
@@ -573,7 +705,7 @@ def _lower_contraction(
         if piece is None:
             return None
         pieces.append(piece)
-    return Contraction(tuple(tensors), tuple(pieces))
+    return Contraction(tuple(tensors), tuple(pieces), tuple(shape))
 
 
 def count_arith_ops(

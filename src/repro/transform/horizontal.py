@@ -259,7 +259,7 @@ def _find_groups(
 ) -> List[_MergeGroup]:
     """All mergeable spatial-reuse groups that can apply in one rebuild."""
     masks = reachability_masks(program)
-    reuse = find_reuse(program)
+    reuse = find_reuse(program, masks)
     used: set = set()
     selected: List[_MergeGroup] = []
     member_tensor_ids: set = set()

@@ -19,16 +19,17 @@ One certifier per transform family:
   canonicalized (positional alpha-renaming, commutative-chain sorting,
   affine index normal forms via :func:`repro.te.affine.linearize`) and
   compared structurally.
-* ``certify_plan_optimization`` — plan-level fusion / elision / matmul
-  specialization / block tiling (``runtime/plan_opt.py`` +
-  ``runtime/tiling.py``): obligations are re-derived independently of the
-  planner (sequential group composition over the group's read frontier,
-  consumer liveness of elided operands, exact row-partition cover and
-  per-read alignment classes, einsum spec re-derivation from the
-  reduction body).
+* ``certify_plan_optimization`` — plan-level fusion / elision / block
+  tiling (``runtime/plan_opt.py`` + ``runtime/tiling.py``) and the
+  contraction lowering every sum of products runs (``te/patterns.py``):
+  obligations are re-derived independently of the planner (sequential
+  group composition over the group's read frontier, consumer liveness of
+  elided operands, exact row-partition cover and per-read alignment
+  classes, each contraction piece's views re-derived from the TE's own
+  index maps).
 * ``certify_batched_lowering``  — batched lowering (``runtime/executor``):
   lane-invariance of every precomputed gather grid (no data-dependent
-  indexing) and ellipsis-batched contraction formulas.
+  indexing).
 * ``certify_batched_binding``   — the batch binding layer: every lane of
   every bound placeholder must hold that request's feed (the zero-stride
   broadcast fast path included), probed with deterministic per-lane feeds.
@@ -72,7 +73,7 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import match_contraction, match_matmul
+from repro.te.patterns import match_contraction
 from repro.te.tensor import Tensor, placeholder, row_major_strides
 from repro.te.traversal import (
     collect_reads,
@@ -1761,109 +1762,6 @@ def _read_class(read: TensorRead, row: str, rows: int) -> str:
     return "poison"
 
 
-def _certify_matmul(program, opt) -> EquivalenceCertificate:
-    """Matmul specialization: re-derive the einsum spec from the Reduce.
-
-    ``optimize_plan`` additionally gates every specialization behind a
-    plan-time differential check; this certificate proves the *pattern*
-    (full-extent sum contraction of a two-read product) statically, so it
-    also covers paper-scale plans the executor cannot run.
-    """
-    subject = program.name
-    obligations = 0
-    for group in opt.groups:
-        pattern = match_matmul(group.terminal.tensor)
-        if pattern is None:
-            continue
-        obligations += 1
-        derived = _derive_einsum(group.terminal.tensor)
-        if derived is None:
-            return EquivalenceCertificate(
-                "matmul-specialize", subject, UNKNOWN, obligations,
-                detail=(
-                    f"{group.terminal.name}: matched contraction does not "
-                    "re-derive to a full-extent sum of a two-read product"
-                ),
-            )
-        if derived != _canonical_formula(
-            list(pattern.lhs_spec),
-            list(pattern.rhs_spec),
-            list(pattern.out_spec),
-        ):
-            return EquivalenceCertificate(
-                "matmul-specialize", subject, UNKNOWN, obligations,
-                detail=(
-                    f"{group.terminal.name}: pattern formula "
-                    f"{pattern.einsum_formula} disagrees with the "
-                    f"independently derived contraction"
-                ),
-            )
-    return EquivalenceCertificate(
-        "matmul-specialize", subject, PROVED, obligations
-    )
-
-
-def _canonical_formula(
-    lhs: Sequence[str], rhs: Sequence[str], out: Sequence[str]
-) -> str:
-    """Rename spec axis tokens by first appearance so two derivations of
-    the same contraction compare equal (tokens are single spec characters
-    on the pattern side, TE axis names on the derived side)."""
-    mapping: Dict[str, str] = {}
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-
-    def remap(tokens: Sequence[str]) -> str:
-        chars = []
-        for token in tokens:
-            if token not in mapping:
-                mapping[token] = alphabet[len(mapping)]
-            chars.append(mapping[token])
-        return "".join(chars)
-
-    return f"{remap(out)}|{remap(lhs)}|{remap(rhs)}"
-
-
-def _derive_einsum(tensor: Tensor) -> Optional[str]:
-    """Independently lift a Reduce body back to an einsum contraction."""
-    op = tensor.op
-    body = op.body
-    if not isinstance(body, Reduce) or body.kind != "sum":
-        return None
-    inner = body.body
-    if not (
-        isinstance(inner, BinOp)
-        and inner.op == "mul"
-        and isinstance(inner.lhs, TensorRead)
-        and isinstance(inner.rhs, TensorRead)
-    ):
-        return None
-    extents = {ax.name: ax.extent for ax in op.axes}
-    extents.update({ax.name: ax.extent for ax in body.axes})
-
-    def spec_of(read: TensorRead) -> Optional[List[str]]:
-        names = []
-        for pos, index in enumerate(read.indices):
-            if not isinstance(index, Var) or index.name not in extents:
-                return None
-            if read.tensor.shape[pos] != extents[index.name]:
-                return None  # not a full-extent sweep
-            names.append(index.name)
-        return names
-
-    lhs = spec_of(inner.lhs)
-    rhs = spec_of(inner.rhs)
-    if lhs is None or rhs is None:
-        return None
-    out_names = [ax.name for ax in op.axes]
-    used = set(lhs + rhs)
-    if not set(out_names) <= used:
-        return None  # a spatial axis the reads never touch
-    reduce_names = {ax.name for ax in body.axes}
-    if used - set(out_names) != reduce_names:
-        return None
-    return _canonical_formula(lhs, rhs, out_names)
-
-
 def _product_reads(expr: Expr) -> Optional[List[TensorRead]]:
     """The reads of a pure product of tensor reads, else ``None``."""
     if isinstance(expr, TensorRead):
@@ -1991,7 +1889,10 @@ def _contraction_value(
     Mirrors ``Contraction.run``: the last piece whose output view covers
     the coordinate wins, an uncovered coordinate keeps stale bytes, and
     the covering piece sums the product of its operand views over every
-    letter its output view does not hold.
+    letter its output view does not hold. Every kernel reads the strided
+    views: a piece's kernel follows from its views, and only views that
+    are dense matrices in matmul order take ``np.matmul``'s flat blocks,
+    which address the same elements.
     """
     import numpy as np
 
@@ -2111,8 +2012,6 @@ def _certify_contraction(program) -> EquivalenceCertificate:
     obligations = 0
     for node in program.nodes:
         tensor = node.tensor
-        if match_matmul(tensor) is not None:
-            continue
         contraction = match_contraction(tensor)
         if contraction is None:
             continue
@@ -2171,7 +2070,7 @@ def certify_plan_optimization(
     """Certify one :class:`~repro.runtime.plan_opt.PlanOptimization`.
 
     Emits one certificate per pass family — fusion, elision, tiling,
-    matmul specialization, contraction lowering — including proved
+    contraction lowering (GEMMs included) — including proved
     zero-obligation certificates for families the plan did not exercise,
     so downstream consumers can assert the full set is present.
     """
@@ -2179,7 +2078,6 @@ def certify_plan_optimization(
         _certify_fusion(program, opt),
         _certify_elision(program, opt),
         _certify_tiling(program, opt),
-        _certify_matmul(program, opt),
         _certify_contraction(program),
     ]
 
@@ -2192,10 +2090,17 @@ def certify_batched_lowering(
 ) -> EquivalenceCertificate:
     """Lane-invariance of the batched plan's shared precomputed state.
 
-    Batched plans precompute one gather grid / einsum contraction per step
-    and drive every lane through it; that is sound iff no index expression
-    reads a tensor (data-dependent indexing would differ per lane) and
-    contraction formulas are the unbatched specs behind an ellipsis.
+    Batched plans precompute one gather grid per read and drive every lane
+    through it; that is sound iff no index expression reads a tensor
+    (data-dependent indexing would differ per lane). Contractions add no
+    obligation here, and nothing here proves their lanes bit-identical: an
+    einsum or bmm piece runs its unbatched call once per lane, but a matmul
+    piece runs one ``np.matmul`` over the stacked lanes (zero-stride weight
+    lanes included), so each lane equals an unbatched replay only because
+    numpy issues one BLAS call per core matrix, the call an unbatched run
+    makes. ``tests/test_batching.py::TestServedBatchedPlans`` checks that
+    bit for bit on the tiny models and the attention block at buckets 2, 4
+    and 8, and ``serve-bench bert --scale paper --batch 2`` at paper scale.
     """
     subject = f"{program.name}@batch{batch_size}"
     obligations = 0
@@ -2232,21 +2137,6 @@ def certify_batched_lowering(
                         "precomputed gather grid"
                     ),
                     counterexample=cx,
-                )
-        pattern = match_matmul(node.tensor)
-        if pattern is not None:
-            obligations += 1
-            batched = (
-                f"...{pattern.lhs_spec},...{pattern.rhs_spec}"
-                f"->...{pattern.out_spec}"
-            )
-            expected = "...{},...{}->...{}".format(
-                pattern.lhs_spec, pattern.rhs_spec, pattern.out_spec
-            )
-            if batched != expected:
-                return EquivalenceCertificate(
-                    "batched-lowering", subject, REFUTED, obligations,
-                    detail=f"{node.name}: batched formula drift",
                 )
     return EquivalenceCertificate(
         "batched-lowering", subject, PROVED, obligations

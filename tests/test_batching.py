@@ -12,9 +12,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro import SouffleCompiler
 from repro.errors import ExecutionError, PlanningError
 from repro.graph import GraphBuilder, lower_graph
-from repro.models import TINY_MODELS
+from repro.models import TINY_MODELS, build_bert_attention_subgraph
 from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.session import InferenceSession
@@ -96,6 +97,47 @@ class TestBatchedExecutionPlan:
         before = ExecutionPlan.plans_built
         BatchedExecutionPlan(program, batch_size=2)
         assert ExecutionPlan.plans_built == before + 1
+
+
+SERVED = dict(TINY_MODELS, attention=build_bert_attention_subgraph)
+
+
+@pytest.fixture(scope="module", params=sorted(SERVED))
+def served(request):
+    """One served model, compiled once for every bucket."""
+    return SouffleCompiler().compile(SERVED[request.param]())
+
+
+class TestServedBatchedPlans:
+    @pytest.mark.parametrize("bucket", [2, 4, 8])
+    def test_lanes_equal_interpreter(self, served, bucket):
+        """The compiled program's optimized batched plan, as served: the
+        weights are shared by object (zero-stride lanes) and every other
+        placeholder differs per request. Each lane equals
+        ``run_interpreted`` of its request, to the last bit."""
+        module = served
+        program = module.program
+        base = random_feeds(program, seed=11)
+        rng = np.random.default_rng(bucket)
+        requests = [
+            {
+                t: base[t] if t.role == "weight"
+                else rng.standard_normal(t.shape)
+                for t in program.inputs
+            }
+            for _ in range(bucket)
+        ]
+        plan = module.session.batch_plan(bucket)
+        assert plan.optimization is not None
+        bound = plan.bind_batch(requests)
+        weights = [t for t in program.inputs if t.role == "weight"]
+        assert weights
+        assert all(bound[id(t)].strides[0] == 0 for t in weights)
+        lanes = plan.run_batch(requests)
+        for feeds, outputs in zip(requests, lanes):
+            want = module.run_interpreted(feeds)
+            for got, expected in zip(outputs, want):
+                assert np.array_equal(got, expected), program.name
 
 
 class TestSessionBatching:

@@ -1,9 +1,9 @@
 """Tests for the contraction lowering (``te.patterns.match_contraction``).
 
-A ``sum`` over a product of tensor reads that ``match_matmul`` rejects —
-composed reshapes (floordiv/mod index maps), convolution windows, offset
-reads and predicated horizontal merges — runs as einsum-style contractions
-over zero-copy strided views, in the interpreter and in every plan.
+Every ``sum`` over a product of tensor reads — GEMMs, composed reshapes
+(floordiv/mod index maps), convolution windows, offset reads and predicated
+horizontal merges — runs as einsum-style contractions over zero-copy
+strided views, in the interpreter and in every plan.
 
 The oracle here is a naive broadcast-grid sum written in this file, which
 never calls the recogniser: every recognised step must match it within
@@ -40,7 +40,7 @@ from repro.te import (
     sum_expr,
 )
 from repro.te.expr import BinOp, Call, Cmp, Const, IfThenElse, TensorRead, Var
-from repro.te.patterns import match_contraction, match_matmul
+from repro.te.patterns import match_contraction
 from repro.transform import (
     horizontal_transform,
     random_feeds,
@@ -165,12 +165,49 @@ def test_served_contractions_match_naive_sum(name):
     program = SouffleCompiler().compile(SERVED[name]()).program
     recognised = [
         node.tensor for node in program.nodes
-        if match_matmul(node.tensor) is None
-        and match_contraction(node.tensor) is not None
+        if match_contraction(node.tensor) is not None
     ]
     assert recognised, f"{name}: no step lowered to a contraction"
     for tensor in recognised:
         assert_lowering_sound(tensor)
+
+
+@pytest.mark.parametrize("name", sorted(SERVED))
+def test_one_recogniser_serves_every_contraction(name, monkeypatch):
+    """Every sum-of-products step of a served plan, GEMMs included, is an
+    ``einsum`` step running the ``Contraction`` that ``match_contraction``
+    returns for its tensor, and the interpreter runs the same objects."""
+    from repro.te import patterns
+
+    ran = []
+    real = patterns.Contraction.run
+
+    def run(self, arrays, out):
+        ran.append(self)
+        real(self, arrays, out)
+
+    monkeypatch.setattr(patterns.Contraction, "run", run)
+    module = SouffleCompiler().compile(SERVED[name]())
+    plan = module.session.plan
+    tensors = {id(n.tensor): n.tensor for n in module.program.nodes}
+    gemms = [
+        n.tensor for n in module.program.nodes
+        if patterns.match_matmul(n.tensor) is not None
+    ]
+    assert all(match_contraction(t) is not None for t in gemms)
+    lowered = [
+        (step, match_contraction(tensors[step.key])) for step in plan.steps
+        if step.key in tensors
+    ]
+    expected = [c for _, c in lowered if c is not None]
+    assert expected
+    assert all(step.kind == "einsum" for step, c in lowered if c is not None)
+    feeds = random_feeds(module.program, seed=2)
+    module.session.run(feeds)
+    assert [id(c) for c in ran] == [id(c) for c in expected]
+    ran.clear()
+    module.run_interpreted(feeds)
+    assert {id(c) for c in ran} == {id(c) for c in expected}
 
 
 def test_served_shapes_lower_as_expected():
@@ -185,9 +222,7 @@ def test_served_shapes_lower_as_expected():
         build_bert_attention_subgraph()
     ).program
     context = next(
-        n.tensor for n in attention.nodes
-        if match_matmul(n.tensor) is None
-        and match_contraction(n.tensor) is not None
+        n.tensor for n in attention.nodes if n.name.startswith("reshape")
     )
     (piece,) = match_contraction(context).pieces
     assert piece.kernel == "bmm"
@@ -277,10 +312,7 @@ def test_strided_offset_convolutions(conv):
 @settings(max_examples=30, deadline=None)
 @given(program=composed_layouts())
 def test_composed_reshape_transpose_chains(program):
-    reductions = [
-        n.tensor for n in program.nodes
-        if n.tensor.op.reduce_axes and match_matmul(n.tensor) is None
-    ]
+    reductions = [n.tensor for n in program.nodes if n.tensor.op.reduce_axes]
     for tensor in reductions:
         assert match_contraction(tensor) is not None, repr(tensor.op.body)
         assert_lowering_sound(tensor)
@@ -349,8 +381,7 @@ def test_attention_block_batched_lanes_match_unbatched():
 
 def test_each_sum_reduction_is_recognised_once(monkeypatch):
     """An optimized build, a bucket-4 build, two interpreted runs and the
-    certifier share one recognition per sum reduction that is not
-    matmul-shaped (the only ones any caller hands to the recogniser)."""
+    certifier share one recognition per sum reduction."""
     from collections import Counter
 
     from repro.te import patterns
@@ -375,7 +406,6 @@ def test_each_sum_reduction_is_recognised_once(monkeypatch):
             id(n.tensor.op) for n in program.nodes
             if isinstance(n.tensor.op.body, Reduce)
             and n.tensor.op.body.kind == "sum"
-            and match_matmul(n.tensor) is None
         }
         ExecutionPlan(program, optimize=True)
         batched = BatchedExecutionPlan(program, batch_size=4, optimize=True)
@@ -450,14 +480,22 @@ def test_declines_single_reads_and_windows_out_of_bounds():
 
 
 def test_kernel_follows_shapes_only():
-    """Small pieces run one einsum loop, large ones batched matmul."""
+    """One shape per kernel: a dense GEMM calls np.matmul at any size, a
+    large shifted read runs batched matmul through copies, a small one
+    one einsum loop."""
+    a = placeholder((1, 8), name="a")
+    b = placeholder((8, 32), name="b")
+    k = reduce_axis((0, 8))
+    gemv = compute((1, 32), lambda i, j: sum_expr(a[i, k] * b[k, j], [k]))
+    cases = [(gemv, "matmul")]
     for n, kernel in ((4, "einsum"), (32, "bmm")):
         a = placeholder((n, n + 1), name="a")
         b = placeholder((n, n), name="b")
         k = reduce_axis((0, n))
-        t = compute(
+        cases.append((compute(
             (n, n), lambda i, j: sum_expr(a[i, k.var + 1] * b[k, j], [k])
-        )
+        ), kernel))
+    for t, kernel in cases:
         (piece,) = match_contraction(t).pieces
         assert piece.kernel == kernel
         assert_lowering_sound(t)

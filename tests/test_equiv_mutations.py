@@ -16,8 +16,10 @@ Defect catalogue:
              (with the runtime's own partition validator bypassed);
 * batching — a binding layer that drops the weight broadcast on all lanes
              past the first;
-* contraction — a lowered view with a wrong stride or a wrong offset, and
-             a piece boundary moved so one output column is never written.
+* contraction — a lowered view with a wrong stride or a wrong offset, a
+             piece boundary moved so one output column is never written,
+             and a GEMM's whole-array matmul piece reading its weight
+             transposed or its input shifted by one element.
 """
 
 import dataclasses
@@ -289,6 +291,15 @@ def predicated_gemms():
     return program
 
 
+def gemm():
+    """One GEMM with a square weight, so a transposed read stays in
+    bounds."""
+    b = GraphBuilder("gemm")
+    x = b.input((4, 6), name="x")
+    w = b.weight((6, 6), name="w")
+    return lower_graph(b.build([b.relu(b.matmul(x, w))]))
+
+
 def plant(monkeypatch, edit):
     """Serve every lowered contraction through ``edit``."""
     true_match = equiv.match_contraction
@@ -300,12 +311,17 @@ def plant(monkeypatch, edit):
     monkeypatch.setattr(equiv, "match_contraction", planted)
 
 
+def edit_first_piece(contraction, piece):
+    return dataclasses.replace(
+        contraction, pieces=(piece,) + contraction.pieces[1:]
+    )
+
+
 def edit_first_view(contraction, edit):
     piece = contraction.pieces[0]
     views = (edit(piece.operands[0]),) + piece.operands[1:]
-    piece = dataclasses.replace(piece, operands=views)
-    return patterns.Contraction(
-        contraction.tensors, (piece,) + contraction.pieces[1:]
+    return edit_first_piece(
+        contraction, dataclasses.replace(piece, operands=views)
     )
 
 
@@ -323,6 +339,49 @@ def wrong_offset(tensor, contraction):
     ))
 
 
+def transposed_weight(tensor, contraction):
+    """The weight's view swaps its strides: it reads the weight
+    transposed."""
+    piece = contraction.pieces[0]
+    views = tuple(
+        dataclasses.replace(view, strides=view.strides[::-1])
+        if contraction.tensors[view.slot].role == "weight" else view
+        for view in piece.operands
+    )
+    return edit_first_piece(
+        contraction, dataclasses.replace(piece, operands=views)
+    )
+
+
+def overlapping_weight(tensor, contraction):
+    """The weight's view steps 5 elements per row of 6: its rows overlap,
+    so the view is no dense matrix, though it stays in bounds."""
+    piece = contraction.pieces[0]
+    views = tuple(
+        dataclasses.replace(view, strides=(view.strides[0] - 1,)
+                            + view.strides[1:])
+        if contraction.tensors[view.slot].role == "weight" else view
+        for view in piece.operands
+    )
+    return edit_first_piece(
+        contraction, dataclasses.replace(piece, operands=views)
+    )
+
+
+def run_on_certifier_feeds(contraction):
+    """What ``Contraction.run`` writes when every operand element takes
+    the value the certifier's feed store gives it."""
+    arrays = []
+    for t in contraction.tensors:
+        arr = np.empty(t.shape)
+        for idx in np.ndindex(*t.shape):
+            arr[idx] = equiv._hash_feed("", t.name, idx, t.dtype)
+        arrays.append(arr)
+    out = np.zeros(contraction.shape)
+    contraction.run(arrays, out)
+    return out
+
+
 def moved_boundary(tensor, contraction):
     """Piece 0 ends one column early: that column is never written."""
     op = tensor.op
@@ -334,9 +393,7 @@ def moved_boundary(tensor, contraction):
         op.body, op.axes, tensor.shape, tuple(box), slots,
         list(contraction.tensors),
     )
-    return patterns.Contraction(
-        contraction.tensors, (piece,) + contraction.pieces[1:]
-    )
+    return edit_first_piece(contraction, piece)
 
 
 class TestContractionMutation:
@@ -346,10 +403,50 @@ class TestContractionMutation:
             certify_plan_optimization(program, opt), "contraction"
         )
 
-    @pytest.mark.parametrize("program", [strided_conv, predicated_gemms])
+    @pytest.mark.parametrize("program", [strided_conv, predicated_gemms, gemm])
     def test_healthy_lowering_proves(self, program):
         cert = self.certify(program())
         assert cert.proved and cert.obligations >= 1
+
+    def test_gemm_is_one_whole_array_matmul_piece(self):
+        (tensor,) = [
+            n.tensor for n in gemm().nodes
+            if patterns.match_contraction(n.tensor) is not None
+        ]
+        (piece,) = patterns.match_contraction(tensor).pieces
+        assert piece.kernel == "matmul"
+        assert [view.offset for view in piece.operands] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "edit", [transposed_weight, overlapping_weight, wrong_offset]
+    )
+    def test_gemm_view_defect_refuted(self, monkeypatch, edit):
+        program = gemm()
+        plant(monkeypatch, edit)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "operand views differ" in cert.detail
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    @pytest.mark.parametrize("edit", [transposed_weight, overlapping_weight])
+    def test_gemm_kernel_reads_the_views_it_names(self, monkeypatch, edit):
+        """A piece cannot name np.matmul for views that are not dense
+        matrices: its kernel follows from its views, so the run reads
+        what the views say and the counterexample is the run's value."""
+        program = gemm()
+        (tensor,) = [
+            n.tensor for n in program.nodes
+            if patterns.match_contraction(n.tensor) is not None
+        ]
+        planted = edit(tensor, patterns.match_contraction(tensor))
+        assert planted.pieces[0].kernel != "matmul"
+        plant(monkeypatch, edit)
+        cx = self.certify(program).counterexample
+        run = run_on_certifier_feeds(planted)
+        assert run[cx.coordinates] == pytest.approx(
+            cx.after_value, rel=1e-12
+        )
 
     def test_wrong_stride_refuted(self, monkeypatch):
         program = strided_conv()

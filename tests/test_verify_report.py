@@ -207,5 +207,5 @@ class TestCertifyCli:
         transforms = {c["transform"] for c in payload["certificates"]}
         assert {
             "horizontal", "vertical", "fusion", "elision",
-            "tiling", "matmul-specialize", "batched-lowering",
+            "tiling", "contraction", "batched-lowering",
         } <= transforms
