@@ -429,6 +429,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_plan_stats(args: argparse.Namespace) -> int:
     """Report what the plan-optimizer pass pipeline does to one model."""
+    from repro.runtime.executor import read_stats
     from repro.runtime.memory_planner import plan_memory
     from repro.runtime.plan_opt import arena_sizer, plan_optimization
 
@@ -454,6 +455,7 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())
+    print(read_stats(program).render())
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 

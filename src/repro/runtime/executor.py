@@ -2,39 +2,51 @@
 
 The interpretive :class:`~repro.te.evaluator.Evaluator` re-walks every
 expression tree on every call — rebuilding iteration-variable grids,
-re-evaluating index arithmetic and allocating every intermediate from
-scratch. None of that depends on the request: tensor shapes, index maps,
-broadcast grids and operator dispatch are all fixed at compile time.
-:class:`ExecutionPlan` therefore lowers the program *once* into a
-topologically-ordered list of specialized step closures:
+re-evaluating index arithmetic, gathering every non-identity read through
+integer index grids and allocating every intermediate from scratch. None of
+that depends on the request: tensor shapes, index maps and operator
+dispatch are all fixed at compile time. :class:`ExecutionPlan` therefore
+lowers the program *once* into a topologically-ordered list of specialized
+step closures:
 
 * every sum over a product of tensor reads, GEMMs included, runs the
   contraction :func:`~repro.te.patterns.match_contraction` lowers it to:
   one ``np.matmul``, batched-matmul or ``np.einsum`` call per output piece
   over zero-copy views, the kernel chosen by shape and the view geometry
   fixed at plan time (the ``Evaluator`` runs the same object);
-* elementwise/reduction TEs have their bodies compiled bottom-up — binop,
-  comparison and intrinsic dispatch resolved to concrete numpy callables,
-  tensor reads resolved to identity views or precomputed integer gather
-  maps, and every data-independent subexpression (index math, constant
-  grids) folded into a plan-time constant array;
+* every other step (maps and reductions) runs the pieces
+  :func:`~repro.te.patterns.lower_views` cuts it into: each piece's body is
+  compiled bottom-up — binop, comparison and intrinsic dispatch resolved
+  to numpy callables, every data-independent subexpression folded into a
+  plan-time constant — and each read is a strided view of its operand (an
+  offset plus one stride per letter) covering transposes, broadcasts,
+  slices, reshapes, windows and shifted windows. Only a read no view can
+  express keeps a plan-time index grid and a gather;
 * each step writes its result directly into a preallocated **arena** view
   laid out by the global :class:`~repro.runtime.memory_planner.MemoryPlan`
   (``exclusive_writes`` packing, float64 sizing), so non-overlapping
   intermediates share bytes and repeated calls allocate nothing but the
-  model outputs.
+  model outputs. The read views of arena tensors are built once per
+  :class:`Arena`, those of feeds when they are bound (:class:`ReadViews`).
 
 Executing a request is then one flat loop over the steps, for every plan,
 optimized or not, batched or not. Results are bit-identical to the
-:class:`Evaluator` (which remains the differential-testing oracle): both
-paths run the same numpy kernels on the same float64 operands.
+:class:`Evaluator` (which remains the differential-testing oracle, gathers
+and all): both paths run the same numpy kernels on the same float64
+values. Three rules keep them so. A ``sum`` piece copies each view to C
+order and sums over the TE's axes, because numpy's summation order follows
+the memory layout of what it sums; maps, max and min take raw views, whose
+values do not depend on layout. And a step cut into pieces evaluates every
+piece before its first write, since in-place elision may give its output
+the bytes of an operand it reads.
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: a matmul
 piece runs one ``np.matmul`` over the stacked lanes (it loops over leading
 axes outside each BLAS call), every other contraction piece runs its
-unbatched call once per lane, elementwise/gather closures broadcast their
-plan-time index grids over the batch, and the arena is sized for B lanes
+unbatched call once per lane, map and reduction pieces view every lane at
+once (a lane letter in front of each view; a zero-stride weight lane is
+viewed through the unbatched array), and the arena is sized for B lanes
 per intermediate. Lane ``i`` of a batched replay is bit-identical to an
 unbatched replay of request ``i`` — every lane makes the unbatched BLAS
 call, and numpy's ufunc loops are batch-independent per output element —
@@ -43,6 +55,8 @@ which the differential tests pin down across every served model.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -64,9 +78,9 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import match_contraction
-from repro.te.tensor import Tensor
-from repro.te.traversal import tensor_inputs
+from repro.te.patterns import lower_views, match_contraction
+from repro.te.tensor import Tensor, row_major_strides
+from repro.te.traversal import free_vars, tensor_inputs
 
 # The executor computes in float64 (like the Evaluator); arena buffers are
 # sized for that representation, not the tensor's declared storage dtype.
@@ -110,12 +124,149 @@ class PlanStep:
         return f"<PlanStep#{self.index} {self.name} [{self.kind}]>"
 
 
+@dataclass
+class ReadStats:
+    """How a program's steps read their operands (``repro plan-stats``)."""
+
+    views: int = 0        # reads served by a strided view
+    gathers: int = 0      # reads left as index-grid gathers
+    grid_bytes: int = 0   # index-grid bytes those gathers hold
+    cut_steps: int = 0    # steps cut into two or more pieces
+    pieces: int = 0       # pieces of those steps
+
+    def render(self) -> str:
+        return (
+            f"reads: {self.views} views, {self.gathers} gathers left "
+            f"({self.grid_bytes} index-grid bytes), {self.cut_steps} steps "
+            f"cut into {self.pieces} pieces"
+        )
+
+
+def read_stats(program: TEProgram) -> ReadStats:
+    """Count, without building a plan, how the steps of ``program`` read:
+    the map and reduction steps :func:`compile_plan_step` lowers to view
+    pieces (contractions and constant steps read through none). A
+    gather's grid bytes are those of its integer index grids, one per
+    index, each spanning the letters of the axes that index names."""
+    stats = ReadStats()
+    for node in program.nodes:
+        tensor = node.tensor
+        if match_contraction(tensor) is not None or not tensor_inputs(tensor):
+            continue
+        pieces = lower_views(tensor).pieces
+        if len(pieces) > 1:
+            stats.cut_steps += 1
+            stats.pieces += len(pieces)
+        for piece in pieces:
+            extent: Dict[str, int] = {}
+            for letter in piece.letters:
+                extent[letter.axis] = extent.get(letter.axis, 1) * letter.extent
+            for read, view in piece.reads:
+                if view is not None:
+                    stats.views += 1
+                    continue
+                stats.gathers += 1
+                for index in read.indices:
+                    stats.grid_bytes += EXEC_ITEMSIZE * math.prod(
+                        extent.get(name, 1) for name in free_vars(index)
+                    )
+    return stats
+
+
+def _view_maker(
+    dims: Tuple[int, ...],
+    offset: int,
+    strides: Tuple[int, ...],
+    lanes: Optional[int],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array -> its strided view (``offset`` and ``strides`` in bytes into
+    the C-ordered buffer of one request's tensor).
+
+    With ``lanes`` the array leads with a lane axis and so does the view;
+    a zero-stride (weight) lane is viewed through the unbatched array. An
+    array whose buffer is not C-ordered (a fused interior's broadcast
+    value) is copied first.
+    """
+    if lanes is None:
+
+        def make(arr: np.ndarray) -> np.ndarray:
+            if not arr.flags.c_contiguous:
+                arr = np.ascontiguousarray(arr)
+            return np.ndarray(dims, EXEC_DTYPE, arr, offset, strides)
+
+        return make
+    shape = (lanes,) + dims
+
+    def make_lanes(arr: np.ndarray) -> np.ndarray:
+        lane = arr.strides[0]
+        if lane == 0:
+            arr = arr[0]
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
+            lane = arr.strides[0] if lane else 0
+        return np.ndarray(shape, EXEC_DTYPE, arr, offset, (lane,) + strides)
+
+    return make_lanes
+
+
+class ReadViews:
+    """The strided views one plan's steps read, as entries of the values
+    table under keys of their own (negative, so never a tensor's id).
+
+    A view is built whenever the array it views is: once per
+    :class:`Arena` for arena tensors, at bind time for feeds, and per
+    request for outputs and fused interiors.
+    """
+
+    __slots__ = ("lanes", "_keys", "makers", "read")
+
+    def __init__(self, lanes: Optional[int]) -> None:
+        self.lanes = lanes
+        self._keys: Dict[tuple, int] = {}
+        # tensor key -> [(view key, maker)]
+        self.makers: Dict[int, List[Tuple[int, Callable]]] = {}
+        # Keys of views some step reads (the rest are only written).
+        self.read: set = set()
+
+    def key(self, tensor_key: int, spec: tuple, read: bool = True) -> int:
+        """The values-table key of view ``spec`` = (dims, offset,
+        strides) of the tensor stored under ``tensor_key``; ``read=False``
+        registers a view only its own step writes through."""
+        full = (tensor_key,) + spec
+        view_key = self._keys.get(full)
+        if view_key is None:
+            view_key = -1 - len(self._keys)
+            self._keys[full] = view_key
+            self.makers.setdefault(tensor_key, []).append(
+                (view_key, _view_maker(*spec, self.lanes))
+            )
+        if read:
+            self.read.add(view_key)
+        return view_key
+
+    def build(self, values: Values, tensor_keys, read_only: bool = False) -> None:
+        """Add the views of every tensor in ``tensor_keys`` to ``values``
+        (with ``read_only``, just those some step reads)."""
+        for tensor_key in tensor_keys:
+            makers = self.makers.get(tensor_key)
+            if not makers:
+                continue
+            arr = values.get(tensor_key)
+            if arr is None:
+                continue
+            for view_key, make in makers:
+                if not read_only or view_key in self.read:
+                    values[view_key] = make(arr)
+
+
 class Arena:
     """One preallocated workspace: a flat byte buffer plus per-tensor views.
 
     Built once from the memory plan; every intermediate's view aliases its
     planned ``[offset, offset+nbytes)`` slice, so tensors with disjoint live
     ranges transparently share bytes across steps and across requests.
+    The strided read views of those tensors (``views``) are built here
+    too, since the buffers persist.
 
     With ``batch_size`` set the arena carries that many lanes per
     intermediate — every view gains a leading batch axis and the memory
@@ -126,7 +277,10 @@ class Arena:
     __slots__ = ("buffer", "views", "nbytes", "batch_size")
 
     def __init__(
-        self, plan: MemoryPlan, batch_size: Optional[int] = None
+        self,
+        plan: MemoryPlan,
+        batch_size: Optional[int] = None,
+        views: Optional[ReadViews] = None,
     ) -> None:
         self.nbytes = plan.workspace_bytes
         self.batch_size = batch_size
@@ -146,6 +300,8 @@ class Arena:
                 .view(EXEC_DTYPE)
                 .reshape(shape)
             )
+        if views is not None:
+            views.build(self.views, [id(t) for t in plan.assignments])
 
 
 def _grid_env(axes: Sequence[IterVar]) -> Dict[str, np.ndarray]:
@@ -160,22 +316,33 @@ def _grid_env(axes: Sequence[IterVar]) -> Dict[str, np.ndarray]:
     return env
 
 
+# A tensor read resolved ahead of compilation: id(read node) -> closure.
+_Readers = Mapping[int, Callable[[Values], np.ndarray]]
+
+
 def _compile_expr(
     expr: Expr,
     env: Mapping[str, np.ndarray],
-    axes: Sequence[IterVar],
+    ndim: int,
     batched: bool = False,
+    readers: _Readers = {},
 ) -> _Compiled:
-    """Compile one expression bottom-up.
+    """Compile one expression bottom-up over an ``ndim``-axis grid.
 
     Returns ``(const, None)`` when the subtree reads no tensor data — the
     value is computed right here, at plan time — or ``(None, fn)`` where
     ``fn(values)`` produces the (broadcastable) grid at request time.
+    A read found in ``readers`` runs that closure (a strided view); any
+    other read is gathered.
 
     With ``batched`` every tensor value in ``values`` carries a leading
     batch axis; plan-time constants stay unbatched (they broadcast against
     the batch like any leading axis) and only tensor reads change shape.
     """
+
+    def sub(e: Expr) -> _Compiled:
+        return _compile_expr(e, env, ndim, batched, readers)
+
     if isinstance(expr, Const):
         return np.asarray(expr.value, dtype=EXEC_DTYPE), None
     if isinstance(expr, Var):
@@ -186,8 +353,8 @@ def _compile_expr(
     if isinstance(expr, (BinOp, Cmp)):
         table = _BINOP_FN if isinstance(expr, BinOp) else _CMP_FN
         fn = table[expr.op]
-        lc, lf = _compile_expr(expr.lhs, env, axes, batched)
-        rc, rf = _compile_expr(expr.rhs, env, axes, batched)
+        lc, lf = sub(expr.lhs)
+        rc, rf = sub(expr.rhs)
         if lf is None and rf is None:
             return fn(lc, rc), None
         if lf is None:
@@ -197,7 +364,7 @@ def _compile_expr(
         return None, lambda v, fn=fn, lf=lf, rf=rf: fn(lf(v), rf(v))
     if isinstance(expr, Call):
         fn = _CALL_FN[expr.func]
-        parts = [_compile_expr(a, env, axes, batched) for a in expr.args]
+        parts = [sub(a) for a in expr.args]
         if all(f is None for _, f in parts):
             return fn(*[c for c, _ in parts]), None
         if len(parts) == 1:
@@ -208,10 +375,7 @@ def _compile_expr(
         )
         return None, lambda v, fn=fn, thunks=thunks: fn(*[t(v) for t in thunks])
     if isinstance(expr, IfThenElse):
-        parts = [
-            _compile_expr(e, env, axes, batched)
-            for e in (expr.cond, expr.then_value, expr.else_value)
-        ]
+        parts = [sub(e) for e in (expr.cond, expr.then_value, expr.else_value)]
         if all(f is None for _, f in parts):
             cond, then_v, else_v = (c for c, _ in parts)
             return np.where(cond, then_v, else_v), None
@@ -222,7 +386,10 @@ def _compile_expr(
             thunks[0](v), thunks[1](v), thunks[2](v)
         )
     if isinstance(expr, TensorRead):
-        return _compile_read(expr, env, axes, batched)
+        reader = readers.get(id(expr))
+        if reader is not None:
+            return None, reader
+        return _compile_read(expr, env, ndim, batched, readers)
     if isinstance(expr, Reduce):
         # Nested reductions are normalised away during lowering; only a
         # top-level Reduce exists and the step builder peels it off.
@@ -233,15 +400,18 @@ def _compile_expr(
 def _compile_read(
     read: TensorRead,
     env: Mapping[str, np.ndarray],
-    axes: Sequence[IterVar],
+    ndim: int,
     batched: bool = False,
+    readers: _Readers = {},
 ) -> _Compiled:
-    """Resolve a tensor read to a view or a precomputed gather map.
+    """Gather a read that no strided view expresses.
 
-    Index expressions depend only on iteration variables and constants, so
-    the integer index grids are fully materialised at plan time. The common
-    identity pattern ``T[i, j, ...]`` (every node axis, in order, sweeping
-    the full tensor) short-circuits to the bare array — no copy at all.
+    Such reads are rare: an index map that stays non-affine after
+    mixed-radix splitting, a read that leaves its tensor under a select
+    the piece does not decide (the select discards those elements), or a
+    data-dependent index. Index expressions depend only on iteration
+    variables and constants, so the integer index grids are materialised
+    at plan time and the read is one fancy-index gather per request.
 
     In batched mode the stored value has shape ``(B,) + tensor.shape``; the
     precomputed index grids address the trailing (request) dimensions while
@@ -250,19 +420,9 @@ def _compile_read(
     with the unbatched broadcast semantics.
     """
     key = id(read.tensor)
-    base_shape = tuple(getattr(read.tensor, "shape", ()))
-
-    index_names = [i.name for i in read.indices if isinstance(i, Var)]
-    axis_names = [ax.name for ax in axes]
-    extents = tuple(ax.extent for ax in axes)
-    if (
-        len(index_names) == len(read.indices)
-        and index_names == axis_names
-        and base_shape == extents
-    ):
-        return None, lambda v, key=key: v[key]
-
-    parts = [_compile_expr(i, env, axes, batched) for i in read.indices]
+    parts = [
+        _compile_expr(i, env, ndim, batched, readers) for i in read.indices
+    ]
     if any(f is not None for _, f in parts):
         if batched:
             # A data-dependent index would differ per batch lane, breaking
@@ -299,7 +459,7 @@ def _compile_read(
     # must keep those dims trailing, padding with ones in between when the
     # grids collapse below the full axis rank (e.g. all-constant indices).
     grid_shape = np.broadcast_shapes(*[i.shape for i in indices])
-    pad = (1,) * (len(axes) - len(grid_shape))
+    pad = (1,) * (ndim - len(grid_shape))
 
     def gather_batched(v: Values, key=key, idx=idx, pad=pad) -> np.ndarray:
         out = v[key][(slice(None),) + idx]
@@ -316,11 +476,216 @@ def _batched(shape: Tuple[int, ...], batch_size: Optional[int]) -> Tuple[int, ..
     return (batch_size,) + tuple(shape)
 
 
+def _dense(dims: Sequence[int], strides: Sequence[int]) -> bool:
+    """Whether element ``strides`` lay ``dims`` out in C order."""
+    kept = [(d, s) for d, s in zip(dims, strides) if d > 1]
+    return [s for _, s in kept] == row_major_strides([d for d, _ in kept])
+
+
+class _PieceCompiler:
+    """Compiles the pieces of one step's :class:`ViewLowering`.
+
+    A map, max or min piece computes over its letters with raw views. A
+    sum piece computes over its box's axes instead, the grid the
+    ``Evaluator`` sums: each view is copied to C order and reshaped to
+    the axes, because numpy's summation order follows the memory layout
+    of what it sums.
+    """
+
+    def __init__(
+        self, tensor: Tensor, lowering, key: int, batch_size: Optional[int],
+        views: Optional[ReadViews],
+    ) -> None:
+        self.tensor = tensor
+        self.lowering = lowering
+        self.key = key
+        self.lanes = batch_size
+        self.lead = () if batch_size is None else (batch_size,)
+        self.views = views
+        body = tensor.op.body
+        self.kind = body.kind if isinstance(body, Reduce) else None
+        self.reduce_axes = body.axes if isinstance(body, Reduce) else ()
+        self.spatial = {ax.name for ax in tensor.op.axes}
+
+    # ---- array access ------------------------------------------------------
+
+    def _get(
+        self, tensor_key: int, dims, offset: int, strides, shape,
+        read: bool = True,
+    ):
+        """``(closure, whole)``: the closure takes the values table to the
+        view (element offset and strides) of the array stored under
+        ``tensor_key``, of request shape ``shape``; ``whole`` says the view
+        is that array itself (all of it, in C order)."""
+        dims = tuple(dims)
+        if offset == 0 and dims == tuple(shape) and _dense(dims, strides):
+            return itemgetter(tensor_key), True
+        spec = (
+            dims, offset * EXEC_ITEMSIZE,
+            tuple(s * EXEC_ITEMSIZE for s in strides),
+        )
+        if self.views is not None:
+            view_key = self.views.key(tensor_key, spec, read)
+            return itemgetter(view_key), False
+        make = _view_maker(*spec, self.lanes)
+        return (lambda v, k=tensor_key, make=make: make(v[k])), False
+
+    def _reader(self, piece, view, by_axis: bool):
+        letters = piece.letters
+        stride = dict(zip(view.letters, view.strides))
+        source = self.lowering.tensors[view.slot]
+        if by_axis:
+            used = {l.axis for l in letters if l.letter in stride}
+            dims = [l.extent if l.axis in used else 1 for l in letters]
+        else:
+            dims = [l.extent if l.letter in stride else 1 for l in letters]
+        get, _ = self._get(
+            id(source), dims, view.offset,
+            [stride.get(l.letter, 0) for l in letters], source.shape,
+        )
+        if not by_axis:
+            return get
+        shape = self.lead + tuple(_axis_dims(letters, dims))
+        if shape == self.lead + tuple(dims):
+            return lambda v, get=get: np.ascontiguousarray(get(v))
+        return lambda v, get=get, shape=shape: (
+            np.ascontiguousarray(get(v)).reshape(shape)
+        )
+
+    def _env(self, piece, by_axis: bool) -> Dict[str, np.ndarray]:
+        """Each axis's values over the piece's grid (letters or axes)."""
+        starts = {
+            ax.name: lo for ax, (lo, _) in zip(self.tensor.op.axes, piece.box)
+        }
+        starts.update({ax.name: ax.dom.lo for ax in self.reduce_axes})
+        groups: Dict[str, List[int]] = {}
+        for k, letter in enumerate(piece.letters):
+            groups.setdefault(letter.axis, []).append(k)
+        ndim = len(groups) if by_axis else len(piece.letters)
+        env: Dict[str, np.ndarray] = {}
+        for d, (axis, positions) in enumerate(groups.items()):
+            sizes = [piece.letters[k].extent for k in positions]
+            shape = [1] * ndim
+            if by_axis:
+                shape[d] = math.prod(sizes)
+            else:
+                for k, size in zip(positions, sizes):
+                    shape[k] = size
+            lo = starts[axis]
+            env[axis] = np.arange(
+                lo, lo + math.prod(sizes), dtype=np.int64
+            ).reshape(shape)
+        return env
+
+    def out(self, piece, by_axis: bool = False):
+        """``(closure, whole)`` of where the piece writes: its box over
+        the spatial letters, or over the spatial axes for a sum."""
+        if by_axis:
+            dims = [hi - lo for lo, hi in piece.box]
+            strides = row_major_strides(self.tensor.shape)
+        else:
+            stride = dict(zip(piece.out.letters, piece.out.strides))
+            spatial = [l for l in piece.letters if l.axis in self.spatial]
+            dims = [l.extent for l in spatial]
+            strides = [stride.get(l.letter, 0) for l in spatial]
+        return self._get(
+            self.key, dims, piece.out.offset, strides, self.tensor.shape,
+            read=False,
+        )
+
+    # ---- pieces ------------------------------------------------------------
+
+    def compile(self, piece):
+        """``(value, write, lazy)``: the piece's value closure, the closure
+        that writes a value to its box, and whether the value is a raw
+        view of an operand."""
+        by_axis = self.kind == "sum"
+        readers = {}
+        for read, view in piece.reads:
+            if view is not None:
+                readers[id(read)] = self._reader(piece, view, by_axis)
+        env = self._env(piece, by_axis)
+        if by_axis:
+            grid = [hi - lo for lo, hi in piece.box] + [
+                ax.extent for ax in self.reduce_axes
+            ]
+            spatial = len(piece.box)
+        else:
+            grid = [l.extent for l in piece.letters]
+            spatial = sum(1 for l in piece.letters if l.axis in self.spatial)
+        const, fn = _compile_expr(
+            piece.body, env, len(grid), self.lanes is not None, readers
+        )
+        out, _ = self.out(piece, by_axis)
+        if fn is None:
+            fn = lambda v, const=const: const  # noqa: E731
+        if self.kind is None:
+            lazy = (isinstance(piece.body, TensorRead)
+                    and id(piece.body) in readers)
+
+            def write_map(v, value, out=out):
+                np.copyto(out(v), value)
+
+            return fn, write_map, lazy
+
+        full = self.lead + tuple(grid)
+        first = len(self.lead) + spatial
+        dims = tuple(range(first, len(full)))
+        red = {"sum": np.sum, "max": np.max, "min": np.min}[self.kind]
+
+        def write_reduce(v, value, out=out, full=full, dims=dims, red=red):
+            if value.shape != full:
+                value = np.broadcast_to(value, full)
+            red(value, axis=dims, out=out(v))
+
+        return fn, write_reduce, False
+
+
+def _axis_dims(letters, letter_dims) -> List[int]:
+    """Per axis (letters come axis by axis), its letters' dims' product."""
+    dims: List[int] = []
+    axis = None
+    for letter, dim in zip(letters, letter_dims):
+        if letter.axis != axis:
+            axis = letter.axis
+            dims.append(1)
+        dims[-1] *= dim
+    return dims
+
+
+def _run_pieces(parts):
+    """The run closure of a step cut into pieces.
+
+    Every piece is evaluated before the first write: under in-place
+    elision the output's bytes are an operand's, and a piece must not read
+    what another already wrote. Ufunc results are fresh arrays, but a
+    piece that is a bare view read stays a view of its operand, so all
+    such pieces but the first written are copied first (``np.copyto``
+    itself copes with a source that overlaps its destination).
+    """
+    lazy = [k for k, (_, _, is_lazy) in enumerate(parts) if is_lazy]
+    order = lazy[:1] + [k for k in range(len(parts)) if k not in lazy[:1]]
+    values = tuple(
+        (lambda v, fn=parts[k][0]: np.array(fn(v)))
+        if k in lazy[1:] else parts[k][0]
+        for k in order
+    )
+    writes = tuple(parts[k][1] for k in order)
+
+    def run_pieces(v: Values, values=values, writes=writes):
+        results = [value(v) for value in values]
+        for write, result in zip(writes, results):
+            write(v, result)
+
+    return run_pieces
+
+
 def compile_plan_step(
     tensor: Tensor,
     index: int,
     key: Optional[int] = None,
     batch_size: Optional[int] = None,
+    views: Optional[ReadViews] = None,
 ) -> PlanStep:
     """Lower one computed tensor to an executable :class:`PlanStep`.
 
@@ -328,13 +693,14 @@ def compile_plan_step(
     plan: the tiling pass (:mod:`repro.runtime.tiling`) compiles cache-block
     clones of chain members through this same path, so a block step runs
     exactly the numpy kernels per output row the untiled step would.
-    ``key`` defaults to ``id(tensor)``.
+    ``key`` defaults to ``id(tensor)``. With ``views`` the step reads its
+    strided views from the values table (the plan builds them); without,
+    it builds each view from its array when it runs.
     """
     if key is None:
         key = id(tensor)
     op = tensor.op
     assert op is not None
-    batched = batch_size is not None
 
     contraction = match_contraction(tensor)
     if contraction is not None:
@@ -356,10 +722,8 @@ def compile_plan_step(
     spatial = list(op.axes)
     body = op.body
     reduce_axes: List[IterVar] = []
-    reduce_kind: Optional[str] = None
     if isinstance(body, Reduce):
         reduce_axes = list(body.axes)
-        reduce_kind = body.kind
         body = body.body
 
     all_axes = spatial + reduce_axes
@@ -373,64 +737,61 @@ def compile_plan_step(
             "execution — benchmarks use the analytic model"
         )
 
-    env = _grid_env(all_axes)
-    const, fn = _compile_expr(body, env, all_axes, batched)
-
-    if reduce_kind is None:
-        if fn is None:
-            # Fully data-independent body: the result never changes.
-            # (The arena view broadcasts the fold over any batch axis.)
+    if not tensor_inputs(tensor):
+        # Fully data-independent body: the result never changes.
+        # (The arena view broadcasts the fold over any batch axis.)
+        const, _ = _compile_expr(body, _grid_env(all_axes), len(all_axes))
+        if reduce_axes:
+            red_fn = {"sum": np.sum, "max": np.max, "min": np.min}[
+                op.body.kind
+            ]
+            folded = red_fn(
+                np.broadcast_to(const, tuple(ax.extent for ax in all_axes)),
+                axis=tuple(range(len(spatial), len(all_axes))),
+            ).astype(EXEC_DTYPE)
+        else:
             folded = np.broadcast_to(const, tensor.shape)
 
-            def run_const(v: Values, key=key, folded=folded):
-                np.copyto(v[key], folded)
-
-            return PlanStep(
-                index, tensor.name, "const", key, run_const,
-                value_fn=lambda v, folded=folded: folded,
-            )
-
-        def run_map(v: Values, key=key, fn=fn):
-            np.copyto(v[key], fn(v))
-
-        return PlanStep(
-            index, tensor.name, "map", key, run_map, value_fn=fn
-        )
-
-    full_shape = _batched(
-        tuple(ax.extent for ax in all_axes), batch_size
-    )
-    offset = 0 if batch_size is None else 1
-    reduce_dims = tuple(
-        offset + d for d in range(len(spatial), len(all_axes))
-    )
-    red_fn = {"sum": np.sum, "max": np.max, "min": np.min}[reduce_kind]
-
-    if fn is None:
-        folded = red_fn(
-            np.broadcast_to(const, full_shape), axis=reduce_dims
-        ).astype(EXEC_DTYPE)
-
-        def run_const_red(v: Values, key=key, folded=folded):
+        def run_const(v: Values, key=key, folded=folded):
             np.copyto(v[key], folded)
 
         return PlanStep(
-            index, tensor.name, "const", key, run_const_red,
+            index, tensor.name, "const", key, run_const,
             value_fn=lambda v, folded=folded: folded,
         )
 
-    def run_reduce(
-        v: Values,
-        key=key,
-        fn=fn,
-        full=full_shape,
-        dims=reduce_dims,
-        red=red_fn,
-    ):
-        grid = np.broadcast_to(fn(v), full)
-        red(grid, axis=dims, out=v[key])
+    lowering = lower_views(tensor)
+    compiler = _PieceCompiler(tensor, lowering, key, batch_size, views)
+    parts = [compiler.compile(piece) for piece in lowering.pieces]
+    if len(parts) == 1:
+        (value, write, _), = parts
 
-    return PlanStep(index, tensor.name, "reduce", key, run_reduce)
+        def run_piece(v: Values, value=value, write=write):
+            write(v, value(v))
+
+        run = run_piece
+    else:
+        run = _run_pieces(parts)
+    if compiler.kind is not None:
+        return PlanStep(index, tensor.name, "reduce", key, run)
+
+    if len(parts) == 1 and compiler.out(lowering.pieces[0])[1]:
+        value_fn = parts[0][0]
+    else:
+        # The value alone (for fusion): the pieces written to a new array.
+        fresh = _PieceCompiler(tensor, lowering, key, batch_size, None)
+        outs = tuple(fresh.out(p)[0] for p in lowering.pieces)
+        values = tuple(value for value, _, _ in parts)
+
+        def value_fn(v: Values, shape=_batched(tensor.shape, batch_size),
+                     key=key, outs=outs, values=values):
+            results = [value(v) for value in values]
+            local = {key: np.empty(shape, dtype=EXEC_DTYPE)}
+            for out, result in zip(outs, results):
+                np.copyto(out(local), result)
+            return local[key]
+
+    return PlanStep(index, tensor.name, "map", key, run, value_fn=value_fn)
 
 
 class ExecutionPlan:
@@ -470,10 +831,12 @@ class ExecutionPlan:
             id(t) for node in program.nodes
             for t in tensor_inputs(node.tensor)
         } & self._inputs_by_id.keys()
+        # The strided views the steps read, built with their arrays.
+        self.read_views = ReadViews(self.batch_size)
         self.steps: List[PlanStep] = [
             compile_plan_step(
                 node.tensor, i, key=id(node.tensor),
-                batch_size=self.batch_size,
+                batch_size=self.batch_size, views=self.read_views,
             )
             for i, node in enumerate(program.nodes)
         ]
@@ -481,6 +844,13 @@ class ExecutionPlan:
             (id(t), self._batched_shape(t.shape)) for t in program.outputs
         ]
         self._output_keys: List[int] = [id(t) for t in program.outputs]
+        # Feeds and outputs whose views are built per request.
+        self._feed_view_keys = [
+            id(t) for t in program.inputs if id(t) in self.read_views.makers
+        ]
+        self._output_view_keys = [
+            key for key in self._output_keys if key in self.read_views.makers
+        ]
         self._validate_layout()
         # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
         # and sets this (see repro.runtime.plan_opt).
@@ -539,7 +909,10 @@ class ExecutionPlan:
 
     def new_arena(self) -> Arena:
         """Allocate one workspace for this plan (reused across requests)."""
-        return Arena(self.memory_plan, batch_size=self.batch_size)
+        return Arena(
+            self.memory_plan, batch_size=self.batch_size,
+            views=self.read_views,
+        )
 
     def _bind_one(self, tensor: Tensor, value: np.ndarray) -> np.ndarray:
         """Convert one feed to the execution dtype, validating its shape.
@@ -558,7 +931,8 @@ class ExecutionPlan:
         return arr
 
     def bind_feeds(self, feeds: Mapping[Tensor, np.ndarray]) -> Values:
-        """Validate and convert feeds to the execution representation."""
+        """Validate and convert feeds to the execution representation,
+        with the strided views the steps read of them."""
         bound: Values = {
             id(tensor): self._bind_one(tensor, value)
             for tensor, value in feeds.items()
@@ -569,6 +943,7 @@ class ExecutionPlan:
                 raise ExecutionError(
                     f"no feed provided for placeholder {name}"
                 )
+        self.read_views.build(bound, self._feed_view_keys)
         return bound
 
     def _prepare_values(self, bound: Values, arena: Arena) -> Values:
@@ -577,6 +952,8 @@ class ExecutionPlan:
         values.update(bound)
         for key, shape in self._output_allocs:
             values[key] = np.empty(shape, dtype=EXEC_DTYPE)
+        if self._output_view_keys:
+            self.read_views.build(values, self._output_view_keys)
         return values
 
     def execute(
@@ -700,6 +1077,7 @@ class BatchedExecutionPlan(ExecutionPlan):
                 raise ExecutionError(
                     f"no feed provided for placeholder {name}"
                 )
+        self.read_views.build(bound, self._feed_view_keys)
         return bound
 
     def run_batch(

@@ -13,7 +13,8 @@ two can be switched off for tests and ablation):
 2. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
    elementwise step whose input buffer dies at that step writes into its
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
-   fully evaluate their value into temporaries before the final ``copyto``.
+   fully evaluate their value into temporaries before the final ``copyto``
+   (a step cut into pieces evaluates every piece before its first write).
 3. **Level ordering** (Sec. 6.1 horizontal packing) — steps are emitted in
    dependency-level order, so steps sharing a level stay live together and
    the repacked arena gives them disjoint bytes. The levels holding two or
@@ -69,12 +70,11 @@ PARALLEL_MIN_WAVE_ELEMENTS = 1 << 16
 def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
     """Whether every read of ``producer`` in ``consumer`` is the identity.
 
-    Mirrors the executor's identity-view fast path (``T[i, j, ...]`` over
-    the consumer's own axes sweeping the full tensor). Fusion is restricted
-    to such reads: the fused interior value is a lazy broadcast view, which
-    an identity-reading ufunc consumes at contiguous speed, while a gather
-    (fancy indexing) over a non-contiguous view is *slower* than gathering
-    the materialised array the unfused step would have produced.
+    Mirrors the executor's whole-array read (``T[i, j, ...]`` over the
+    consumer's own axes sweeping the full tensor). Fusion is restricted
+    to such reads: the fused interior value may be a lazy broadcast
+    array, which an identity-reading ufunc consumes as it is, while any
+    other strided view of it needs a C-ordered copy first.
     """
     op = consumer.tensor.op
     axis_names = [ax.name for ax in op.axes]
@@ -561,18 +561,33 @@ def plan_optimization(
 def _make_fused_run(
     interiors: Tuple[Tuple[int, Callable, Tuple[int, ...]], ...],
     terminal_run: Callable,
+    views,
 ) -> Callable:
     """Compose interior value closures with the terminal's arena write.
 
-    Interior values are broadcast *views* of the producer's compiled value
-    function — never copied into the arena. The terminal is a ``map``
-    (elementwise ufuncs, gathers, selects), which reads broadcast views
-    bit-identically to contiguous arrays.
+    Interior values are the producer's compiled value — never copied into
+    the arena — broadcast to full shape when they are not already. The
+    terminal is a ``map`` (elementwise ufuncs and selects over views),
+    which reads broadcast views bit-identically to contiguous arrays. An
+    interior the terminal reads through a strided view (a piece's box)
+    gets that view built from its value (``views``, the plan's
+    :class:`~repro.runtime.executor.ReadViews`).
     """
+    viewed = tuple(
+        key for key, _, _ in interiors
+        if any(view_key in views.read for view_key, _ in
+               views.makers.get(key, ()))
+    )
 
     def run_fused(v, interiors=interiors, terminal_run=terminal_run):
         for key, fn, shape in interiors:
-            v[key] = np.broadcast_to(fn(v), shape)
+            value = fn(v)
+            v[key] = (
+                value if value.shape == shape
+                else np.broadcast_to(value, shape)
+            )
+        if viewed:
+            views.build(v, viewed, read_only=True)
         terminal_run(v)
 
     return run_fused
@@ -651,7 +666,10 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 )
             step = PlanStep(
                 g.position, g.name, "fused", terminal_step.key,
-                _make_fused_run(interiors, terminal_step.run),
+                _make_fused_run(
+                    interiors, terminal_step.run,
+                    plan.read_views,
+                ),
             )
         new_steps.append(step)
 

@@ -1,8 +1,9 @@
 """Structural pattern recognisers over tensor expressions.
 
 Used by the evaluator and the execution plan (to run every sum-of-products
-reduction as contractions over strided views), by the scheduler
-(tensor-core eligibility) and by TE characterisation.
+reduction as contractions over strided views), by the execution plan (to
+run every other map and reduction as pieces over strided views), by the
+scheduler (tensor-core eligibility) and by TE characterisation.
 """
 
 from __future__ import annotations
@@ -462,46 +463,69 @@ def _selects_products(expr: Expr) -> bool:
     return factors is not None and len(factors) >= 2
 
 
-def _unclamped(expr: Expr) -> Optional[Var]:
-    """The axis variable under a chain of min/max clamps by constants
-    (nested horizontal merges test ``min(v, c1) < c2``), else ``None``.
+def _unclamped(expr: Expr) -> Tuple[Optional[Var], int]:
+    """The axis variable under a chain of min/max clamps by constants and
+    constant shifts (nested horizontal merges test ``min(v, c1) < c2`` and
+    ``max(v - c1, 0) < c2``), with the net shift; ``(None, 0)`` if there
+    is none.
 
     A cut that changes nothing is harmless: every piece decides its
-    selects by simplification, clamps included, and the whole reduction
-    is declined if some piece cannot.
+    selects by simplification, clamps included; a contraction is declined
+    if some piece cannot, and a view piece keeps the select.
     """
-    while (isinstance(expr, BinOp) and expr.op in ("min", "max")
-           and isinstance(expr.rhs, Const)):
+    shift = 0
+    while isinstance(expr, BinOp) and isinstance(expr.rhs, Const):
+        if expr.op in ("add", "sub") and type(expr.rhs.value) is int:
+            shift += expr.rhs.value if expr.op == "add" else -expr.rhs.value
+        elif expr.op not in ("min", "max"):
+            break
         expr = expr.lhs
-    return expr if isinstance(expr, Var) else None
+    return (expr, shift) if isinstance(expr, Var) else (None, 0)
+
+
+def _cut_points(cond: Expr) -> Optional[List[Tuple[str, int]]]:
+    """``(axis, cut)`` pairs of a select condition that compares (clamped)
+    axes with constants — one comparison, or a conjunction written as
+    their product (a pad guard ``(k ge 3) mul (k lt 19)``) — else ``None``.
+    """
+    if isinstance(cond, BinOp) and cond.op == "mul":
+        lhs, rhs = _cut_points(cond.lhs), _cut_points(cond.rhs)
+        return None if lhs is None or rhs is None else lhs + rhs
+    if not isinstance(cond, Cmp) or cond.op not in _CUT_SHIFT:
+        return None
+    if isinstance(cond.rhs, Const):
+        (var, shift), const, op = _unclamped(cond.lhs), cond.rhs.value, cond.op
+    elif isinstance(cond.lhs, Const):
+        (var, shift), const = _unclamped(cond.rhs), cond.lhs.value
+        op = _FLIPPED[cond.op]
+    else:
+        return None
+    if var is None or type(const) is not int:
+        return None
+    return [(var.name, const - shift + _CUT_SHIFT[op])]
 
 
 def _piece_boxes(
-    expr: Expr, axes: Sequence
+    expr: Expr, axes: Sequence, strict: bool = True
 ) -> Optional[List[Tuple[Tuple[int, int], ...]]]:
     """Cut the output domain at every select threshold on an output axis.
 
-    Returns the boxes (one ``(lo, hi)`` per axis) of the cut grid, or
-    ``None`` if some select tests anything but a (clamped) output axis
-    against a constant.
+    Returns the boxes (one ``(lo, hi)`` per axis) of the cut grid. A select
+    whose condition is not a comparison (or conjunction of comparisons) of
+    an output axis with a constant makes it return ``None`` when
+    ``strict``, and is left uncut otherwise.
     """
     cuts = {ax.name: {ax.dom.lo, ax.dom.hi} for ax in axes}
     for node in walk(expr):
         if not isinstance(node, IfThenElse):
             continue
-        cond = node.cond
-        if not isinstance(cond, Cmp) or cond.op not in _CUT_SHIFT:
-            return None
-        if isinstance(cond.rhs, Const):
-            var, const, op = _unclamped(cond.lhs), cond.rhs.value, cond.op
-        elif isinstance(cond.lhs, Const):
-            var, const = _unclamped(cond.rhs), cond.lhs.value
-            op = _FLIPPED[cond.op]
-        else:
-            return None
-        if var is None or var.name not in cuts or type(const) is not int:
-            return None
-        cuts[var.name].add(const + _CUT_SHIFT[op])
+        points = _cut_points(node.cond)
+        if points is None or any(name not in cuts for name, _ in points):
+            if strict:
+                return None
+            continue
+        for name, point in points:
+            cuts[name].add(point)
     intervals = []
     for ax in axes:
         points = sorted(
@@ -511,7 +535,7 @@ def _piece_boxes(
     return list(itertools.product(*intervals))
 
 
-def _radix_splits(expr: Expr, ranges) -> Dict[str, int]:
+def _radix_splits(exprs: Sequence[Expr], ranges) -> Dict[str, int]:
     """Mixed-radix splits that let floordiv/mod fold away.
 
     For ``(c*v + ...) floordiv d`` (or ``mod d``) with ``c`` dividing ``d``,
@@ -521,7 +545,7 @@ def _radix_splits(expr: Expr, ranges) -> Dict[str, int]:
     """
     names = list(ranges)
     splits: Dict[str, int] = {}
-    for node in walk(expr):
+    for node in itertools.chain.from_iterable(walk(e) for e in exprs):
         if not (isinstance(node, BinOp) and node.op in ("floordiv", "mod")):
             continue
         divisor = node.rhs.value if isinstance(node.rhs, Const) else None
@@ -542,6 +566,138 @@ def _radix_splits(expr: Expr, ranges) -> Dict[str, int]:
     return splits
 
 
+class _Letters:
+    """The letters of one piece: every axis over its span, then split
+    into mixed-radix parts wherever a floordiv/mod index map asks."""
+
+    def __init__(self, spans) -> None:
+        from repro.transform.simplify import Interval
+
+        self._interval = Interval
+        self.parts: Dict[str, Tuple[str, int, int]] = {}
+        self.ranges: Dict[str, object] = {}
+        self._fresh = itertools.count()
+        self.mapping: Dict[str, Expr] = {}
+        self.rank = {ax.name: k for k, (ax, _) in enumerate(spans)}
+        for ax, (lo, hi) in spans:
+            var = self._new_var(ax.name, 1, hi - lo)
+            self.mapping[ax.name] = (
+                var if lo == 0 else BinOp("add", var, Const(lo, "int32"))
+            )
+
+    def _new_var(self, axis: str, multiplier: int, extent: int) -> Var:
+        name = f"{axis}${next(self._fresh)}"
+        self.parts[name] = (axis, multiplier, extent)
+        self.ranges[name] = self._interval(0, extent - 1)
+        return Var(name)
+
+    def simplify(self, exprs: Sequence[Expr], sub) -> List[Expr]:
+        from repro.transform.simplify import Simplifier
+
+        simplifier = Simplifier(self.ranges)
+        return [simplifier.simplify(substitute_vars(e, sub)) for e in exprs]
+
+    def split(self, exprs: List[Expr]) -> List[Expr]:
+        """Delinearise ``exprs`` (already over the letters) round by round."""
+        for _ in range(_MAX_SPLIT_ROUNDS):
+            splits = _radix_splits(exprs, self.ranges)
+            if not splits:
+                break
+            sub: Dict[str, Expr] = {}
+            for name, stride in splits.items():
+                axis, multiplier, extent = self.parts.pop(name)
+                del self.ranges[name]
+                high = self._new_var(axis, multiplier * stride, extent // stride)
+                low = self._new_var(axis, multiplier, stride)
+                sub[name] = BinOp(
+                    "add", BinOp("mul", high, Const(stride, "int32")), low
+                )
+            exprs = self.simplify(exprs, sub)
+        return exprs
+
+    def name(self) -> Optional[Dict[str, str]]:
+        """Letter per part, axis by axis and largest multiplier first
+        (C order over each axis), or ``None`` past 52 parts."""
+        rank = self.rank
+        names = sorted(
+            self.parts, key=lambda n: (rank[self.parts[n][0]], -self.parts[n][1])
+        )
+        if len(names) > len(string.ascii_letters):
+            return None
+        return {n: string.ascii_letters[k] for k, n in enumerate(names)}
+
+    def letters(self, letter_of: Dict[str, str]) -> Tuple[ContractionLetter, ...]:
+        return tuple(
+            ContractionLetter(letter_of[n], *self.parts[n]) for n in letter_of
+        )
+
+    def view(
+        self, tensor: Tensor, indices: Sequence[Expr], slot: int,
+        letter_of: Dict[str, str],
+    ) -> Optional[ContractionView]:
+        """The read ``tensor[indices]`` (over the letters) as a strided
+        view of slot ``slot``, or ``None`` if some index is not affine in
+        the letters or leaves the tensor."""
+        names = list(letter_of)
+        offset = 0
+        strides = dict.fromkeys(names, 0)
+        shape = tensor.shape
+        steps = row_major_strides(shape)
+        for index, dim, step in zip(indices, shape, steps):
+            try:
+                coeffs, const = linearize(index, names)
+            except TEError:
+                return None
+            lo = hi = const
+            for name, coeff in coeffs.items():
+                reach = coeff * (self.parts[name][2] - 1)
+                lo += min(0, reach)
+                hi += max(0, reach)
+                strides[name] += coeff * step
+            if lo < 0 or hi >= dim:
+                return None
+            offset += const * step
+        kept = sorted(
+            (n for n in names if strides[n] and self.parts[n][2] > 1),
+            key=lambda n: -abs(strides[n]),
+        )
+        return ContractionView(
+            slot, offset, "".join(letter_of[n] for n in kept),
+            tuple(strides[n] for n in kept),
+        )
+
+    def out_view(
+        self, axes: Sequence, box, out_shape: Sequence[int],
+        letter_of: Dict[str, str],
+    ) -> ContractionView:
+        """The box's row-major addresses in the output, over its letters."""
+        out_strides = dict(
+            zip((ax.name for ax in axes), row_major_strides(out_shape))
+        )
+        out_offset = sum(
+            (lo - ax.dom.lo) * out_strides[ax.name]
+            for ax, (lo, _) in zip(axes, box)
+        )
+        out_names = [
+            n for n in letter_of
+            if self.parts[n][0] in out_strides and self.parts[n][2] > 1
+        ]
+        return ContractionView(
+            -1, out_offset, "".join(letter_of[n] for n in out_names),
+            tuple(
+                self.parts[n][1] * out_strides[self.parts[n][0]]
+                for n in out_names
+            ),
+        )
+
+
+def _slot(tensor: Tensor, slots: Dict[int, int], tensors: List[Tensor]) -> int:
+    slot = slots.setdefault(id(tensor), len(tensors))
+    if slot == len(tensors):
+        tensors.append(tensor)
+    return slot
+
+
 def _lower_piece(
     red: Reduce,
     axes: Sequence,
@@ -552,109 +708,37 @@ def _lower_piece(
 ) -> Optional[ContractionPiece]:
     """Lower one output box: fold its selects and clamps, delinearise its
     floordiv/mod maps, and turn every read into a strided view."""
-    from repro.transform.simplify import Interval, Simplifier
-
-    parts: Dict[str, Tuple[str, int, int]] = {}
-    ranges: Dict[str, Interval] = {}
-    fresh = itertools.count()
-
-    def new_var(axis: str, multiplier: int, extent: int) -> Var:
-        name = f"{axis}${next(fresh)}"
-        parts[name] = (axis, multiplier, extent)
-        ranges[name] = Interval(0, extent - 1)
-        return Var(name)
-
     spans = list(zip(axes, box)) + [
         (ax, (ax.dom.lo, ax.dom.hi)) for ax in red.axes
     ]
-    mapping: Dict[str, Expr] = {}
-    for ax, (lo, hi) in spans:
-        var = new_var(ax.name, 1, hi - lo)
-        mapping[ax.name] = (
-            var if lo == 0 else BinOp("add", var, Const(lo, "int32"))
-        )
-    body = Simplifier(ranges).simplify(substitute_vars(red.body, mapping))
-    for _ in range(_MAX_SPLIT_ROUNDS):
-        splits = _radix_splits(body, ranges)
-        if not splits:
-            break
-        sub: Dict[str, Expr] = {}
-        for name, stride in splits.items():
-            axis, multiplier, extent = parts.pop(name)
-            del ranges[name]
-            high = new_var(axis, multiplier * stride, extent // stride)
-            low = new_var(axis, multiplier, stride)
-            sub[name] = BinOp(
-                "add", BinOp("mul", high, Const(stride, "int32")), low
-            )
-        body = Simplifier(ranges).simplify(substitute_vars(body, sub))
+    space = _Letters(spans)
+    (body,) = space.split(space.simplify([red.body], space.mapping))
     factors = _factors(body)
     if factors is None or len(factors) < 2:
         return None
-
-    rank = {ax.name: k for k, (ax, _) in enumerate(spans)}
-    names = sorted(parts, key=lambda n: (rank[parts[n][0]], -parts[n][1]))
-    if len(names) > len(string.ascii_letters):
+    letter_of = space.name()
+    if letter_of is None:
         return None
-    letter_of = {n: string.ascii_letters[k] for k, n in enumerate(names)}
-    extent_of = {n: parts[n][2] for n in names}
 
     operands: List[ContractionView] = []
     for read in factors:
-        offset = 0
-        strides = dict.fromkeys(names, 0)
-        shape = read.tensor.shape
-        steps = row_major_strides(shape)
-        for index, dim, step in zip(read.indices, shape, steps):
-            try:
-                coeffs, const = linearize(index, names)
-            except TEError:
-                return None
-            lo = hi = const
-            for name, coeff in coeffs.items():
-                reach = coeff * (extent_of[name] - 1)
-                lo += min(0, reach)
-                hi += max(0, reach)
-                strides[name] += coeff * step
-            if lo < 0 or hi >= dim:
-                return None
-            offset += const * step
-        kept = sorted(
-            (n for n in names if strides[n] and extent_of[n] > 1),
-            key=lambda n: -abs(strides[n]),
+        view = space.view(
+            read.tensor, read.indices, _slot(read.tensor, slots, tensors),
+            letter_of,
         )
-        slot = slots.setdefault(id(read.tensor), len(tensors))
-        if slot == len(tensors):
-            tensors.append(read.tensor)
-        operands.append(ContractionView(
-            slot, offset, "".join(letter_of[n] for n in kept),
-            tuple(strides[n] for n in kept),
-        ))
+        if view is None:
+            return None
+        operands.append(view)
 
     read_letters = set("".join(view.letters for view in operands))
     if any(
-        extent_of[n] > 1 and letter_of[n] not in read_letters for n in names
+        space.parts[n][2] > 1 and letter_of[n] not in read_letters
+        for n in letter_of
     ):
         return None  # a broadcast or uncounted axis: not a contraction
 
-    out_strides = dict(
-        zip((ax.name for ax in axes), row_major_strides(out_shape))
-    )
-    out_offset = sum(
-        (lo - ax.dom.lo) * out_strides[ax.name]
-        for ax, (lo, _) in zip(axes, box)
-    )
-    out_names = [
-        n for n in names if parts[n][0] in out_strides and extent_of[n] > 1
-    ]
-    out = ContractionView(
-        -1, out_offset, "".join(letter_of[n] for n in out_names),
-        tuple(parts[n][1] * out_strides[parts[n][0]] for n in out_names),
-    )
-    letters = tuple(
-        ContractionLetter(letter_of[n], *parts[n]) for n in names
-    )
-    return ContractionPiece(box, letters, tuple(operands), out)
+    out = space.out_view(axes, box, out_shape, letter_of)
+    return ContractionPiece(box, space.letters(letter_of), tuple(operands), out)
 
 
 def match_contraction(tensor: Tensor) -> Optional[Contraction]:
@@ -706,6 +790,233 @@ def _lower_contraction(
             return None
         pieces.append(piece)
     return Contraction(tuple(tensors), tuple(pieces), tuple(shape))
+
+
+# ---- every other TE: pieces over strided views --------------------------------
+
+# A TE cut into more boxes than this runs as one piece over its whole output
+# instead: past it, per-piece dispatch costs more than the selects it saves.
+MAX_VIEW_PIECES = 64
+
+
+@dataclass(frozen=True)
+class ViewPiece:
+    """One output box of a non-contraction TE.
+
+    ``body`` is the TE's body (reduction peeled off) on the box: every
+    select whose condition the box decides is replaced by its branch, and
+    nothing else changes — value arithmetic is never simplified, so
+    ``x + 0.0`` still turns ``-0.0`` into ``0.0``. ``reads`` pairs each
+    read node of ``body`` with its strided view over ``letters``, or with
+    ``None`` when no view can express it (the executor gathers those).
+    ``out`` addresses the box in the output.
+    """
+
+    box: Tuple[Tuple[int, int], ...]
+    letters: Tuple[ContractionLetter, ...]
+    body: Expr
+    reads: Tuple[Tuple[TensorRead, Optional[ContractionView]], ...]
+    out: ContractionView
+
+
+@dataclass(frozen=True)
+class ViewLowering:
+    """A map or reduction TE as pieces whose reads are strided views of
+    the C-ordered buffers of ``tensors`` (a view's ``slot`` indexes it)."""
+
+    tensors: Tuple[Tensor, ...]
+    pieces: Tuple[ViewPiece, ...]
+    shape: Tuple[int, ...]
+
+
+def _reads_data(expr: Expr) -> bool:
+    return any(isinstance(node, TensorRead) for node in walk(expr))
+
+
+# Index arithmetic the interval simplifier folds; an index without any is
+# already linear in the letters once they are substituted.
+_FOLDED_INDEX_OPS = ("floordiv", "mod", "min", "max", "div")
+
+
+def _index_kind(expr: Expr) -> Optional[bool]:
+    """``None`` if the index reads data, else whether it needs folding."""
+    fold = False
+    for node in walk(expr):
+        if isinstance(node, TensorRead):
+            return None
+        if isinstance(node, (IfThenElse, Cmp)) or (
+            isinstance(node, BinOp) and node.op in _FOLDED_INDEX_OPS
+        ):
+            fold = True
+    return fold
+
+
+def _fold_selects(expr: Expr, ranges) -> Expr:
+    """Replace every select whose data-independent condition the ranges
+    decide by its branch; leave everything else as it is."""
+    from repro.transform.simplify import Simplifier
+
+    simplifier = Simplifier(ranges)
+    memo: Dict[int, Expr] = {}
+
+    def decide(cond: Expr) -> Optional[bool]:
+        if _reads_data(cond):
+            return None
+        folded = simplifier.simplify(cond)
+        return bool(folded.value) if isinstance(folded, Const) else None
+
+    def fold(node: Expr) -> Expr:
+        done = memo.get(id(node))
+        if done is not None:
+            return done
+        result = node
+        if isinstance(node, IfThenElse):
+            verdict = decide(node.cond)
+            if verdict is not None:
+                result = fold(node.then_value if verdict else node.else_value)
+            else:
+                then_value, else_value = (
+                    fold(node.then_value), fold(node.else_value)
+                )
+                if (then_value is not node.then_value
+                        or else_value is not node.else_value):
+                    result = IfThenElse(node.cond, then_value, else_value)
+        elif isinstance(node, (BinOp, Cmp)):
+            lhs, rhs = fold(node.lhs), fold(node.rhs)
+            if lhs is not node.lhs or rhs is not node.rhs:
+                result = type(node)(node.op, lhs, rhs)
+        elif isinstance(node, Call):
+            args = tuple(fold(a) for a in node.args)
+            if any(a is not b for a, b in zip(args, node.args)):
+                result = Call(node.func, args)
+        memo[id(node)] = result
+        return result
+
+    return fold(expr)
+
+
+def _body_reads(body: Expr) -> List[TensorRead]:
+    """The distinct read nodes of ``body``, in pre-order."""
+    seen: Dict[int, TensorRead] = {}
+    for node in walk(body):
+        if isinstance(node, TensorRead):
+            seen.setdefault(id(node), node)
+    return list(seen.values())
+
+
+def _lower_view_piece(
+    body: Expr,
+    axes: Sequence,
+    reduce_axes: Sequence,
+    out_shape: Sequence[int],
+    box: Tuple[Tuple[int, int], ...],
+    slots: Dict[int, int],
+    tensors: List[Tensor],
+    split: bool = True,
+    selects: bool = True,
+) -> Optional[ViewPiece]:
+    """Lower one output box: fold the selects it decides, delinearise the
+    floordiv/mod maps of its reads and turn each affine read into a
+    strided view. ``selects=False`` says the body has none."""
+    from repro.transform.simplify import Interval, Simplifier
+
+    spans = list(zip(axes, box)) + [
+        (ax, (ax.dom.lo, ax.dom.hi)) for ax in reduce_axes
+    ]
+    if selects:
+        body = _fold_selects(body, {
+            ax.name: Interval(lo, hi - 1) for ax, (lo, hi) in spans
+        })
+    reads = _body_reads(body)
+    space = _Letters(spans)
+    simplifier = Simplifier(space.ranges)
+    # A read whose index reads data is gathered: its map is not affine.
+    affine: List[Tuple[TensorRead, int]] = []
+    flat: List[Expr] = []
+    folded = False
+    for read in reads:
+        kinds = [_index_kind(i) for i in read.indices]
+        if None in kinds:
+            continue
+        affine.append((read, len(flat)))
+        for index, fold in zip(read.indices, kinds):
+            index = substitute_vars(index, space.mapping)
+            if fold:
+                index = simplifier.simplify(index)
+                folded = True
+            flat.append(index)
+    if split and folded:
+        flat = space.split(flat)
+    letter_of = space.name()
+    if letter_of is None:
+        return None
+    views: Dict[int, Optional[ContractionView]] = {}
+    for read, start in affine:
+        views[id(read)] = space.view(
+            read.tensor, flat[start:start + len(read.indices)],
+            _slot(read.tensor, slots, tensors), letter_of,
+        )
+    return ViewPiece(
+        box,
+        space.letters(letter_of),
+        body,
+        tuple((read, views.get(id(read))) for read in reads),
+        space.out_view(axes, box, out_shape, letter_of),
+    )
+
+
+def lower_views(tensor: Tensor) -> Optional[ViewLowering]:
+    """Lower a map or reduction TE to pieces over strided views.
+
+    The output is cut at every select threshold on an output axis
+    (conjunctions included), as :func:`match_contraction` cuts it; each
+    piece folds the selects its box decides, splits floordiv/mod index
+    maps into mixed-radix letters and reads every affine in-bounds index
+    map as a view: an element offset plus one stride per letter. What no
+    view expresses — a data-dependent index, or a read that leaves its
+    tensor under a select the box does not decide — stays a read node the
+    executor gathers. Returns ``None`` for placeholders.
+
+    Memoised on the tensor like :func:`match_contraction`, so plans at
+    every batch size, tiled blocks and the certifier share one lowering.
+    """
+    op = tensor.op
+    if op is None:
+        return None
+    memo = getattr(tensor, "_views", None)
+    if memo is None or memo[0] is not op:
+        memo = (op, _lower_views(op, tuple(tensor.shape)))
+        tensor._views = memo
+    return memo[1]
+
+
+def _lower_views(op: ComputeOp, shape: Tuple[int, ...]) -> ViewLowering:
+    """The uncached lowering behind :func:`lower_views`."""
+    body, reduce_axes = op.body, ()
+    if isinstance(body, Reduce):
+        body, reduce_axes = body.body, body.axes
+    whole = tuple((ax.dom.lo, ax.dom.hi) for ax in op.axes)
+    selects = any(isinstance(node, IfThenElse) for node in walk(body))
+    boxes = _piece_boxes(body, op.axes, strict=False) if selects else [whole]
+    if len(boxes) > MAX_VIEW_PIECES:
+        boxes = [whole]
+    slots: Dict[int, int] = {}
+    tensors: List[Tensor] = []
+    pieces = [
+        _lower_view_piece(
+            body, op.axes, reduce_axes, shape, box, slots, tensors,
+            selects=selects,
+        )
+        for box in boxes
+    ]
+    if any(piece is None for piece in pieces):
+        # Past 52 letters: one piece, one letter per axis.
+        slots, tensors = {}, []
+        pieces = [_lower_view_piece(
+            body, op.axes, reduce_axes, shape, whole, slots, tensors,
+            split=False, selects=selects,
+        )]
+    return ViewLowering(tuple(tensors), tuple(pieces), shape)
 
 
 def count_arith_ops(

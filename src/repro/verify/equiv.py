@@ -20,16 +20,17 @@ One certifier per transform family:
   affine index normal forms via :func:`repro.te.affine.linearize`) and
   compared structurally.
 * ``certify_plan_optimization`` — plan-level fusion / elision / block
-  tiling (``runtime/plan_opt.py`` + ``runtime/tiling.py``) and the
-  contraction lowering every sum of products runs (``te/patterns.py``):
-  obligations are re-derived independently of the planner (sequential
-  group composition over the group's read frontier, consumer liveness of
-  elided operands, exact row-partition cover and per-read alignment
-  classes, each contraction piece's views re-derived from the TE's own
-  index maps).
+  tiling (``runtime/plan_opt.py`` + ``runtime/tiling.py``), the
+  contraction lowering every sum of products runs and the view lowering
+  every other step runs (``te/patterns.py``): obligations are re-derived
+  independently of the planner (sequential group composition over the
+  group's read frontier, consumer liveness of elided operands, exact
+  row-partition cover and per-read alignment classes, each contraction
+  or view piece re-derived from the TE's own index maps).
 * ``certify_batched_lowering``  — batched lowering (``runtime/executor``):
-  lane-invariance of every precomputed gather grid (no data-dependent
-  indexing).
+  lane-invariance of the plan-time index state (no data-dependent
+  indexing, so every lane reads through the same views and any gather
+  left shares one precomputed grid).
 * ``certify_batched_binding``   — the batch binding layer: every lane of
   every bound placeholder must hold that request's feed (the zero-stride
   broadcast fast path included), probed with deterministic per-lane feeds.
@@ -73,7 +74,7 @@ from repro.te.expr import (
     TensorRead,
     Var,
 )
-from repro.te.patterns import match_contraction
+from repro.te.patterns import ViewLowering, lower_views, match_contraction
 from repro.te.tensor import Tensor, placeholder, row_major_strides
 from repro.te.traversal import (
     collect_reads,
@@ -1774,28 +1775,26 @@ def _product_reads(expr: Expr) -> Optional[List[TensorRead]]:
     return None
 
 
-def _piece_defect(
-    tensor: Tensor, contraction, piece
-) -> Tuple[Optional[str], bool]:
-    """Re-derive one piece from the TE's own index maps.
+def _letter_defect(
+    tensor: Tensor, piece, reduce_axes: Sequence[IterVar]
+) -> Tuple[Optional[str], Dict[str, Expr], Dict[str, Interval]]:
+    """Check a piece's letters and output view against the TE.
 
-    Returns ``(reason, derivable)``: ``reason`` names the first way the
-    piece's views disagree with the TE, ``derivable=False`` means the
-    body did not re-derive to a product of affine reads (unknown, not
-    refuted).
+    Every axis must split exactly into mixed-radix letters over its span
+    (the piece's box on an output axis, the whole domain on a reduce
+    axis), and the output view must address the box's row-major elements.
+    Returns ``(reason, mapping, ranges)``: the first defect found (or
+    ``None``), each axis as its letters' term and each letter's range.
     """
     op = tensor.op
-    red = op.body
     spans = {
         ax.name: (lo, hi) for ax, (lo, hi) in zip(op.axes, piece.box)
     }
-    spans.update({ax.name: (ax.dom.lo, ax.dom.hi) for ax in red.axes})
-    extent = {l.letter: l.extent for l in piece.letters}
-    if len(extent) != len(piece.letters):
-        return "two letters share a name", True
-    # Every axis must split exactly into mixed-radix letters over its span.
+    spans.update({ax.name: (ax.dom.lo, ax.dom.hi) for ax in reduce_axes})
     mapping: Dict[str, Expr] = {}
     ranges: Dict[str, Interval] = {}
+    if len({l.letter for l in piece.letters}) != len(piece.letters):
+        return "two letters share a name", mapping, ranges
     for name, (lo, hi) in spans.items():
         radix = sorted(
             (l for l in piece.letters if l.axis == name),
@@ -1805,7 +1804,10 @@ def _piece_defect(
         term: Expr = Const(lo, "int32")
         for l in radix:
             if l.multiplier != expected or l.extent < 1:
-                return f"letters of axis {name} are not a mixed radix", True
+                return (
+                    f"letters of axis {name} are not a mixed radix",
+                    mapping, ranges,
+                )
             expected *= l.extent
             var = Var(f"${l.letter}")
             ranges[var.name] = Interval(0, l.extent - 1)
@@ -1816,10 +1818,10 @@ def _piece_defect(
             return (
                 f"letters of axis {name} span {expected} values, "
                 f"the piece {hi - lo}"
-            ), True
+            ), mapping, ranges
         mapping[name] = term
     if any(l.axis not in spans for l in piece.letters):
-        return "a letter splits no axis of the TE", True
+        return "a letter splits no axis of the TE", mapping, ranges
 
     # The output view: the box's row-major addresses, nothing else.
     out_step = dict(zip((ax.name for ax in op.axes),
@@ -1834,7 +1836,56 @@ def _piece_defect(
     }
     got_out = dict(zip(piece.out.letters, piece.out.strides))
     if piece.out.offset != want_offset or got_out != want_out:
-        return "output view does not address the piece's box", True
+        return (
+            "output view does not address the piece's box", mapping, ranges
+        )
+    return None, mapping, ranges
+
+
+def _derived_view(
+    read: TensorRead, ranges: Mapping[str, Interval]
+) -> Tuple[Optional[str], Optional[Tuple[int, List[Tuple[str, int]]]]]:
+    """The view the TE's own index map of ``read`` gives over the letters.
+
+    ``read``'s indices are already over the letters, selects and clamps
+    folded. Returns ``(reason, view)`` with ``view = (offset, sorted
+    (letter, stride) pairs)``: ``reason`` names an out-of-bounds read,
+    and both are ``None`` when an index is not affine (not derivable).
+    """
+    offset = 0
+    strides: Dict[str, int] = {}
+    shape = read.tensor.shape
+    steps = row_major_strides(shape)
+    for index, dim, step in zip(read.indices, shape, steps):
+        form = _linear_form(index)
+        bounds = _affine_bounds(index, ranges)
+        if form is None or bounds is None:
+            return None, None
+        if bounds[0] < 0 or bounds[1] >= dim:
+            return f"{read.tensor.name} is read out of bounds", None
+        coeffs, const = form
+        offset += const * step
+        for name, coeff in coeffs.items():
+            strides[name[1:]] = strides.get(name[1:], 0) + coeff * step
+    extent = {name[1:]: r.hi + 1 for name, r in ranges.items()}
+    kept = sorted((c, s) for c, s in strides.items() if s and extent[c] > 1)
+    return None, (offset, kept)
+
+
+def _piece_defect(
+    tensor: Tensor, contraction, piece
+) -> Tuple[Optional[str], bool]:
+    """Re-derive one contraction piece from the TE's own index maps.
+
+    Returns ``(reason, derivable)``: ``reason`` names the first way the
+    piece's views disagree with the TE, ``derivable=False`` means the
+    body did not re-derive to a product of affine reads (unknown, not
+    refuted).
+    """
+    red = tensor.op.body
+    reason, mapping, ranges = _letter_defect(tensor, piece, red.axes)
+    if reason is not None:
+        return reason, True
 
     # The operands: the TE's body on this piece, selects and clamps folded
     # by exact affine bounds, floordiv/mod by the interval simplifier.
@@ -1845,25 +1896,14 @@ def _piece_defect(
         return None, False
     derived = []
     for read in reads:
-        offset = 0
-        strides: Dict[str, int] = {}
-        shape = read.tensor.shape
-        steps = row_major_strides(shape)
-        for index, dim, step in zip(read.indices, shape, steps):
-            form = _linear_form(index)
-            bounds = _affine_bounds(index, ranges)
-            if form is None or bounds is None:
-                return None, False
-            if bounds[0] < 0 or bounds[1] >= dim:
-                return f"{read.tensor.name} is read out of bounds", True
-            coeffs, const = form
-            offset += const * step
-            for name, coeff in coeffs.items():
-                strides[name[1:]] = strides.get(name[1:], 0) + coeff * step
-        kept = {c: s for c, s in strides.items() if s and extent[c] > 1}
-        derived.append((id(read.tensor), offset, sorted(kept.items())))
-    for letter, size in extent.items():
-        if size > 1 and not any(letter in dict(d[2]) for d in derived):
+        why, view = _derived_view(read, ranges)
+        if why is not None:
+            return why, True
+        if view is None:
+            return None, False
+        derived.append((id(read.tensor), view[0], view[1]))
+    for letter in {l.letter for l in piece.letters if l.extent > 1}:
+        if not any(letter in dict(d[2]) for d in derived):
             return f"letter {letter} is read by no operand", True
     got = [
         (
@@ -1876,6 +1916,98 @@ def _piece_defect(
     if sorted(got) != sorted(derived):
         return "operand views differ from the TE's read maps", True
     return None, True
+
+
+def _fold_box_selects(expr: Expr, ranges: Mapping[str, Interval]) -> Expr:
+    """The TE body on a box: each select whose condition reads no data
+    and folds to a constant over ``ranges`` replaced by its branch."""
+
+    def fold(node: Expr) -> Expr:
+        if isinstance(node, IfThenElse):
+            if not collect_reads(node.cond):
+                cond = simplify_expr(node.cond, dict(ranges))
+                if isinstance(cond, Const):
+                    return fold(
+                        node.then_value if cond.value else node.else_value
+                    )
+            return IfThenElse(
+                node.cond, fold(node.then_value), fold(node.else_value)
+            )
+        if isinstance(node, BinOp):
+            return BinOp(node.op, fold(node.lhs), fold(node.rhs))
+        if isinstance(node, Cmp):
+            return Cmp(node.op, fold(node.lhs), fold(node.rhs))
+        if isinstance(node, Call):
+            return Call(node.func, tuple(fold(a) for a in node.args))
+        return node
+
+    return fold(expr)
+
+
+def _view_piece_defect(
+    tensor: Tensor, lowering, piece
+) -> Tuple[Optional[str], bool]:
+    """Re-derive one view piece from the TE: its letters and output view,
+    its body (the TE's, with the selects its box decides folded) and the
+    view of every read it does not gather. Returns ``(reason,
+    derivable)`` like :func:`_piece_defect`."""
+    op = tensor.op
+    body = op.body
+    reduce_axes: Sequence[IterVar] = ()
+    if isinstance(body, Reduce):
+        body, reduce_axes = body.body, body.axes
+    reason, mapping, ranges = _letter_defect(tensor, piece, reduce_axes)
+    if reason is not None:
+        return reason, True
+    box = {ax.name: Interval(lo, hi - 1) for ax, (lo, hi) in zip(
+        op.axes, piece.box
+    )}
+    box.update({ax.name: Interval(ax.dom.lo, ax.dom.hi - 1)
+                for ax in reduce_axes})
+    if not _structurally_equal(piece.body, _fold_box_selects(body, box)):
+        return "the piece's body is not the TE's body on its box", True
+    for read, view in piece.reads:
+        if view is None:
+            continue  # gathered through the TE's own index map
+        if lowering.tensors[view.slot] is not read.tensor:
+            return f"a view of {read.tensor.name} reads another tensor", True
+        indices = tuple(
+            simplify_expr(
+                _prune_selects(substitute_vars(i, mapping), ranges), ranges
+            )
+            for i in read.indices
+        )
+        why, want = _derived_view(TensorRead(read.tensor, indices), ranges)
+        if why is not None:
+            return why, True
+        if want is None:
+            return None, False
+        if want != (view.offset, sorted(zip(view.letters, view.strides))):
+            return (
+                f"the view of {read.tensor.name} differs from the TE's "
+                "read map"
+            ), True
+    return None, True
+
+
+def _out_hit(piece, target: int) -> Optional[Dict[str, int]]:
+    """The output letters' values where ``piece``'s output view addresses
+    element ``target`` of the output, or ``None`` if it never does."""
+    import numpy as np
+
+    extent = {l.letter: l.extent for l in piece.letters}
+    out = piece.out
+    addresses = np.full((1,) * len(out.letters), out.offset, np.int64)
+    for k, (letter, stride) in enumerate(zip(out.letters, out.strides)):
+        shape = [1] * len(out.letters)
+        shape[k] = extent[letter]
+        addresses = addresses + stride * np.arange(
+            extent[letter], dtype=np.int64
+        ).reshape(shape)
+    hits = np.argwhere(addresses == target)
+    if not len(hits):
+        return None
+    return dict(zip(out.letters, (int(h) for h in hits[0])))
 
 
 def _contraction_value(
@@ -1899,19 +2031,10 @@ def _contraction_value(
     steps = row_major_strides(tensor.shape)
     target = sum(c * s for c, s in zip(coord, steps))
     for piece in reversed(contraction.pieces):
-        extent = {l.letter: l.extent for l in piece.letters}
-        out = piece.out
-        addresses = np.full((1,) * len(out.letters), out.offset, np.int64)
-        for k, (letter, stride) in enumerate(zip(out.letters, out.strides)):
-            shape = [1] * len(out.letters)
-            shape[k] = extent[letter]
-            addresses = addresses + stride * np.arange(
-                extent[letter], dtype=np.int64
-            ).reshape(shape)
-        hits = np.argwhere(addresses == target)
-        if not len(hits):
+        fixed = _out_hit(piece, target)
+        if fixed is None:
             continue
-        fixed = dict(zip(out.letters, (int(h) for h in hits[0])))
+        extent = {l.letter: l.extent for l in piece.letters}
         summed = sorted({
             c for view in piece.operands for c in view.letters
         } - set(fixed))
@@ -1942,26 +2065,92 @@ def _contraction_value(
     return feeds.value(f"stale${tensor.name}", coord, tensor.dtype)
 
 
-def _contraction_values(
-    tensor: Tensor, contraction, coord: Tuple[int, ...], feeds: _FeedStore
+def _view_value(
+    tensor: Tensor, lowering, coord: Tuple[int, ...], feeds: _FeedStore
+) -> float:
+    """Pointwise value the lowered pieces write at ``coord``.
+
+    Mirrors the executor: the last piece whose output view covers the
+    coordinate wins (an uncovered one keeps stale bytes); the covering
+    piece evaluates its body at the axis values its letters give, each
+    viewed read taking the element its view addresses (reduce letters
+    follow the reduce axes) and every other read its own index map.
+    """
+    op = tensor.op
+    red = op.body if isinstance(op.body, Reduce) else None
+    spatial = {ax.name for ax in op.axes}
+    steps = row_major_strides(tensor.shape)
+    target = sum(c * s for c, s in zip(coord, steps))
+    for piece in reversed(lowering.pieces):
+        hit = _out_hit(piece, target)
+        if hit is None:
+            continue
+        starts = {ax.name: lo for ax, (lo, _) in zip(op.axes, piece.box)}
+        point = dict.fromkeys(spatial, 0)
+        letter_term: Dict[str, Expr] = {}
+        for l in piece.letters:
+            if l.axis in spatial:
+                value = hit.get(l.letter, 0)
+                point[l.axis] += l.multiplier * value
+                letter_term[l.letter] = Const(value, "int32")
+            else:
+                axis = next(ax for ax in red.axes if ax.name == l.axis)
+                letter_term[l.letter] = BinOp("mod", BinOp(
+                    "floordiv",
+                    BinOp("sub", Var(l.axis), Const(axis.dom.lo, "int32")),
+                    Const(l.multiplier, "int32"),
+                ), Const(l.extent, "int32"))
+        views = {id(read): view for read, view in piece.reads if view}
+
+        def visit(read: TensorRead) -> Optional[Expr]:
+            view = views.get(id(read))
+            if view is None:
+                return None
+            source = lowering.tensors[view.slot]
+            flat: Expr = Const(view.offset, "int32")
+            for letter, stride in zip(view.letters, view.strides):
+                flat = BinOp("add", flat, BinOp(
+                    "mul", Const(stride, "int32"), letter_term[letter]
+                ))
+            return TensorRead(source, tuple(
+                BinOp("mod", BinOp("floordiv", flat, Const(step, "int32")),
+                      Const(dim, "int32"))
+                for step, dim in zip(row_major_strides(source.shape),
+                                     source.shape)
+            ))
+
+        body = replace_tensor_reads(piece.body, visit)
+        expr = body if red is None else Reduce(red.kind, body, red.axes)
+        at = tuple(starts[ax.name] + point[ax.name] for ax in op.axes)
+        closure = Closure(tuple(op.axes), expr, {})
+        return evaluate_closure(closure, at, feeds)
+    return feeds.value(f"stale${tensor.name}", coord, tensor.dtype)
+
+
+def _lowered_values(
+    tensor: Tensor, lowered, coord: Tuple[int, ...], feeds: _FeedStore
 ) -> Tuple[float, float]:
-    """(TE value, lowered value) at one output coordinate."""
+    """(TE value, lowered value) at one output coordinate; ``lowered`` is
+    a :class:`~repro.te.patterns.Contraction` or a
+    :class:`~repro.te.patterns.ViewLowering`."""
     axes = tuple(tensor.op.axes)
     reference = Closure(axes, tensor.op.body,
                         _ranges_for(axes, tensor.op.body))
     before = evaluate_closure(reference, coord, feeds)
-    return before, _contraction_value(tensor, contraction, coord, feeds)
+    value = (
+        _view_value if isinstance(lowered, ViewLowering)
+        else _contraction_value
+    )
+    return before, value(tensor, lowered, coord, feeds)
 
 
-def _contraction_witness(
-    tensor: Tensor, contraction, coords: Sequence[Tuple[int, ...]]
+def _lowered_witness(
+    tensor: Tensor, lowered, coords: Sequence[Tuple[int, ...]]
 ) -> Optional[Counterexample]:
     for coord in coords:
         store = _FeedStore()
         try:
-            before, after = _contraction_values(
-                tensor, contraction, coord, store
-            )
+            before, after = _lowered_values(tensor, lowered, coord, store)
         except RefutationBudgetExceeded:
             return None
         if _close(before, after):
@@ -1996,57 +2185,75 @@ def _piece_probes(tensor: Tensor, piece) -> List[Tuple[int, ...]]:
     return probes
 
 
-def _certify_contraction(program) -> EquivalenceCertificate:
-    """Contraction lowering: re-derive every piece from the TE's index maps.
+def _partition_defect(
+    shape: Tuple[int, ...], pieces
+) -> Tuple[Optional[str], List[Tuple[int, ...]]]:
+    """Whether the pieces' boxes partition the output exactly.
 
-    The interpreter and every plan call the same recogniser on the same
-    views, so their agreement cannot expose a wrong view; this family
-    checks the recogniser's output against the TE itself — the pieces'
-    boxes partition the output, each piece's letters split its axes into
-    an exact mixed radix, and the output and operand views equal the
-    addresses the TE's own (select-folded, delinearised) read maps give.
+    Counts writes per cell of the grid every box boundary cuts, so the
+    check costs the number of cells, not of output elements. Returns the
+    defect and the first element written a number of times other than
+    one."""
+    for k, piece in enumerate(pieces):
+        if len(piece.box) != len(shape) or any(
+            not 0 <= lo < hi <= dim for (lo, hi), dim in zip(piece.box, shape)
+        ):
+            return f"piece {k} has a box outside the output", []
+    edges = [
+        sorted({0, dim} | {b for p in pieces for b in p.box[d]})
+        for d, dim in enumerate(shape)
+    ]
+    counts: Dict[Tuple[int, ...], int] = {}
+    for piece in pieces:
+        ranges = [
+            range(edge.index(lo), edge.index(hi))
+            for edge, (lo, hi) in zip(edges, piece.box)
+        ]
+        for cell in itertools.product(*ranges):
+            counts[cell] = counts.get(cell, 0) + 1
+    for cell in itertools.product(*(range(len(e) - 1) for e in edges)):
+        times = counts.get(cell, 0)
+        if times != 1:
+            coord = tuple(edge[c] for edge, c in zip(edges, cell))
+            return (
+                f"output {list(coord)} is written by {times} pieces; "
+                "the pieces do not partition the output"
+            ), [coord]
+    return None, []
+
+
+def _certify_lowered(
+    program, family: str, lower, defect
+) -> EquivalenceCertificate:
+    """Re-derive every piece ``lower(tensor)`` returns from the TE.
+
+    The interpreter or the plans run what the lowering says, so agreement
+    between engines cannot expose a wrong piece; this checks each against
+    the TE itself — the pieces' boxes partition the output, each piece's
+    letters split its axes into an exact mixed radix, and its output and
+    read views equal the addresses the TE's own (select-folded,
+    delinearised) read maps give. ``defect(tensor, lowered, piece)``
+    re-derives one piece's reads.
     """
-    import numpy as np
-
     subject = program.name
     obligations = 0
     for node in program.nodes:
         tensor = node.tensor
-        contraction = match_contraction(tensor)
-        if contraction is None:
+        lowered = lower(tensor)
+        if lowered is None:
             continue
         obligations += 1
-        counts = np.zeros(tensor.shape, dtype=np.int64)
-        reason: Optional[str] = None
-        probes: List[Tuple[int, ...]] = []
-        for k, piece in enumerate(contraction.pieces):
-            if len(piece.box) != len(tensor.shape) or any(
-                not 0 <= lo < hi <= dim
-                for (lo, hi), dim in zip(piece.box, tensor.shape)
-            ):
-                reason = f"piece {k} has a box outside the output"
-                break
-            counts[tuple(slice(lo, hi) for lo, hi in piece.box)] += 1
+        reason, probes = _partition_defect(tensor.shape, lowered.pieces)
         if reason is None:
-            uncovered = np.argwhere(counts != 1)
-            if len(uncovered):
-                coord = tuple(int(c) for c in uncovered[0])
-                times = int(counts[coord])
-                reason = (
-                    f"output {list(coord)} is written by {times} pieces; "
-                    "the pieces do not partition the output"
-                )
-                probes = [coord]
-        if reason is None:
-            for k, piece in enumerate(contraction.pieces):
+            for k, piece in enumerate(lowered.pieces):
                 obligations += 1
-                why, derivable = _piece_defect(tensor, contraction, piece)
+                why, derivable = defect(tensor, lowered, piece)
                 if not derivable:
                     return EquivalenceCertificate(
-                        "contraction", subject, UNKNOWN, obligations,
+                        family, subject, UNKNOWN, obligations,
                         detail=(
                             f"{tensor.name}: piece {k} does not re-derive "
-                            "to a product of affine reads"
+                            "to affine reads"
                         ),
                     )
                 if why is not None:
@@ -2055,13 +2262,35 @@ def _certify_contraction(program) -> EquivalenceCertificate:
                     break
         if reason is not None:
             return EquivalenceCertificate(
-                "contraction", subject, REFUTED, obligations,
+                family, subject, REFUTED, obligations,
                 detail=f"{tensor.name}: {reason}",
-                counterexample=_contraction_witness(
-                    tensor, contraction, probes
-                ),
+                counterexample=_lowered_witness(tensor, lowered, probes),
             )
-    return EquivalenceCertificate("contraction", subject, PROVED, obligations)
+    return EquivalenceCertificate(family, subject, PROVED, obligations)
+
+
+def _certify_contraction(program) -> EquivalenceCertificate:
+    """Contraction lowering: every sum of products, GEMMs included."""
+    return _certify_lowered(
+        program, "contraction", match_contraction, _piece_defect
+    )
+
+
+def _view_lowering(tensor: Tensor):
+    """What the executor runs a TE through when it is no contraction and
+    reads data: its view pieces."""
+    if match_contraction(tensor) is not None or not collect_reads(
+        tensor.op.body
+    ):
+        return None
+    return lower_views(tensor)
+
+
+def _certify_views(program) -> EquivalenceCertificate:
+    """View lowering: every map and reduction step's pieces and reads."""
+    return _certify_lowered(
+        program, "view", _view_lowering, _view_piece_defect
+    )
 
 
 def certify_plan_optimization(
@@ -2070,7 +2299,8 @@ def certify_plan_optimization(
     """Certify one :class:`~repro.runtime.plan_opt.PlanOptimization`.
 
     Emits one certificate per pass family — fusion, elision, tiling,
-    contraction lowering (GEMMs included) — including proved
+    contraction lowering (GEMMs included), view lowering (every other
+    step that reads data) — including proved
     zero-obligation certificates for families the plan did not exercise,
     so downstream consumers can assert the full set is present.
     """
@@ -2079,6 +2309,7 @@ def certify_plan_optimization(
         _certify_elision(program, opt),
         _certify_tiling(program, opt),
         _certify_contraction(program),
+        _certify_views(program),
     ]
 
 
@@ -2090,8 +2321,9 @@ def certify_batched_lowering(
 ) -> EquivalenceCertificate:
     """Lane-invariance of the batched plan's shared precomputed state.
 
-    Batched plans precompute one gather grid per read and drive every lane
-    through it; that is sound iff no index expression reads a tensor
+    Batched plans fix every read's view (or, for a read no view
+    expresses, its gather grid) at plan time and drive every lane through
+    it; that is sound iff no index expression reads a tensor
     (data-dependent indexing would differ per lane). Contractions add no
     obligation here, and nothing here proves their lanes bit-identical: an
     einsum or bmm piece runs its unbatched call once per lane, but a matmul
@@ -2393,13 +2625,16 @@ def replay_certificate(
         )
         return _replay_closures((reference, after_closure), cx)
 
-    if transform == "contraction":
+    if transform in ("contraction", "view"):
         tensor = next(
             n.tensor for n in as_view(program).nodes
             if n.tensor.name == cx.output
         )
-        return _contraction_values(
-            tensor, match_contraction(tensor), cx.coordinates,
+        lower = match_contraction if transform == "contraction" else (
+            _view_lowering
+        )
+        return _lowered_values(
+            tensor, lower(tensor), cx.coordinates,
             _FeedStore(overrides=cx.feed_map()),
         )
 

@@ -67,6 +67,7 @@ class TestCommands:
         assert "steps:" in out and "arena workspace:" in out
         assert "replay:" not in out and "task graph" not in out
         assert "fused into consumers" in out
+        assert "views, 0 gathers left (0 index-grid bytes)" in out
 
     def test_plan_stats_batched_paper_scale(self, capsys):
         assert main(["plan-stats", "mmoe", "--scale", "paper",

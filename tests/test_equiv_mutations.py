@@ -481,3 +481,112 @@ class TestContractionMutation:
         program = strided_conv()
         plant(monkeypatch, wrong_offset)
         assert self.certify(program) == self.certify(program)
+
+
+# ---- view: wrong strided views of map and reduction steps -------------------
+
+
+def transposed():
+    b = GraphBuilder("transposed")
+    x = b.input((4, 6), name="x")
+    return lower_graph(b.build([b.relu(b.transpose(x, (1, 0)))]))
+
+
+def concatenated():
+    b = GraphBuilder("concatenated")
+    x = b.input((2, 3), name="x")
+    y = b.input((2, 2), name="y")
+    return lower_graph(b.build([b.relu(b.concat([x, y], axis=1))]))
+
+
+def plant_views(monkeypatch, edit):
+    """Serve every view lowering through ``edit``."""
+    true_lower = equiv.lower_views
+
+    def planted(tensor):
+        lowering = true_lower(tensor)
+        return None if lowering is None else edit(tensor, lowering)
+
+    monkeypatch.setattr(equiv, "lower_views", planted)
+
+
+def edit_first_read_view(lowering, edit):
+    """Apply ``edit`` to the first two-letter view of the first piece."""
+    piece = lowering.pieces[0]
+    k = next(
+        k for k, (_, view) in enumerate(piece.reads)
+        if view is not None and len(view.letters) > 1
+    )
+    read, view = piece.reads[k]
+    reads = piece.reads[:k] + ((read, edit(view)),) + piece.reads[k + 1:]
+    return dataclasses.replace(lowering, pieces=(
+        dataclasses.replace(piece, reads=reads),
+    ) + lowering.pieces[1:])
+
+
+def shifted_view(tensor, lowering):
+    """The view starts one element late."""
+    return edit_first_read_view(lowering, lambda view: dataclasses.replace(
+        view, offset=view.offset + 1
+    ))
+
+
+def swapped_view(tensor, lowering):
+    """The view's strides are swapped: it reads its operand transposed."""
+    return edit_first_read_view(lowering, lambda view: dataclasses.replace(
+        view, strides=view.strides[::-1]
+    ))
+
+
+def gap_between_boxes(tensor, lowering):
+    """Piece 0 ends one column early: that column is never written."""
+    if len(lowering.pieces) < 2:
+        return lowering
+    op = tensor.op
+    box = list(lowering.pieces[0].box)
+    lo, hi = box[1]
+    box[1] = (lo, hi - 1)
+    slots = {id(t): k for k, t in enumerate(lowering.tensors)}
+    narrowed = patterns._lower_view_piece(
+        op.body, op.axes, (), tensor.shape, tuple(box), slots,
+        list(lowering.tensors),
+    )
+    return dataclasses.replace(
+        lowering, pieces=(narrowed,) + lowering.pieces[1:]
+    )
+
+
+class TestViewMutation:
+    def certify(self, program):
+        opt = plan_optimization(program)
+        return cert_for(certify_plan_optimization(program, opt), "view")
+
+    @pytest.mark.parametrize("program", [transposed, concatenated])
+    def test_healthy_lowering_proves(self, program):
+        cert = self.certify(program())
+        assert cert.proved and cert.obligations >= 2
+
+    @pytest.mark.parametrize("edit", [shifted_view, swapped_view])
+    def test_view_defect_refuted(self, monkeypatch, edit):
+        program = transposed()
+        plant_views(monkeypatch, edit)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "differs from the TE's read map" in cert.detail
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    def test_gap_between_boxes_refuted(self, monkeypatch):
+        program = concatenated()
+        plant_views(monkeypatch, gap_between_boxes)
+        cert = self.certify(program)
+        assert cert.refuted
+        assert "written by 0 pieces" in cert.detail
+        assert cert.counterexample.coordinates[1] == 2
+        assert_replayable(cert, program=program)
+        assert_json_roundtrip(cert)
+
+    def test_refutation_is_deterministic(self, monkeypatch):
+        program = transposed()
+        plant_views(monkeypatch, swapped_view)
+        assert self.certify(program) == self.certify(program)

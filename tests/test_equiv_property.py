@@ -59,7 +59,7 @@ def test_every_pass_subset_certifies(name, flags):
     program = program_for(name)
     opt = plan_optimization(program, **flags)
     certs = certify_plan_optimization(program, opt)
-    assert len(certs) == 4  # one per pass family, always present
+    assert len(certs) == 5  # one per pass family, always present
     assert_all_proved(certs, f"{name} {flags}")
 
 

@@ -207,5 +207,5 @@ class TestCertifyCli:
         transforms = {c["transform"] for c in payload["certificates"]}
         assert {
             "horizontal", "vertical", "fusion", "elision",
-            "tiling", "contraction", "batched-lowering",
+            "tiling", "contraction", "view", "batched-lowering",
         } <= transforms
