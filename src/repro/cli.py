@@ -443,18 +443,18 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         graph = get_model(args.model, scale="tiny")
     else:
         graph = _resolve_model(args.model)
-    # The static planner decides every optimized plan, so its report is
-    # the served plan's without building one (a paper-scale replay takes
-    # seconds). No plan packs the unoptimized arena here, so pack it for
-    # the report.
-    program = lower_graph(graph)
+    # The plan of the compiled program is what InferenceSession and
+    # BatchingServer serve. The static planner decides it, so the report
+    # needs no plan build (a paper-scale one takes seconds); the
+    # unoptimized arena it is measured against is packed here.
+    program = SouffleCompiler().compile(graph).program
     optimization = plan_optimization(program, batch_size=batch)
-    optimization.stats.workspace_before = plan_memory(
+    baseline = plan_memory(
         program, sizer=arena_sizer(batch), exclusive_writes=True
-    ).workspace_bytes
+    )
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
-    print(optimization.stats.render())
+    print(optimization.stats.render(baseline.workspace_bytes))
     print(read_stats(program).render())
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
@@ -603,9 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
-                   help="model scale; both report the static planner's "
-                        "decisions, which every served plan follows "
-                        "(default tiny)")
+                   help="model scale; both report the plan of the "
+                        "compiled program, as served (default tiny)")
     p.add_argument("--batch", type=int, default=0,
                    help="optimize the batched plan at this batch size "
                         "(0 = unbatched)")

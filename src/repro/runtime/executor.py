@@ -26,8 +26,11 @@ step closures:
   laid out by the global :class:`~repro.runtime.memory_planner.MemoryPlan`
   (``exclusive_writes`` packing, float64 sizing), so non-overlapping
   intermediates share bytes and repeated calls allocate nothing but the
-  model outputs. The read views of arena tensors are built once per
-  :class:`Arena`, those of feeds when they are bound (:class:`ReadViews`).
+  model outputs. A build packs only the layout it serves — the program's
+  for the reference plan, the plan optimizer's for an optimized one — and
+  checks it once with the verifier's arena-hazard pass. The read views of
+  arena tensors are built once per :class:`Arena`, those of feeds when
+  they are bound (:class:`ReadViews`).
 
 Executing a request is then one flat loop over the steps, for every plan,
 optimized or not, batched or not. Results are bit-identical to the
@@ -58,7 +61,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -81,6 +94,9 @@ from repro.te.expr import (
 from repro.te.patterns import lower_views, match_contraction
 from repro.te.tensor import Tensor, row_major_strides
 from repro.te.traversal import free_vars, tensor_inputs
+
+if TYPE_CHECKING:  # import would cycle through repro.verify at runtime
+    from repro.verify.view import ProgramLike
 
 # The executor computes in float64 (like the Evaluator); arena buffers are
 # sized for that representation, not the tensor's declared storage dtype.
@@ -818,11 +834,6 @@ class ExecutionPlan:
         # Tiled chains' scratch buffers; set by optimize_plan.
         self._scratch_pool = None
         self.program = program
-        if memory_plan is None:
-            memory_plan = plan_memory(
-                program, sizer=self._sizer, exclusive_writes=True
-            )
-        self.memory_plan = memory_plan
         self._inputs_by_id: Dict[int, Tensor] = {
             id(t): t for t in program.inputs
         }
@@ -851,14 +862,20 @@ class ExecutionPlan:
         self._output_view_keys = [
             key for key in self._output_keys if key in self.read_views.makers
         ]
-        self._validate_layout()
-        # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
-        # and sets this (see repro.runtime.plan_opt).
+        # Plan-optimizer state; optimize_plan() rewrites steps, sets the
+        # arena layout and sets this (see repro.runtime.plan_opt).
         self.optimization = None
         if optimize:
             from repro.runtime.plan_opt import optimize_plan
 
             optimize_plan(self)
+        else:
+            if memory_plan is None:
+                memory_plan = plan_memory(
+                    program, sizer=self._sizer, exclusive_writes=True
+                )
+            self._check_layout(program, memory_plan)
+            self.memory_plan = memory_plan
         ExecutionPlan.plans_built += 1
 
     # ---- construction ----------------------------------------------------
@@ -873,23 +890,29 @@ class ExecutionPlan:
             return tuple(shape)
         return (self.batch_size,) + tuple(shape)
 
-    def _validate_layout(self) -> None:
-        """Fail loudly at plan time on any unsafe arena layout.
+    def _check_layout(
+        self,
+        program: ProgramLike,
+        memory_plan: MemoryPlan,
+        inplace: Optional[Set[Tuple[int, int]]] = None,
+    ) -> None:
+        """Fail loudly at plan time on an unsafe arena layout.
 
-        Delegates to the verifier's arena-hazard pass (``repro.verify``),
-        which statically detects missing assignments, step-level WAR
+        Runs the verifier's arena-hazard pass (``repro.verify``) once over
+        the layout this plan serves: missing assignments, step-level WAR
         hazards (steps write results through ``out=`` while operand views
-        are being read), pairwise WAW/aliasing and stale liveness, and
-        raises :class:`~repro.errors.PlanningError` from its errors.
+        are being read), pairwise WAW/aliasing and stale liveness, with
+        ``inplace`` allowlisting the optimizer's deliberate in-place
+        pairs. Raises :class:`~repro.errors.PlanningError` from its errors.
         """
         from repro.verify import Severity, verify_plan
 
-        self.memory_plan.validate()
         report = verify_plan(
-            self.program,
-            self.memory_plan,
+            program,
+            memory_plan,
             sizer=self._sizer,
             require_exclusive_writes=True,
+            inplace=inplace,
         )
         if report.has_errors:
             raise PlanningError(

@@ -3,9 +3,10 @@ and arena layout before its first replay.
 
 The compiler-side global analysis (Sec. 5-6 of the paper) fuses TEs and
 plans reuse *inside* kernels; this module is its runtime mirror over the
-:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Three passes, each
-required to keep replay bit-identical to the unoptimized plan (the first
-two can be switched off for tests and ablation):
+:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Two passes plus
+block tiling (:mod:`repro.runtime.tiling`), each required to keep replay
+bit-identical to the unoptimized plan (the passes can be switched off for
+tests and ablation):
 
 1. **Vertical step fusion** (Sec. 6.2, Eq. 2) — chains of one-relies-on-one
    ``map`` steps whose producer has a single consumer are composed into one
@@ -15,13 +16,12 @@ two can be switched off for tests and ablation):
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
    fully evaluate their value into temporaries before the final ``copyto``
    (a step cut into pieces evaluates every piece before its first write).
-3. **Level ordering** (Sec. 6.1 horizontal packing) — steps are emitted in
-   dependency-level order, so steps sharing a level stay live together and
-   the repacked arena gives them disjoint bytes. The levels holding two or
-   more steps that each move :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements
-   are counted as ``OptimizeStats.parallel_waves``. Replay itself is always
-   the executor's flat step loop: overlapping such steps on threads never
-   measured faster on a served plan (DESIGN.md, "One replay loop").
+
+Steps keep program order: each optimized step sits at its terminal TE's
+place (a tiled chain's blocks at the chain terminal's), and the arena is
+packed once over those positions — twice when elision fires, to keep the
+smaller of the elided and plain packings. Replay is the executor's flat
+step loop (DESIGN.md, "One replay loop").
 
 A step that reads only weights is an ordinary step: it runs on every
 request over the weights that request is served with, so a weight fed anew
@@ -33,16 +33,16 @@ Sum-of-products steps are not rewritten here: each runs the contraction
 kernel (``np.matmul`` for dense GEMM pieces) chosen by shape inside the one
 call the interpreter also makes.
 
-The optimized layout is re-verified by the verifier's arena-hazard pass
-(with an explicit allowlist for the deliberate in-place pairs) and the
-rewritten plan raises :class:`~repro.errors.PlanningError` on any unsafe
-layout, exactly like the unoptimized path.
+The optimized layout is checked once, by the verifier's arena-hazard pass
+(with an explicit allowlist for the deliberate in-place pairs), and the
+plan raises :class:`~repro.errors.PlanningError` on any unsafe layout,
+exactly like the unoptimized path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -60,11 +60,6 @@ from repro.te.patterns import match_contraction
 from repro.te.tensor import Tensor
 from repro.te.traversal import collect_reads, tensor_inputs
 from repro.verify.view import ProgramView
-
-# Only steps that move at least this many elements count towards a
-# parallel level: a smaller step costs less than one thread handoff
-# (~tens of us), so overlapping it could never pay.
-PARALLEL_MIN_WAVE_ELEMENTS = 1 << 16
 
 
 def _identity_reads_only(consumer: TENode, producer: Tensor) -> bool:
@@ -104,23 +99,6 @@ def step_kind(tensor: Tensor) -> str:
     if not tensor_inputs(tensor):
         return "const"
     return "reduce" if isinstance(body, Reduce) else "map"
-
-
-def _parallel_levels(
-    groups: Sequence[StepGroup], levels: Sequence[int], lanes: int
-) -> int:
-    """How many levels hold two or more steps of
-    :data:`PARALLEL_MIN_WAVE_ELEMENTS` elements (a tiled block counts
-    its share of the chain)."""
-    big: Dict[int, int] = {}
-    for g, lv in zip(groups, levels):
-        work = (
-            g.work_elements(lanes) if hasattr(g, "work_elements")
-            else sum(lanes * m.tensor.num_elements for m in g.members)
-        )
-        if work >= PARALLEL_MIN_WAVE_ELEMENTS:
-            big[lv] = big.get(lv, 0) + 1
-    return sum(1 for count in big.values() if count >= 2)
 
 
 @dataclass
@@ -167,8 +145,9 @@ class OptimizeStats:
     fused_steps: int = 0             # producers folded into their consumer
     elided_buffers: int = 0
     elided_bytes: int = 0            # arena bytes merged away by elision
-    parallel_waves: int = 0          # levels holding >= 2 big steps
-    workspace_before: int = 0
+    # Steps replay in program order; kept at 0 because perfbench
+    # serve-closed reads it.
+    parallel_waves: int = 0
     workspace_after: int = 0
     # Block-level tiling (runtime.tiling): reduction chains split into
     # cache-blocked sub-steps with per-worker scratch.
@@ -177,10 +156,6 @@ class OptimizeStats:
     tiled_blocks: int = 0            # block sub-steps those chains became
     tile_block_rows: List[int] = field(default_factory=list)
     scratch_bytes: int = 0           # per-worker scratch buffer size
-
-    @property
-    def arena_bytes_saved(self) -> int:
-        return max(0, self.workspace_before - self.workspace_after)
 
     def summary(self) -> str:
         """One line for profile reports."""
@@ -194,12 +169,13 @@ class OptimizeStats:
             f"plan optimizer: {self.steps_before}->{self.steps_after} steps "
             f"({self.fused_steps} fused), "
             f"{self.elided_buffers} elided, "
-            f"{self.arena_bytes_saved} arena bytes saved"
+            f"{self.workspace_after} arena bytes"
             f"{tiled}"
         )
 
-    def render(self) -> str:
-        """Multi-line report for the ``plan-stats`` CLI."""
+    def render(self, workspace_before: int) -> str:
+        """Multi-line report for the ``plan-stats`` CLI, against the
+        unoptimized plan's arena of ``workspace_before`` bytes."""
         blocks = (
             "x".join(str(b) for b in self.tile_block_rows)
             if self.tile_block_rows else "-"
@@ -213,9 +189,9 @@ class OptimizeStats:
             f"({self.tiled_steps} steps -> {self.tiled_blocks} blocks, "
             f"block rows {blocks}, "
             f"{self.scratch_bytes} scratch bytes/worker)",
-            f"arena workspace:   {self.workspace_before} -> "
+            f"arena workspace:   {workspace_before} -> "
             f"{self.workspace_after} bytes "
-            f"({self.arena_bytes_saved} saved)",
+            f"({workspace_before - self.workspace_after} saved)",
         ]
         return "\n".join(lines)
 
@@ -237,7 +213,6 @@ class PlanOptimization:
     step_view: ProgramView
     stats: OptimizeStats = field(default_factory=OptimizeStats)
     tiled_chains: List = field(default_factory=list)  # tiling.TiledChain
-    levels: List[int] = field(default_factory=list)  # data level per group
 
 
 # ---- static pass pipeline ---------------------------------------------------
@@ -271,11 +246,6 @@ def plan_optimization(
     model judges a chain profitable against ``tile_budget`` — default
     :data:`repro.analysis.characterize.CACHE_BUDGET_BYTES`);
     ``tile_block_rows`` forces a block size on every eligible chain.
-
-    ``stats.workspace_before`` is left at 0: the unoptimized arena belongs
-    to the plan, which has already packed it, so :func:`optimize_plan`
-    reads it off ``plan.memory_plan``; a static report that prints it packs
-    the baseline itself.
     """
     if sizer is None:
         sizer = arena_sizer(batch_size)
@@ -340,10 +310,10 @@ def plan_optimization(
         ))
 
     # ---- tiling pass: cache-block map→reduce→map chains -----------------
-    # Runs between group formation and levelisation: a chain's internal
-    # groups disappear (their tensors live in per-worker scratch) and its
-    # terminal group becomes one TiledStepGroup per block, all writing
-    # disjoint row slices of the chain terminal's arena buffer.
+    # Runs after group formation: a chain's internal groups disappear
+    # (their tensors live in per-worker scratch) and its terminal group
+    # becomes one TiledStepGroup per block, all writing disjoint row slices
+    # of the chain terminal's arena buffer.
     tiled_chains: List = []
     if tile and len(groups) > 1:
         from repro.analysis.characterize import CACHE_BUDGET_BYTES
@@ -363,38 +333,6 @@ def plan_optimization(
     stats.tile_block_rows = [c.block_rows for c in tiled_chains]
     stats.scratch_bytes = max(
         (c.scratch_bytes for c in tiled_chains), default=0
-    )
-
-    # ---- pass 3 (ordering): emit steps in dependency-level order ---------
-    # The order fixes the liveness the repacker models, so it runs before
-    # elision/packing: steps sharing a level stay live together and get
-    # disjoint bytes.
-    # A tiled chain's blocks all "produce" the chain terminal tensor, so
-    # the producer map is multi-valued: a reader depends on every block.
-    producer_groups: Dict[int, List[int]] = {}
-    for g in groups:
-        producer_groups.setdefault(id(g.terminal.tensor), []).append(
-            g.position
-        )
-    level: List[int] = [0] * len(groups)
-    for g in groups:
-        level[g.position] = 1 + max(
-            (
-                level[pos]
-                for t in g.reads
-                for pos in producer_groups.get(id(t), ())
-            ),
-            default=-1,
-        )
-    # Stable sort, then renumber positions to execution order: packing
-    # liveness, the step view and the executor's step list all use these
-    # positions, so the replayed and the modelled order never drift apart.
-    groups = sorted(groups, key=lambda g: level[g.position])
-    levels = [level[g.position] for g in groups]
-    for new_pos, group in enumerate(groups):
-        group.position = new_pos
-    stats.parallel_waves = _parallel_levels(
-        groups, levels, 1 if batch_size is None else batch_size
     )
 
     # ---- pass 2: in-place elision ---------------------------------------
@@ -551,7 +489,6 @@ def plan_optimization(
         step_view=step_view,
         stats=stats,
         tiled_chains=tiled_chains,
-        levels=levels,
     )
 
 
@@ -596,23 +533,20 @@ def _make_fused_run(
 def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
-    Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the
-    rewritten layout through the verifier's arena-hazard pass (in-place
-    pairs allowlisted). Raises :class:`~repro.errors.PlanningError` on an
-    unsafe optimized layout. ``opt`` defaults to the static planner's
-    result for the plan; a caller that isolates passes (tests, ablation)
-    passes one from :func:`plan_optimization` with the plan's batch size.
+    Rewrites ``plan.steps``, sets ``plan.memory_plan`` to the optimized
+    layout and checks that layout once through the verifier's arena-hazard
+    pass (in-place pairs allowlisted). Raises
+    :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
+    ``opt`` defaults to the static planner's result for the plan; a caller
+    that isolates passes (tests, ablation) passes one from
+    :func:`plan_optimization` with the plan's batch size.
     """
     from repro.runtime.executor import PlanStep
-    from repro.verify import Severity, verify_plan
 
     if opt is None:
         opt = plan_optimization(
             plan.program, sizer=plan._sizer, batch_size=plan.batch_size
         )
-    # The baseline is the plan's own unoptimized layout, packed (and
-    # validated) once when the plan was built.
-    opt.stats.workspace_before = plan.memory_plan.workspace_bytes
 
     base_steps = plan.steps  # indexed by original node index
 
@@ -673,20 +607,7 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
             )
         new_steps.append(step)
 
-    opt.memory_plan.validate()
-    report = verify_plan(
-        opt.step_view,
-        opt.memory_plan,
-        sizer=plan._sizer,
-        require_exclusive_writes=True,
-        inplace=opt.inplace_pairs,
-    )
-    if report.has_errors:
-        raise PlanningError(
-            "unsafe optimized arena layout:\n"
-            + report.render(min_severity=Severity.ERROR)
-        )
-
+    plan._check_layout(opt.step_view, opt.memory_plan, opt.inplace_pairs)
     plan.steps = new_steps
     plan.memory_plan = opt.memory_plan
     plan.optimization = opt

@@ -1,6 +1,6 @@
 """Block-level tiling of map→reduce→map chains (PowerFusion-style).
 
-Operator-level fusion (``plan_opt`` pass 2) only collapses single-consumer
+Operator-level fusion (``plan_opt`` pass 1) only collapses single-consumer
 ``map`` chains; softmax, layernorm and attention-score chains — everywhere
 in BERT/Swin/MMoE — are map→reduce→map and still materialise their
 intermediates (the exp grid, the per-row sums) at full tensor size through
@@ -17,7 +17,7 @@ the same numpy reduction order as the untiled plan; slicing rows changes
 *which* rows a step computes, not *how* any one row is computed.
 
 Detection runs over the optimizer's :class:`~repro.runtime.plan_opt.
-StepGroup` list (post-fusion, pre-levelisation). A chain is grown backward
+StepGroup` list (post-fusion). A chain is grown backward
 from a terminal group; a producer group is internalised only when every
 read of its output is *row-aligned* (first index is the reader's own row
 variable, untouched elsewhere) and every consumer lives inside the chain.
@@ -396,10 +396,9 @@ class TiledStepGroup(StepGroup):
     """One cache-block of a tiled chain, as an optimizer step group.
 
     Downstream layers treat it like any :class:`StepGroup` — its members
-    are every original node the chain computes (so characterisation and
-    work estimates see the real computation) and its terminal/reads drive
-    dependency edges: every block "writes" the chain terminal (disjoint
-    row slices) and reads only the chain's external tensors.
+    are every original node the chain computes and its terminal/reads
+    drive liveness: every block "writes" the chain terminal (disjoint row
+    slices) and reads only the chain's external tensors.
     """
 
     def __init__(self, chain: TiledChain, block_index: int) -> None:
@@ -424,16 +423,6 @@ class TiledStepGroup(StepGroup):
             f"{self.chain.name}"
             f"[blk {self.block_index + 1}/{self.chain.num_blocks}]"
         )
-
-    @property
-    def row_range(self) -> Tuple[int, int]:
-        return self.chain.block_ranges[self.block_index]
-
-    def work_elements(self, lanes: int) -> int:
-        """Elements this block actually moves (full-chain work, scaled)."""
-        lo, hi = self.row_range
-        total = sum(lanes * m.tensor.num_elements for m in self.members)
-        return total * (hi - lo) // max(1, self.chain.rows)
 
 
 def make_tiled_groups(chain: TiledChain) -> List["TiledStepGroup"]:

@@ -24,7 +24,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.liveness import LiveRange
-from repro.runtime.memory_planner import MemoryPlan, _conflicts
+from repro.runtime.memory_planner import (
+    MemoryPlan,
+    _conflicts,
+    conflicting_pairs,
+)
 from repro.te.tensor import Tensor
 from repro.verify.diagnostics import (
     Diagnostic,
@@ -172,37 +176,41 @@ def check_arena(
                     ))
 
     # ---- pairwise aliasing under the plan's own conflict rules ----------
+    # Allowlisted in-place pairs relax to the boundary-exclusive rule, which
+    # only drops pairs from the exclusive one, so one sweep under the
+    # stricter rule enumerates every candidate.
     items = list(plan.assignments.items())
-    for i, (tensor_a, a) in enumerate(items):
-        ra = byte_range[id(tensor_a)]
-        live_a = fresh.get(id(tensor_a), a.live)
-        for tensor_b, b in items[i + 1:]:
-            rb = byte_range[id(tensor_b)]
-            if not (ra[0] < rb[1] and rb[0] < ra[1]):
-                continue
-            live_b = fresh.get(id(tensor_b), b.live)
-            if ((id(tensor_a), id(tensor_b)) in allow
-                    or (id(tensor_b), id(tensor_a)) in allow):
-                conflict = live_a.overlaps(live_b)
-            else:
-                conflict = _conflicts(live_a, live_b, plan.exclusive_writes
-                                      or require_exclusive_writes)
-            if conflict:
-                first, second = (
-                    (tensor_a, tensor_b)
-                    if live_a.def_index <= live_b.def_index
-                    else (tensor_b, tensor_a)
-                )
-                diags.append(error(
-                    PASS_ARENA_HAZARD,
-                    Location("tensor", second.name),
-                    f"WAW/aliasing hazard: {second.name} shares bytes with "
-                    f"{first.name} while both are live "
-                    f"({tensor_a.name} [{ra[0]}, {ra[1]}) vs "
-                    f"{tensor_b.name} [{rb[0]}, {rb[1]}))",
-                    "their live ranges conflict; give them disjoint "
-                    "arena intervals",
-                ))
+    lives = [fresh.get(id(t), a.live) for t, a in items]
+    exclusive = plan.exclusive_writes or require_exclusive_writes
+    clashes = []
+    for i, j in conflicting_pairs(lives, exclusive):
+        i, j = min(i, j), max(i, j)
+        key_a, key_b = id(items[i][0]), id(items[j][0])
+        ra, rb = byte_range[key_a], byte_range[key_b]
+        if not (ra[0] < rb[1] and rb[0] < ra[1]):
+            continue
+        if (((key_a, key_b) in allow or (key_b, key_a) in allow)
+                and not _conflicts(lives[i], lives[j], False)):
+            continue
+        clashes.append((i, j))
+    for i, j in sorted(clashes):
+        tensor_a, tensor_b = items[i][0], items[j][0]
+        ra, rb = byte_range[id(tensor_a)], byte_range[id(tensor_b)]
+        first, second = (
+            (tensor_a, tensor_b)
+            if lives[i].def_index <= lives[j].def_index
+            else (tensor_b, tensor_a)
+        )
+        diags.append(error(
+            PASS_ARENA_HAZARD,
+            Location("tensor", second.name),
+            f"WAW/aliasing hazard: {second.name} shares bytes with "
+            f"{first.name} while both are live "
+            f"({tensor_a.name} [{ra[0]}, {ra[1]}) vs "
+            f"{tensor_b.name} [{rb[0]}, {rb[1]}))",
+            "their live ranges conflict; give them disjoint "
+            "arena intervals",
+        ))
 
     diags.extend(_check_scratch(plan))
     return diags

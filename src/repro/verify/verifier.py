@@ -76,12 +76,12 @@ def verify_module(module, plan_hazards: bool = True) -> VerifyReport:
     """Verify a compiled module end to end (the ``repro lint`` driver).
 
     Runs the program passes, the sync-safety pass over the built kernels,
-    and — with ``plan_hazards`` — plans the serving arena for the final
-    program and runs the hazard pass over it, then repeats the hazard pass
-    over the *plan-optimizer's* rewritten step list and repacked arena
-    (fusion, elision, level ordering), with the optimizer's deliberate
-    in-place pairs allowlisted. Planning here is static (no grids are
-    materialised), so paper-scale models lint fine.
+    and — with ``plan_hazards`` — packs the unoptimized arena for the final
+    program and runs the hazard pass over it, then runs it over the layout
+    the served plan uses: the *plan-optimizer's* fused and tiled step list
+    in program order and its repacked arena, with the optimizer's
+    deliberate in-place pairs allowlisted. Planning here is static (no
+    grids are materialised), so paper-scale models lint fine.
     """
     from repro.runtime.memory_planner import plan_memory
 

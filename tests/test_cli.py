@@ -69,6 +69,16 @@ class TestCommands:
         assert "fused into consumers" in out
         assert "views, 0 gathers left (0 index-grid bytes)" in out
 
+    def test_plan_stats_reports_the_compiled_program(self, capsys):
+        """The report is the plan sessions serve: compiled tiny Swin's 63
+        TEs, not the 111 steps of the lowered program."""
+        assert main(["plan-stats", "swin"]) == 0
+        out = capsys.readouterr().out
+        assert "steps:            63 -> 63" in out
+        assert "arena workspace:   73728 -> 58368 bytes (15360 saved)" in out
+        assert ("reads: 103 views, 0 gathers left (0 index-grid bytes), "
+                "2 steps cut into 6 pieces") in out
+
     def test_plan_stats_batched_paper_scale(self, capsys):
         assert main(["plan-stats", "mmoe", "--scale", "paper",
                      "--batch", "4"]) == 0

@@ -160,7 +160,7 @@ class TestArena:
 class TestLayoutValidation:
     def test_time_overlapping_assignment_rejected(self):
         """A layout giving two simultaneously-live tensors the same bytes
-        must fail MemoryPlan.validate() inside plan construction."""
+        must fail the arena-hazard check inside plan construction."""
         b = GraphBuilder("d")
         x = b.input((8, 8), name="x")
         left = b.relu(x)

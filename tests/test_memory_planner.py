@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime.memory_planner import ALIGNMENT, plan_memory
+from repro.verify import Severity, check_arena
 
 
 def chain_program(length=6, size=(32, 32)):
@@ -15,6 +16,16 @@ def chain_program(length=6, size=(32, 32)):
     for _ in range(length):
         x = b.relu(x)
     return lower_graph(b.build([x]))
+
+
+def arena_errors(program, plan):
+    """The arena-hazard pass's errors under the plan's own write rule."""
+    return [
+        d for d in check_arena(
+            program, plan, require_exclusive_writes=plan.exclusive_writes
+        )
+        if d.severity is Severity.ERROR
+    ]
 
 
 class TestPlanning:
@@ -49,26 +60,33 @@ class TestPlanning:
         assert plan.workspace_bytes >= 2 * tensor_bytes
 
     def test_validates(self):
-        plan = plan_memory(chain_program())
-        plan.validate()  # must not raise
+        program = chain_program()
+        assert not arena_errors(program, plan_memory(program))
 
     def test_validate_raises_on_overlap(self):
-        """A corrupted layout must raise PlanningError, not assert."""
+        """A corrupted layout must raise PlanningError at plan build, not
+        assert."""
         from repro.errors import PlanningError
+        from repro.runtime.executor import EXEC_ITEMSIZE, ExecutionPlan
         from repro.runtime.memory_planner import BufferAssignment
 
         b = GraphBuilder("d")
         x = b.input((16, 16))
         out = b.add(b.relu(x), b.sigmoid(x))
         program = lower_graph(b.build([out]))
-        plan = plan_memory(program)
+        plan = plan_memory(
+            program,
+            sizer=lambda t: t.num_elements * EXEC_ITEMSIZE,
+            exclusive_writes=True,
+        )
+        assert not arena_errors(program, plan)
         # Force every simultaneously-live intermediate onto offset 0.
         for tensor, a in list(plan.assignments.items()):
             plan.assignments[tensor] = BufferAssignment(
                 tensor, 0, a.nbytes, a.live
             )
-        with pytest.raises(PlanningError):
-            plan.validate()
+        with pytest.raises(PlanningError, match="WAW/aliasing hazard"):
+            ExecutionPlan(program, memory_plan=plan)
 
     def test_render(self):
         text = plan_memory(chain_program()).render()
@@ -89,7 +107,7 @@ class TestExclusiveWrites:
     def test_consumer_never_shares_operand_bytes(self):
         program = chain_program(length=6)
         plan = plan_memory(program, exclusive_writes=True)
-        plan.validate()
+        assert not arena_errors(program, plan)
         for node in program.nodes:
             out = plan.assignments.get(node.tensor)
             if out is None:
@@ -111,7 +129,7 @@ class TestExclusiveWrites:
 def test_all_models_plan_consistently(name):
     program = lower_graph(TINY_MODELS[name]())
     plan = plan_memory(program)
-    plan.validate()
+    assert not arena_errors(program, plan)
     assert plan.workspace_bytes <= plan.unshared_bytes
     assert plan.sharing_ratio >= 1.0
 
@@ -130,5 +148,5 @@ def test_random_programs_never_overlap(data):
     outs = [frontier[-1]]
     program = lower_graph(b.build(outs))
     plan = plan_memory(program)
-    plan.validate()
+    assert not arena_errors(program, plan)
     assert plan.workspace_bytes <= plan.unshared_bytes

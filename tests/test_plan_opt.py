@@ -2,13 +2,12 @@
 
 The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
-fusing single-consumer map chains (Sec. 6.2), eliding dead inputs in place
-(Sec. 6.5) and emitting steps in dependency-level order, so steps sharing
-a level hold disjoint arena bytes (Sec. 6.1). A step that reads only
-weights stays on the request path and reads the weights each request is
-served with.
+fusing single-consumer map chains (Sec. 6.2) and eliding dead inputs in
+place (Sec. 6.5), with steps kept in program order and its arena no larger
+than the unoptimized plan's. A step that reads only weights stays on the
+request path and reads the weights each request is served with.
 Every pass, in every combination, must also leave a layout the static
-verifier accepts.
+verifier accepts, and a build packs and checks its arena once.
 """
 
 from collections import Counter
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SouffleCompiler
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS, build_bert_attention_subgraph
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
@@ -267,67 +267,29 @@ class TestElision:
                         == plain.memory_plan.workspace_bytes), name
 
 
-# ---- pass 3: level ordering ------------------------------
+# ---- served plans ------------------------------------------------------------
 
 
-def branchy_program():
-    b = GraphBuilder("branchy")
-    x = b.input((16, 16), name="x")
-    branches = [b.relu(x), b.sigmoid(x), b.tanh(x), b.exp(x)]
-    out = branches[0]
-    for other in branches[1:]:
-        out = b.add(out, other)
-    return lower_graph(b.build([out]))
-
-
-def assert_levels_hold_disjoint_bytes(plan):
-    """Steps sharing a dependency level hold disjoint arena bytes: their
-    outputs never overlap, and no step writes bytes that a sibling
-    emitted after it still reads. (Bytes an earlier sibling read for the
-    last time may be reused.)"""
-    opt = plan.optimization
-    assignments = plan.memory_plan.assignments
-
-    def span(tensor):
-        a = assignments.get(tensor)
-        return None if a is None else (a.offset, a.offset + a.nbytes)
-
-    def overlap(x, y):
-        return x is not None and y is not None and x[0] < y[1] and y[0] < x[1]
-
-    by_level = {}
-    for group, level in zip(opt.groups, opt.levels):
-        by_level.setdefault(level, []).append(group)
-    for level, groups in by_level.items():
-        for i, a in enumerate(groups):
-            out = span(a.terminal.tensor)
-            for b in groups[i + 1:]:
-                if b.terminal.tensor is a.terminal.tensor:
-                    continue  # blocks of one tiled chain share a tensor
-                touched = [b.terminal.tensor] + list(b.reads)
-                assert not any(overlap(out, span(t)) for t in touched), (
-                    f"level {level}: {a.name} writes bytes {b.name} uses"
-                )
-
-
-# The plans served at default options: step count, step kinds, unbatched
-# workspace bytes and (fused steps, tiled chains). Every sum of products is
-# an ``einsum``-kind step running its ``match_contraction`` lowering.
-# Replay stays bit-identical under many plan changes, so these pin the
-# fusion, elision and tiling decisions themselves.
+# The plans served at default options — those of the compiled programs,
+# which ``InferenceSession`` and ``BatchingServer`` serve: step count, step
+# kinds, unbatched workspace bytes and (fused steps, tiled chains). Every
+# sum of products is an ``einsum``-kind step running its
+# ``match_contraction`` lowering. Replay stays bit-identical under many
+# plan changes, so these pin the fusion, elision and tiling decisions
+# themselves. The compiler has already fused what step fusion would.
 SERVED_TINY_PLANS = {
-    "bert": (76, {"einsum": 20, "fused": 6, "map": 42, "reduce": 8},
-             9216, (6, 0)),
-    "efficientnet": (34, {"einsum": 11, "fused": 6, "map": 14, "reduce": 3},
-                     41984, (11, 0)),
-    "lstm": (38, {"einsum": 16, "fused": 22}, 2048, (98, 0)),
-    "mmoe": (27, {"einsum": 11, "fused": 5, "map": 7, "reduce": 4},
-             1792, (5, 0)),
-    "resnext": (24, {"einsum": 10, "fused": 7, "map": 5, "reduce": 2},
-                83968, (20, 0)),
-    "swin": (111, {"einsum": 20, "fused": 6, "map": 74, "reduce": 11},
-             49152, (6, 0)),
+    "bert": (58, {"einsum": 20, "map": 30, "reduce": 8}, 8192, (0, 0)),
+    "efficientnet": (31, {"einsum": 11, "map": 17, "reduce": 3},
+                     41984, (0, 0)),
+    "lstm": (31, {"einsum": 9, "map": 22}, 2816, (0, 0)),
+    "mmoe": (18, {"einsum": 3, "map": 10, "reduce": 5}, 1280, (0, 0)),
+    "resnext": (23, {"einsum": 9, "map": 12, "reduce": 2}, 83968, (0, 0)),
+    "swin": (63, {"einsum": 20, "map": 32, "reduce": 11}, 58368, (0, 0)),
 }
+# ``ShardedServer`` still serves the lowered program (ROADMAP item 1).
+SHARDED_TINY_BERT_PLAN = (
+    76, {"einsum": 20, "fused": 6, "map": 42, "reduce": 8}, 8192, (6, 0),
+)
 
 
 def assert_served_plan(plan, steps, kinds, workspace, counts):
@@ -341,58 +303,42 @@ def assert_served_plan(plan, steps, kinds, workspace, counts):
 @pytest.fixture(scope="module")
 def attention():
     """The paper-width attention block, compiled as served."""
-    from repro import SouffleCompiler
-
     return SouffleCompiler().compile(build_bert_attention_subgraph())
 
 
-class TestWaves:
-    def test_independent_steps_share_a_wave(self):
-        """Independent steps share a dependency level, emitted as one
-        contiguous run of positions, and hold disjoint arena bytes."""
-        program = branchy_program()
-        plan = ExecutionPlan(program, optimize=False)
-        optimize_plan(plan, opt=plan_optimization(
-            program, fuse=False, elide=False
-        ))
-        levels = plan.optimization.levels
-        assert levels == sorted(levels)
-        assert max(levels.count(lv) for lv in set(levels)) > 1
-        assert_levels_hold_disjoint_bytes(plan)
-        for name in sorted(TINY_MODELS):
-            assert_levels_hold_disjoint_bytes(
-                ExecutionPlan(lower_graph(TINY_MODELS[name]()), optimize=True)
-            )
+def compiled_tiny(name):
+    return SouffleCompiler().compile(TINY_MODELS[name]())
 
-    def test_small_waves_stay_serial(self):
-        program = branchy_program()
-        plan = ExecutionPlan(program, optimize=True)
-        assert plan.optimization.stats.parallel_waves == 0
+
+class TestWaves:
+    """The served plans replay in program order, with no parallel levels
+    counted, and their layouts are pinned."""
 
     @pytest.mark.parametrize("name", sorted(TINY_MODELS))
     def test_tiny_models_have_no_parallel_levels(self, name):
-        plan = InferenceSession(lower_graph(TINY_MODELS[name]())).plan
+        plan = compiled_tiny(name).session.plan
         assert plan.optimization.stats.parallel_waves == 0
         assert_served_plan(plan, *SERVED_TINY_PLANS[name])
 
     @pytest.mark.parametrize("bucket", [2, 4, 8])
     def test_tiny_bert_buckets_have_no_parallel_levels(self, bucket):
-        session = InferenceSession(lower_graph(TINY_MODELS["bert"]()))
-        plan = session.batch_plan(bucket)
+        plan = compiled_tiny("bert").session.batch_plan(bucket)
         assert plan.optimization.stats.parallel_waves == 0
         steps, kinds, workspace, counts = SERVED_TINY_PLANS["bert"]
         assert_served_plan(plan, steps, kinds, bucket * workspace, counts)
 
-    def test_attention_block_has_three_parallel_levels(self, attention):
-        """The paper-width attention block as served: three levels hold
-        two or more big steps, whatever the host's core count, and the
-        flat replay stays bit-identical to the interpreter."""
+    def test_sharded_tiny_bert_plan(self):
+        plan = InferenceSession(lower_graph(TINY_MODELS["bert"]())).plan
+        assert_served_plan(plan, *SHARDED_TINY_BERT_PLAN)
+
+    def test_attention_block_replays_exactly(self, attention):
+        """The paper-width attention block as served: the flat replay in
+        program order stays bit-identical to the interpreter."""
         module = attention
         plan = module.session.plan
         assert plan.num_steps == 17
-        assert plan.workspace_bytes == 3_932_160
-        assert plan.optimization.stats.parallel_waves == 3
-        assert_levels_hold_disjoint_bytes(plan)
+        assert plan.workspace_bytes == 3_145_728
+        assert plan.optimization.stats.parallel_waves == 0
         feeds = random_feeds(module.program, seed=1)
         want = module.run_interpreted(feeds)
         for g, w in zip(module.session.run(feeds), want):
@@ -414,11 +360,44 @@ class TestWaves:
             for bucket, plan in plans.items()
         }
         assert got == {
-            1: (17, 3_932_160, 1, 2),
-            2: (19, 2 * 3_932_160, 1, 4),
-            4: (25, 4 * 3_932_160, 2, 14),
-            8: (27, 8 * 3_932_160, 2, 16),
+            1: (17, 3_145_728, 1, 2),
+            2: (19, 2 * 3_145_728, 1, 4),
+            4: (25, 4 * 3_145_728, 2, 14),
+            8: (27, 8 * 3_145_728, 2, 16),
         }
+
+
+ARENA_PROGRAMS = (
+    [f"compiled-{name}" for name in sorted(TINY_MODELS)]
+    + ["attention"]
+    + [f"lowered-{name}" for name in sorted(TINY_MODELS)]
+)
+
+
+@pytest.mark.parametrize("label", ARENA_PROGRAMS)
+def test_optimized_arena_is_no_larger_than_the_reference(label, attention):
+    """In program order, fusion drops tensors from the reference plan's
+    packing problem and elision merges them only when that shrinks the
+    arena; the served arena is no larger than the unoptimized plan's,
+    unbatched or at any bucket."""
+    kind, _, name = label.partition("-")
+    if kind == "attention":
+        program = attention.program
+    elif kind == "compiled":
+        program = compiled_tiny(name).program
+    else:
+        program = lower_graph(TINY_MODELS[name]())
+    plans = {1: (ExecutionPlan(program, optimize=True),
+                 ExecutionPlan(program))}
+    for bucket in (2, 4, 8):
+        plans[bucket] = (
+            BatchedExecutionPlan(program, bucket, optimize=True),
+            BatchedExecutionPlan(program, bucket),
+        )
+    for bucket, (optimized, reference) in plans.items():
+        assert optimized.workspace_bytes <= reference.workspace_bytes, (
+            bucket, optimized.workspace_bytes, reference.workspace_bytes
+        )
 
 
 # ---- stats and reporting -----------------------------------------------------
@@ -434,36 +413,49 @@ class TestStats:
         assert stats.steps_after == stats.steps_before - stats.fused_steps
         assert stats.workspace_after == plan.memory_plan.workspace_bytes
         assert "->" in stats.summary()
-        assert "arena workspace" in stats.render()
+        baseline = ExecutionPlan(program).workspace_bytes
+        assert (f"arena workspace:   {baseline} -> {stats.workspace_after}"
+                in stats.render(baseline))
 
     @pytest.mark.parametrize("name", sorted(TINY_MODELS))
-    def test_served_build_packs_the_unoptimized_arena_once(
-        self, name, monkeypatch
-    ):
+    def test_one_build_packs_once_and_checks_once(self, name, monkeypatch):
+        """A served build packs only its own layout (twice at most, when
+        elision competes with the plain packing) and checks it once; the
+        reference plan packs and checks once."""
         import sys
 
         from repro.runtime import memory_planner
+        from repro.verify import hazards
 
-        calls = []
-        original = memory_planner.plan_memory
+        calls = Counter()
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].name)
-            return original(*args, **kwargs)
+        def counting(fn_name, original):
+            def counted(*args, **kwargs):
+                calls[fn_name] += 1
+                return original(*args, **kwargs)
+            return counted
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "plan_memory", None) is original:
-                monkeypatch.setattr(module, "plan_memory", counted)
-        program = lower_graph(TINY_MODELS[name]())
-        plan = ExecutionPlan(program, optimize=True)
-        assert calls == [program.name]
-        # The reported baseline is the layout the plan packed.
-        baseline = ExecutionPlan(program, optimize=False)
-        assert (plan.optimization.stats.workspace_before
-                == baseline.memory_plan.workspace_bytes)
+        for owner, fn_name in [(memory_planner, "plan_memory"),
+                               (memory_planner, "pack_intervals"),
+                               (hazards, "check_arena")]:
+            original = getattr(owner, fn_name)
+            counted = counting(fn_name, original)
+            for module in list(sys.modules.values()):
+                if getattr(module, fn_name, None) is original:
+                    monkeypatch.setattr(module, fn_name, counted)
+        program = compiled_tiny(name).program
+        for build in (lambda: ExecutionPlan(program, optimize=True),
+                      lambda: BatchedExecutionPlan(program, 4,
+                                                   optimize=True)):
+            calls.clear()
+            build()
+            assert calls["plan_memory"] == 0
+            assert calls["check_arena"] == 1
+            assert 1 <= calls["pack_intervals"] <= 2
         calls.clear()
-        BatchedExecutionPlan(program, batch_size=4, optimize=True)
-        assert calls == [program.name]
+        ExecutionPlan(program)
+        assert calls == {"plan_memory": 1, "pack_intervals": 1,
+                         "check_arena": 1}
 
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()

@@ -170,7 +170,7 @@ class TestDetection:
             c.num_blocks for c in plan.optimization.tiled_chains
         )
         assert "chains tiled" in stats.summary()
-        assert "tiled chains:" in stats.render()
+        assert "tiled chains:" in stats.render(plan.workspace_bytes)
         untiled = plan_optimization(program_for("bert"), tile=False).stats
         assert "chains tiled" not in untiled.summary()
 
