@@ -8,7 +8,7 @@ feed the LRU shared-memory cache (Sec. 6.5) and memory planning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.graph.te_program import TEProgram
 from repro.te.tensor import Tensor
@@ -30,10 +30,6 @@ class LiveRange:
     @property
     def span(self) -> int:
         return self.last_use - max(self.def_index, 0)
-
-    def live_at(self, index: int) -> bool:
-        """Whether the tensor's value must exist when TE ``index`` runs."""
-        return self.def_index < index <= self.last_use
 
     def overlaps(self, other: "LiveRange") -> bool:
         return not (

@@ -18,7 +18,6 @@ from repro.analysis.characterize import (
     TECharacter,
     characterize_program,
 )
-from repro.errors import AnalysisError
 from repro.gpu.device import GPUSpec
 from repro.graph.te_program import TENode, TEProgram
 from repro.schedule.ansor import AnsorScheduler
@@ -57,12 +56,6 @@ class PartitionResult:
     @property
     def num_subprograms(self) -> int:
         return len(self.subprograms)
-
-    def subprogram_of(self, node: TENode) -> Subprogram:
-        for sub in self.subprograms:
-            if node in sub.nodes:
-                return sub
-        raise AnalysisError(f"TE {node.name} not assigned to any subprogram")
 
 
 class Partitioner:

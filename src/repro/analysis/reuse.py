@@ -51,12 +51,6 @@ class ReuseAnalysis:
             out[opp.tensor.name] = [n.name for n in opp.consumers]
         return out
 
-    def temporal_tensors(self) -> List[Tensor]:
-        return [opp.tensor for opp in self.temporal]
-
-    def spatial_tensors(self) -> List[Tensor]:
-        return [opp.tensor for opp in self.spatial]
-
 
 def find_reuse(
     program: TEProgram, masks: Optional[Dict[TENode, int]] = None

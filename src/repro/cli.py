@@ -330,27 +330,30 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     from repro.runtime.session import InferenceSession
     from repro.runtime.sharding import ShardedServer
 
-    # The sharded workers lower the graph themselves (no compiler TE
-    # rewrites), so the reference must replay the same lowering — the
-    # compiled ``module.program`` computes rewritten expressions whose
-    # floats differ in the last bit.
-    ref_program = lower_graph(graph)
     by_name = {t.name: v for t, v in feeds.items()}
-    ref_feeds = {t: by_name[t.name] for t in ref_program.inputs}
-    weights = {t.name: v for t, v in ref_feeds.items()
-               if t.role == "weight"}
-    lead = ref_program.inputs[0]
+    batch = args.batch if args.batch > 1 else 8
+    server = ShardedServer(
+        graph,
+        {t.name: v for t, v in feeds.items() if t.role == "weight"},
+        replicas=args.replicas, max_batch_size=batch, max_queue_delay_ms=2.0,
+    )
+    # The workers serve the server's own lowering of the graph (no
+    # compiler TE rewrites), so the serial reference and the baseline
+    # replay its PlanState: the compiled ``module.program`` computes
+    # rewritten expressions whose floats differ in the last bit.
+    program = server.plan_state.program
+    lead = program.inputs[0]
     rng = np.random.default_rng(args.seed + 2)
     requests = []
     for _ in range(args.calls):
-        request = dict(ref_feeds)
-        request[lead] = (ref_feeds[lead]
+        request = {t: by_name[t.name] for t in program.inputs
+                   if t.role != "weight"}
+        request[lead] = (by_name[lead.name]
                          + rng.standard_normal(lead.shape) * 0.01)
         requests.append(request)
-    batch = args.batch if args.batch > 1 else 8
 
     # Serial reference for the bit-identity check.
-    ref = InferenceSession(ref_program, name=graph.name)
+    ref = InferenceSession.from_plan_state(server.plan_state, name=graph.name)
     serial = [ref.run(request) for request in requests]
 
     # Baseline: one process, one session, dynamic batching.
@@ -364,17 +367,9 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     base_seconds = time.perf_counter() - start
     baseline.stop()
 
-    server = ShardedServer(
-        graph, weights, replicas=args.replicas,
-        max_batch_size=batch, max_queue_delay_ms=2.0,
-    )
     with server:
         start = time.perf_counter()
-        futs = [
-            server.submit({t.name: request[t] for t in ref_program.inputs
-                           if t.role != "weight"})
-            for request in requests
-        ]
+        futs = [server.submit(request) for request in requests]
         results = [fut.result(timeout=300) for fut in futs]
         shard_seconds = time.perf_counter() - start
         report = server.render_metrics()

@@ -9,7 +9,7 @@ traffic after all fusion/reuse decisions have been applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass
@@ -86,11 +86,3 @@ class KernelMetrics:
     wave_utilization: float         # grid blocks / max blocks per wave (<=1)
     lsu_utilization: float          # load-store pipeline busy fraction
     fma_utilization: float          # arithmetic pipeline busy fraction
-
-    @property
-    def bytes_from_global(self) -> float:
-        return self.kernel.load_bytes + self.kernel.atomic_bytes
-
-    @property
-    def bytes_to_global(self) -> float:
-        return self.kernel.store_bytes + self.kernel.atomic_bytes

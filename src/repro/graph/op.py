@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import LoweringError
 
@@ -84,18 +84,6 @@ class OpNode:
     def is_source(self) -> bool:
         """True for graph inputs and weights."""
         return self.op_type in ("input", "weight")
-
-    @property
-    def is_compute_op(self) -> bool:
-        return self.op_type in COMPUTE_OPS
-
-    @property
-    def is_memory_op(self) -> bool:
-        return self.op_type in ELEMENTWISE_MEMORY_OPS
-
-    @property
-    def is_reduction_op(self) -> bool:
-        return self.op_type in REDUCTION_OPS
 
     @property
     def num_elements(self) -> int:

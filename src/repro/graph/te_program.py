@@ -7,7 +7,7 @@ The program exposes producer/consumer queries used by every analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AnalysisError
@@ -62,20 +62,22 @@ class TEProgram:
         self.nodes: List[TENode] = list(nodes)
         self.outputs: List[Tensor] = list(outputs)
 
-        self._producer: Dict[int, TENode] = {}
+        # Keyed by the tensors themselves, so a pickled program's indexes
+        # travel with it and name the tensors its copy holds.
+        self._producer: Dict[Tensor, TENode] = {}
         for node in self.nodes:
-            if id(node.tensor) in self._producer:
+            if node.tensor in self._producer:
                 raise AnalysisError(f"tensor {node.name} produced twice")
-            self._producer[id(node.tensor)] = node
+            self._producer[node.tensor] = node
 
         # One pass over every node's (memoised) reads: each read must name
         # a program input or a TE produced earlier in program order.
-        self._consumers: Dict[int, List[TENode]] = {}
-        seen: Set[int] = {id(t) for t in self.inputs}
+        self._consumers: Dict[Tensor, List[TENode]] = {}
+        seen: Set[Tensor] = set(self.inputs)
         for node in self.nodes:
             for tensor in node.inputs:
-                if id(tensor) not in seen:
-                    if id(tensor) not in self._producer:
+                if tensor not in seen:
+                    if tensor not in self._producer:
                         raise AnalysisError(
                             f"TE {node.name} reads unknown tensor {tensor.name}"
                         )
@@ -83,21 +85,21 @@ class TEProgram:
                         f"TE program not topologically ordered: {node.name} "
                         f"reads {tensor.name} before it is produced"
                     )
-                self._consumers.setdefault(id(tensor), []).append(node)
-            seen.add(id(node.tensor))
+                self._consumers.setdefault(tensor, []).append(node)
+            seen.add(node.tensor)
         for out in self.outputs:
-            if id(out) not in self._producer:
+            if out not in self._producer:
                 raise AnalysisError(f"output {out.name} has no producer TE")
 
     # ---- queries --------------------------------------------------------
 
     def producer(self, tensor: Tensor) -> Optional[TENode]:
         """The TE producing ``tensor``, or ``None`` for placeholders."""
-        return self._producer.get(id(tensor))
+        return self._producer.get(tensor)
 
     def consumers(self, tensor: Tensor) -> List[TENode]:
         """TEs reading ``tensor``."""
-        return list(self._consumers.get(id(tensor), []))
+        return list(self._consumers.get(tensor, []))
 
     def node_producers(self, node: TENode) -> List[TENode]:
         """TEs whose outputs ``node`` reads."""

@@ -1,4 +1,4 @@
-"""Cross-request dynamic batching: one request core for every server.
+"""Cross-request dynamic batching: the one request path every server runs.
 
 Souffle's premise is amortizing per-op overhead by globalizing work — one
 kernel per subprogram, one arena per plan. The serving-path analogue is
@@ -6,33 +6,31 @@ amortizing per-*request* overhead: N concurrent requests replay the
 execution plan once through a :class:`~repro.runtime.executor.
 BatchedExecutionPlan` instead of N times through the scalar plan.
 
-:class:`RequestCore` is the request path both servers share — the
-in-process :class:`BatchingServer` below and the multi-process
-:class:`~repro.runtime.sharding.ShardedServer` — each owning one:
+:class:`BatchingServer` is that request path over one
+:class:`~repro.runtime.session.InferenceSession`; the multi-process
+:class:`~repro.runtime.sharding.ShardedServer` subclasses it and changes
+only where a formed batch goes:
 
-* :meth:`RequestCore.submit` validates a request's feeds against the plan
-  immediately (a malformed request fails fast at the door and can never
-  poison a batch), then, under the lock :meth:`RequestCore.stop` takes,
-  either refuses it or parks a future on an unbounded queue;
+* :meth:`BatchingServer.submit` validates a request's feeds against the
+  plan immediately (a malformed request fails fast at the door and can
+  never poison a batch), then, under the lock :meth:`BatchingServer.stop`
+  takes, either refuses it or parks a future on an unbounded queue;
 * a dispatcher thread drains the queue — the first waiting request opens
   a batch window that closes after ``max_queue_delay_ms`` or as soon as
   ``max_batch_size`` requests are aboard, whichever comes first — drops
   every member whose client cancelled it while queued, and hands the
-  batch to its server;
-* :meth:`RequestCore.serve` replays a batch through
+  batch to ``_dispatch``;
+* ``_serve``, the in-process hand-off, replays a batch through
   :meth:`InferenceSession.run_batch` (bucketed, padded, batch-1 falls back
   to the unbatched plan) and resolves each future with its own sliced
   outputs, bit-identical to an unbatched :meth:`InferenceSession.run` of
   the same feeds. If the batch replay fails, every member is retried
   unbatched so one request's failure surfaces only on its own future.
 
-:meth:`RequestCore.stop` refuses new requests and returns once the
-dispatcher has handed off everything accepted and its server reports no
-work outstanding: every accepted request is served (or fails on its own
-future); none are dropped, and a cancelled one is never run.
-
-:class:`BatchingServer` is that core plus its hand-off: every batch goes
-straight to one :class:`~repro.runtime.session.InferenceSession`.
+:meth:`BatchingServer.stop` refuses new requests and returns once the
+dispatcher has handed off everything accepted and ``_outstanding``
+reports no work left: every accepted request is served (or fails on its
+own future); none are dropped, and a cancelled one is never run.
 """
 
 from __future__ import annotations
@@ -43,17 +41,13 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.profiler import percentiles
-from repro.runtime.session import (
-    InferenceSession,
-    PlanState,
-    resolve_feeds_by_name,
-)
+from repro.runtime.session import InferenceSession, resolve_feeds_by_name
 from repro.te.tensor import Tensor
 
 Feeds = Union[Mapping[Tensor, np.ndarray], Mapping[str, np.ndarray]]
@@ -76,23 +70,22 @@ class Pending:
     enqueued: float = field(default_factory=time.perf_counter)
 
 
-class RequestCore:
-    """Queue, batch window, dispatcher, drain and failure path of a server.
+class BatchingServer:
+    """Queue-and-dispatch dynamic batching over one inference session.
 
-    The owning server supplies ``dispatch``, called on the dispatcher
-    thread with every formed batch, and ``outstanding``, true while
-    batches it was handed are unresolved; the dispatcher outlives
-    :meth:`stop` until nothing is queued or outstanding, so work a server
-    hands back with :meth:`requeue` is still served.
+    Owns admission, the batch window, the dispatcher thread, the drain and
+    the counters. A subclass that serves batches elsewhere overrides
+    ``_dispatch`` (called on the dispatcher thread with every formed
+    batch; it may put members back on ``_queue``) and ``_outstanding``
+    (true while batches it was handed are unresolved): the dispatcher
+    outlives :meth:`stop` until nothing is queued or outstanding.
     """
 
     def __init__(
         self,
-        name: str,
-        dispatch: Callable[[List[Pending]], None],
-        max_batch_size: int,
-        max_queue_delay_ms: float,
-        outstanding: Callable[[], bool] = lambda: False,
+        session: InferenceSession,
+        max_batch_size: int = 8,
+        max_queue_delay_ms: float = 2.0,
     ) -> None:
         if max_batch_size < 1:
             raise ExecutionError(
@@ -102,12 +95,11 @@ class RequestCore:
             raise ExecutionError(
                 f"max_queue_delay_ms must be >= 0, got {max_queue_delay_ms}"
             )
-        self.name = name
+        self.session = session
+        self.plan_state = session.plan_state
         self.max_batch_size = max_batch_size
         self.max_queue_delay_ms = max_queue_delay_ms
         self._delay_s = max_queue_delay_ms / 1e3
-        self._dispatch = dispatch
-        self._outstanding = outstanding
         self._queue: "queue.Queue[Pending]" = queue.Queue()
         # Admission (submit/start/stop) and the dispatcher's bookkeeping
         # take separate locks, so a client never waits on a batch's.
@@ -133,16 +125,19 @@ class RequestCore:
         """Started and not stopping: :meth:`submit` takes requests."""
         return self._thread is not None and not self._stopping.is_set()
 
-    def start(self) -> None:
+    def start(self):
         """Spawn the dispatcher thread (idempotent while running)."""
         with self._lock:
             if self.running:
-                return
+                return self
             self._stopping.clear()
             self._thread = threading.Thread(
-                target=self._dispatch_loop, name=self.name, daemon=True
+                target=self._dispatch_loop,
+                name=f"serve-{self.session.name}",
+                daemon=True,
             )
             self._thread.start()
+        return self
 
     def stop(self) -> None:
         """Refuse new requests; return once every accepted one is served."""
@@ -152,18 +147,23 @@ class RequestCore:
         if thread is not None:
             thread.join()
 
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
     # ---- admission -------------------------------------------------------
 
-    def submit(
-        self, feeds: Feeds, plan_state: PlanState
-    ) -> "Future[List[np.ndarray]]":
-        """Validate ``feeds`` against ``plan_state``, then queue them.
+    def submit(self, feeds: Feeds) -> "Future[List[np.ndarray]]":
+        """Queue one request; the future resolves with its output list.
 
-        Name-keyed feeds are resolved to the program's placeholders;
-        tensor-keyed feeds are queued as given. Weights bound on the plan
-        state may be left out. Shape and missing-placeholder errors raise
-        here, synchronously, as does a server that is not running.
+        Feeds may be keyed by placeholder tensor or by name; weights bound
+        on the plan state (``plan_state.bind_weights``) may be left out.
+        Shape and missing-placeholder errors raise here, synchronously, as
+        does a server that is not running.
         """
+        plan_state = self.plan_state
         if feeds and all(isinstance(key, str) for key in feeds):
             feeds = resolve_feeds_by_name(plan_state.program, feeds)
         # Validate with the bound weights merged in exactly as run and
@@ -183,9 +183,9 @@ class RequestCore:
             self.requests_submitted += 1
         return pending.future
 
-    def requeue(self, pending: Pending) -> None:
-        """Queue an accepted request again (its hand-off was lost)."""
-        self._queue.put(pending)
+    def run(self, feeds: Feeds, timeout: Optional[float] = None):
+        """Synchronous convenience: submit and wait for the outputs."""
+        return self.submit(feeds).result(timeout)
 
     # ---- dispatcher ------------------------------------------------------
 
@@ -252,12 +252,20 @@ class RequestCore:
                 )
         return batch
 
+    def _outstanding(self) -> bool:
+        """Work handed off by ``_dispatch`` and not yet resolved."""
+        return False
+
+    def _dispatch(self, batch: List[Pending]) -> None:
+        self._serve(batch)
+
     # ---- resolution ------------------------------------------------------
 
-    def serve(self, batch: List[Pending], session: InferenceSession) -> None:
-        """Resolve ``batch`` through ``session``: one batched replay, or,
+    def _serve(self, batch: List[Pending]) -> None:
+        """Resolve ``batch`` through the session: one batched replay, or,
         if that fails, each member alone so only a faulty request's
         future carries the exception."""
+        session = self.session
         try:
             outcomes = session.run_batch([pending.feeds for pending in batch])
         except Exception:  # noqa: BLE001 — isolated per request below
@@ -267,9 +275,9 @@ class RequestCore:
                     outcomes.append(session.run(pending.feeds))
                 except Exception as exc:  # noqa: BLE001 — forwarded
                     outcomes.append(exc)
-        self.settle(batch, outcomes)
+        self._settle(batch, outcomes)
 
-    def settle(self, batch: List[Pending], outcomes: Sequence) -> None:
+    def _settle(self, batch: List[Pending], outcomes: Sequence) -> None:
         """Count ``batch`` served, then resolve each future with its
         outcome: an output list, or the exception its request raised."""
         settled = time.perf_counter()
@@ -297,99 +305,6 @@ class RequestCore:
         with self._metrics_lock:
             window = list(self._latencies)
         return percentiles(window)
-
-
-class CoreServer:
-    """What a server built on a :class:`RequestCore` exposes of it.
-
-    Subclasses set ``_core`` and define ``submit`` themselves; one with
-    more to start or stop than the dispatcher overrides both.
-    """
-
-    _core: RequestCore
-
-    @property
-    def running(self) -> bool:
-        return self._core.running
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._core.max_batch_size
-
-    @property
-    def max_queue_delay_ms(self) -> float:
-        return self._core.max_queue_delay_ms
-
-    @property
-    def requests_submitted(self) -> int:
-        return self._core.requests_submitted
-
-    @property
-    def requests_completed(self) -> int:
-        return self._core.requests_completed
-
-    @property
-    def batches_dispatched(self) -> int:
-        return self._core.batches_dispatched
-
-    def queue_wait_percentiles(self) -> Dict[str, float]:
-        return self._core.queue_wait_percentiles()
-
-    def latency_percentiles(self) -> Dict[str, float]:
-        return self._core.latency_percentiles()
-
-    def start(self):
-        """Spawn the dispatcher thread (idempotent while running)."""
-        self._core.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting requests, serve everything accepted, return."""
-        self._core.stop()
-
-    def run(self, feeds: Feeds, timeout: Optional[float] = None):
-        """Synchronous convenience: submit and wait for the outputs."""
-        return self.submit(feeds).result(timeout)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class BatchingServer(CoreServer):
-    """Queue-and-dispatch dynamic batching over one inference session."""
-
-    def __init__(
-        self,
-        session: InferenceSession,
-        max_batch_size: int = 8,
-        max_queue_delay_ms: float = 2.0,
-    ) -> None:
-        self.session = session
-        # The hand-off is looked up per batch, so a wrapper installed on
-        # the class after construction (tracing) sees every batch.
-        self._core = RequestCore(
-            f"batching-{session.name}",
-            lambda batch: self._dispatch(batch),
-            max_batch_size,
-            max_queue_delay_ms,
-        )
-
-    def submit(self, feeds: Feeds) -> "Future[List[np.ndarray]]":
-        """Queue one request; the future resolves with its output list.
-
-        Feeds may be keyed by placeholder tensor or by name; weights the
-        session has bound (``plan_state.bind_weights``) may be left out.
-        Shape and missing-placeholder errors raise here, synchronously.
-        """
-        return self._core.submit(feeds, self.session.plan_state)
-
-    def _dispatch(self, batch: List[Pending]) -> None:
-        self._core.serve(batch, self.session)
-
-    # ---- metrics ---------------------------------------------------------
 
     @property
     def mean_batch_size(self) -> float:

@@ -150,9 +150,6 @@ class MemoryPlan:
             return 1.0
         return self.unshared_bytes / self.workspace_bytes
 
-    def offset_of(self, tensor: Tensor) -> int:
-        return self.assignments[tensor].offset
-
     def render(self, top: int = 12) -> str:
         lines = [
             f"workspace: {self.workspace_bytes / 1e6:.2f} MB "

@@ -228,18 +228,12 @@ class CompiledModule:
         """Like :meth:`run_batch` with name-keyed feeds."""
         return self.session.run_batch_by_name(feeds_list)
 
-    def serve(
-        self,
-        max_batch_size: int = 8,
-        max_queue_delay_ms: float = 2.0,
-        start: bool = True,
-    ):
-        """A :class:`~repro.runtime.batching.BatchingServer` over this
-        module's session (started unless ``start=False``)."""
+    def serve(self, max_batch_size: int = 8, max_queue_delay_ms: float = 2.0):
+        """A started :class:`~repro.runtime.batching.BatchingServer` over
+        this module's session."""
         return self.session.serve(
             max_batch_size=max_batch_size,
             max_queue_delay_ms=max_queue_delay_ms,
-            start=start,
         )
 
     # ---- inspection -----------------------------------------------------------

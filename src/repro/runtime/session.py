@@ -63,7 +63,7 @@ DEFAULT_BATCH_BUCKETS = (2, 4, 8)
 DEFAULT_MAX_POOL = 8
 
 # Per-request latencies kept for percentile reporting.
-DEFAULT_LATENCY_WINDOW = 2048
+LATENCY_WINDOW = 2048
 
 
 def resolve_feeds_by_name(
@@ -193,7 +193,6 @@ class ArenaState:
     def __init__(
         self,
         max_pool: int = DEFAULT_MAX_POOL,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
         num_steps: int = 0,
     ) -> None:
         if max_pool < 1:
@@ -212,7 +211,7 @@ class ArenaState:
         self.batches_executed = 0
         self.batched_requests = 0
         self.occupancy_sum = 0.0
-        self.latencies: deque = deque(maxlen=latency_window)
+        self.latencies: deque = deque(maxlen=LATENCY_WINDOW)
         self.step_seconds = [0.0] * num_steps
         self.step_calls = 0
 
@@ -250,7 +249,6 @@ class InferenceSession:
         plan: Optional[ExecutionPlan] = None,
         max_pool: int = DEFAULT_MAX_POOL,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
         plan_state: Optional[PlanState] = None,
     ) -> None:
         self.name = name if name is not None else program.name
@@ -265,30 +263,16 @@ class InferenceSession:
         self.plan_state = plan_state
         self.profile = profile
         self.arena_state = ArenaState(
-            max_pool=max_pool,
-            latency_window=latency_window,
-            num_steps=plan_state.plan.num_steps,
+            max_pool=max_pool, num_steps=plan_state.plan.num_steps
         )
 
     @classmethod
     def from_plan_state(
-        cls,
-        plan_state: PlanState,
-        name: Optional[str] = None,
-        profile: bool = False,
-        max_pool: int = DEFAULT_MAX_POOL,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
+        cls, plan_state: PlanState, name: Optional[str] = None
     ) -> "InferenceSession":
         """A fresh replica over a shared :class:`PlanState` — its own arena
         pools and metrics, the same compiled plans and weight table."""
-        return cls(
-            plan_state.program,
-            name=name,
-            profile=profile,
-            max_pool=max_pool,
-            latency_window=latency_window,
-            plan_state=plan_state,
-        )
+        return cls(plan_state.program, name=name, plan_state=plan_state)
 
     # ---- shared state read by callers ------------------------------------
 
@@ -478,24 +462,16 @@ class InferenceSession:
 
     # ---- serving ---------------------------------------------------------
 
-    def serve(
-        self,
-        max_batch_size: int = 8,
-        max_queue_delay_ms: float = 2.0,
-        start: bool = True,
-    ):
-        """A :class:`~repro.runtime.batching.BatchingServer` over this
-        session (started unless ``start=False``)."""
+    def serve(self, max_batch_size: int = 8, max_queue_delay_ms: float = 2.0):
+        """A started :class:`~repro.runtime.batching.BatchingServer` over
+        this session."""
         from repro.runtime.batching import BatchingServer
 
-        server = BatchingServer(
+        return BatchingServer(
             self,
             max_batch_size=max_batch_size,
             max_queue_delay_ms=max_queue_delay_ms,
-        )
-        if start:
-            server.start()
-        return server
+        ).start()
 
     # ---- metrics ---------------------------------------------------------
 

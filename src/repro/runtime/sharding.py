@@ -2,19 +2,21 @@
 
 A :class:`ShardedServer` scales the single-process serving stack
 (:class:`~repro.runtime.batching.BatchingServer`) across K worker
-*processes*. Each worker rebuilds the same deterministic
-:class:`~repro.runtime.executor.ExecutionPlan` from the serialized source
-graph, then maps the model's weights out of one shared
+*processes*. :meth:`ShardedServer.start` pickles the parent's program
+once and ships it to every worker, which builds the same deterministic
+:class:`~repro.runtime.executor.ExecutionPlan` from it, then maps the
+model's weights out of one shared
 :class:`~repro.runtime.weight_store.WeightStore` segment, zero-copy. K
 replicas therefore hold K arena pools but exactly *one* copy of the
 weights. The segment exists only while the server runs: :meth:`start`
 creates it and :meth:`stop` unlinks it, so a server that is built but
 never started holds none.
 
-Admission, the batch window, the dispatcher, the stop-time drain and the
-batch-failure fallback are the :class:`~repro.runtime.batching.
-RequestCore` that ``BatchingServer`` runs on too. What this module adds
-is where a batch goes and what happens when a worker dies:
+``ShardedServer`` is a ``BatchingServer`` over a parent session on the
+shared :class:`PlanState`: admission, the batch window, the dispatcher,
+the stop-time drain and the in-process serve with its per-request retry
+are inherited. What this module adds is where a batch goes and what
+happens when a worker dies:
 
 * each formed batch ships to the alive replica with the fewest
   outstanding requests (ties rotate), capped at a few batches per replica
@@ -22,9 +24,9 @@ is where a batch goes and what happens when a worker dies:
 * a crashed or hung replica's in-flight requests go back to the queue (a
   hang is converted into a crash by the watchdog's ``request_timeout_s``)
   while the worker is respawned, and :meth:`stop` returns only once they
-  are served. If no replica is available the parent executes the batch
-  itself over the same shared :class:`PlanState`, so every accepted
-  request resolves even with every worker down.
+  are served. A batch no replica can take, or one a worker fails, is
+  served in the parent, so every accepted request resolves even with
+  every worker down.
 
 Outputs are bit-identical to a serial replay of the same requests through
 one :class:`~repro.runtime.session.InferenceSession`: workers replay the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import Future
@@ -48,10 +51,9 @@ import multiprocessing as mp
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.frontends.serialize import graph_from_dict, graph_to_dict
 from repro.graph.graph import Graph
 from repro.graph.lowering import lower_graph
-from repro.runtime.batching import CoreServer, Feeds, Pending, RequestCore
+from repro.runtime.batching import BatchingServer, Feeds, Pending
 from repro.runtime.session import InferenceSession, PlanState
 from repro.runtime.weight_store import WeightManifest, WeightStore
 
@@ -120,14 +122,15 @@ def _session_stats(session: InferenceSession) -> dict:
 
 def _worker_main(
     index: int,
-    graph_doc: dict,
+    program_blob: bytes,
     manifest: WeightManifest,
     conn,
 ) -> None:
-    """Replica body: rebuild the plan, map shared weights, serve batches.
+    """Replica body: load the program, plan it, map shared weights, serve.
 
     Protocol (over the duplex pipe): the worker sends ``("ready", index,
-    info)`` once serving; the parent sends ``("batch", id, feeds_list)``
+    info)`` once serving (``info`` carries its plan's step count and arena
+    bytes); the parent sends ``("batch", id, feeds_list)``
     (name-keyed feeds) and receives ``("result", id, outputs)`` or
     ``("error", id, message)``; ``("stats",)`` round-trips session
     metrics; ``None`` asks for a clean exit, acknowledged with ``("bye",
@@ -136,8 +139,7 @@ def _worker_main(
     store = None
     try:
         store = WeightStore.attach(manifest)
-        graph = graph_from_dict(graph_doc)
-        program = lower_graph(graph)
+        program = pickle.loads(program_blob)
         plan_state = PlanState(program)
         weights = store.weights_by_name()
         plan_state.bind_weights(weights)
@@ -156,6 +158,8 @@ def _worker_main(
             "weight_bytes_mapped": store.total_bytes,
             "weight_private_bytes": private,
             "rss_bytes": _rss_bytes(),
+            "plan_steps": plan_state.plan.num_steps,
+            "arena_bytes": plan_state.plan.workspace_bytes,
         }))
     except BaseException as exc:  # noqa: BLE001 — forwarded to parent
         try:
@@ -225,7 +229,7 @@ class _Replica:
         return sum(len(b.members) for b in self.in_flight.values())
 
 
-class ShardedServer(CoreServer):
+class ShardedServer(BatchingServer):
     """K-process sharded serving over one shared weight segment."""
 
     def __init__(
@@ -248,38 +252,32 @@ class ShardedServer(CoreServer):
                 f"request_timeout_s must be > 0, got {request_timeout_s}"
             )
         program = lower_graph(graph)
-        self.name = program.name
-        # The hand-off is looked up per batch, so a wrapper installed on
-        # the class after construction (tracing) sees every batch.
-        self._core = RequestCore(
-            f"sharded-{self.name}-dispatch",
-            lambda batch: self._dispatch(batch),
+        # The parent's session over its own PlanState, bound to the same
+        # weights: it validates submissions and serves every batch no
+        # worker can (bit-identical by construction — same plans, same
+        # weight bytes). Binding here rejects bad weights before anything
+        # is spawned; start() publishes them.
+        plan_state = PlanState(program)
+        plan_state.bind_weights(weights)
+        super().__init__(
+            InferenceSession.from_plan_state(
+                plan_state, name=f"{program.name}[local]"
+            ),
             max_batch_size,
             max_queue_delay_ms,
-            outstanding=self._outstanding,
         )
-        self.graph = graph
+        self.name = program.name
         self.replicas = replicas
         self.request_timeout_s = request_timeout_s
-        self._graph_doc = graph_to_dict(graph)
-
-        # The parent holds its own PlanState over the same weights: it
-        # validates submissions and serves as the all-replicas-down
-        # fallback executor (bit-identical by construction — same plans,
-        # same weight bytes). Binding here rejects bad weights before
-        # anything is spawned; start() publishes them.
-        self.plan_state = PlanState(program)
-        self.plan_state.bind_weights(weights)
         self.store: Optional[WeightStore] = None
-        self._local: Optional[InferenceSession] = None
-        self._local_lock = threading.Lock()
+        self._program_blob = b""
 
         self._ctx = mp.get_context("spawn")
         self._replicas: List[_Replica] = [
             _Replica(i) for i in range(replicas)
         ]
-        self._lock = threading.Lock()
-        self._capacity = threading.Condition(self._lock)
+        self._replica_lock = threading.Lock()
+        self._capacity = threading.Condition(self._replica_lock)
         self._watchdog: Optional[threading.Thread] = None
         self._batch_ids = itertools.count()
         self._last_replica = replicas - 1
@@ -293,23 +291,28 @@ class ShardedServer(CoreServer):
     # ---- lifecycle -------------------------------------------------------
 
     def alive_replicas(self) -> int:
-        with self._lock:
+        with self._replica_lock:
             return sum(1 for r in self._replicas if r.alive)
 
     def start(self) -> "ShardedServer":
-        """Publish the weights, spawn every worker, wait for them to map
-        the weights, start serving.
+        """Publish the weights and the program, spawn every worker, wait
+        for them to plan it and map the weights, start serving.
 
         The weights go into a new segment, and the parent's PlanState
         rebinds to its views, so the parent and the workers read the same
-        bytes. A stopped server starts again the same way.
+        bytes. The program is pickled once here; every worker (respawns
+        included) loads that one copy. A stopped server starts again the
+        same way.
         """
-        if self._core.running:
+        if self.running:
             return self
         self.store = WeightStore.create(self.plan_state.program, {
             t.name: v for t, v in self.plan_state.weight_feeds.items()
         })
         self.plan_state.bind_weights(self.store.weights_by_name())
+        self._program_blob = pickle.dumps(
+            self.plan_state.program, protocol=pickle.HIGHEST_PROTOCOL
+        )
         for replica in self._replicas:
             self._spawn(replica)
         deadline = time.perf_counter() + _READY_TIMEOUT_S
@@ -327,7 +330,7 @@ class ShardedServer(CoreServer):
                     f"replica {replica.index} failed to start: "
                     f"{replica.fatal}"
                 )
-        self._core.start()
+        super().start()
         self._watchdog = threading.Thread(
             target=self._watchdog_loop,
             name=f"sharded-{self.name}-watchdog",
@@ -356,7 +359,7 @@ class ShardedServer(CoreServer):
             target=_worker_main,
             args=(
                 replica.index,
-                self._graph_doc,
+                self._program_blob,
                 self.store.manifest,
                 child_conn,
             ),
@@ -370,7 +373,7 @@ class ShardedServer(CoreServer):
         replica.clean_exit = False
         replica.fatal = None
         replica.ready.clear()
-        with self._lock:
+        with self._replica_lock:
             replica.alive = True
         replica.receiver = threading.Thread(
             target=self._receive_loop,
@@ -383,15 +386,15 @@ class ShardedServer(CoreServer):
     def stop(self) -> None:
         """Stop accepting requests, resolve everything accepted, shut down.
 
-        The request core returns once the queue is empty and no batch is
-        in flight (the watchdog still converts hangs into crashes, whose
+        The dispatcher returns once the queue is empty and no batch is in
+        flight (the watchdog still converts hangs into crashes, whose
         requests come back to the queue and are served), so no accepted
         request is dropped; then every worker is asked to exit.
         """
         atexit.unregister(self.stop)
-        self._core.stop()
+        super().stop()
         for replica in self._replicas:
-            with self._lock:
+            with self._replica_lock:
                 alive = replica.alive
             if alive and replica.conn is not None:
                 try:
@@ -437,12 +440,14 @@ class ShardedServer(CoreServer):
         under every request. Shape and missing-placeholder errors raise
         here, synchronously.
         """
-        return self._core.submit(feeds, self.plan_state)
+        # Defined here, not only inherited, so a tracer that wraps
+        # ShardedServer.submit (perfbench shard-open) finds it.
+        return super().submit(feeds)
 
     # ---- dispatch --------------------------------------------------------
 
     def _outstanding(self) -> bool:
-        with self._lock:
+        with self._replica_lock:
             return any(r.in_flight for r in self._replicas)
 
     def _pick_replica(self) -> Optional[_Replica]:
@@ -484,16 +489,16 @@ class ShardedServer(CoreServer):
     def _dispatch(self, batch: List[Pending]) -> None:
         replica = self._pick_replica()
         if replica is None:
-            with self._lock:
+            with self._replica_lock:
                 self.local_fallback_batches += 1
-            self._core.serve(batch, self._local_session())
+            self._serve(batch)
             return
         batch_id = next(self._batch_ids)
         feeds_list = [
             {t.name: v for t, v in pending.feeds.items()}
             for pending in batch
         ]
-        with self._lock:
+        with self._replica_lock:
             lost = not replica.alive
             if not lost:
                 replica.in_flight[batch_id] = _InFlight(list(batch))
@@ -508,16 +513,6 @@ class ShardedServer(CoreServer):
             # The worker died under us; its receiver thread sees EOF and
             # requeues this batch through the crash path.
             pass
-
-    def _local_session(self) -> InferenceSession:
-        """The parent's fallback session over the shared PlanState, built
-        on first use."""
-        with self._local_lock:
-            if self._local is None:
-                self._local = InferenceSession.from_plan_state(
-                    self.plan_state, name=f"{self.name}[local]"
-                )
-            return self._local
 
     # ---- replica receive / crash recovery --------------------------------
 
@@ -539,12 +534,12 @@ class ShardedServer(CoreServer):
                 if entry is None:
                     continue
                 if kind == "result":
-                    self._core.settle(entry.members, payload)
+                    self._settle(entry.members, payload)
                 else:
                     # The worker's batch failed: serve it in the parent,
-                    # where the core's fallback runs each member alone if
-                    # the batch fails again.
-                    self._core.serve(entry.members, self._local_session())
+                    # which runs each member alone if the batch fails
+                    # again.
+                    self._serve(entry.members)
             elif kind == "ready":
                 replica.info = msg[2]
                 replica.ready.set()
@@ -570,7 +565,7 @@ class ShardedServer(CoreServer):
             # re-dispatched batches.
             for entry in replica.in_flight.values():
                 for pending in entry.members:
-                    self._core.requeue(pending)
+                    self._queue.put(pending)
                     self.requests_redispatched += 1
             replica.in_flight.clear()
             crashed = not replica.clean_exit and was_alive
@@ -583,7 +578,7 @@ class ShardedServer(CoreServer):
             replica.fatal = replica.fatal or "worker exited before ready"
             replica.ready.set()
             return
-        if crashed and self._core.accepting:
+        if crashed and self.accepting:
             try:
                 self._spawn(replica)
             except Exception:  # noqa: BLE001 — replica stays down
@@ -591,12 +586,12 @@ class ShardedServer(CoreServer):
             if replica.ready.wait(timeout=_READY_TIMEOUT_S) and (
                 replica.fatal is None
             ):
-                with self._lock:
+                with self._replica_lock:
                     self.worker_respawns += 1
                 with self._capacity:
                     self._capacity.notify_all()
             else:
-                with self._lock:
+                with self._replica_lock:
                     replica.alive = False
 
     def _watchdog_loop(self) -> None:
@@ -605,10 +600,10 @@ class ShardedServer(CoreServer):
         Runs as long as the dispatcher, which outlives stop() until no
         batch is in flight.
         """
-        while self._core.running:
+        while self.running:
             now = time.perf_counter()
             for replica in self._replicas:
-                with self._lock:
+                with self._replica_lock:
                     if not replica.alive or not replica.in_flight:
                         continue
                     oldest = min(
@@ -625,7 +620,7 @@ class ShardedServer(CoreServer):
         """Round-trip a stats request to every alive replica."""
         pinged = []
         for replica in self._replicas:
-            with self._lock:
+            with self._replica_lock:
                 alive = replica.alive
             if not alive or replica.conn is None:
                 continue
@@ -649,13 +644,13 @@ class ShardedServer(CoreServer):
         replicas each mapping the same segment, K-1 per-process weight
         copies never exist.
         """
-        if refresh and self._core.accepting:
+        if refresh and self.accepting:
             self.refresh_replica_stats()
         percentiles = self.latency_percentiles()
         weight_bytes = self.store.total_bytes if self.store is not None else 0
         per_replica = []
         for replica in self._replicas:
-            with self._lock:
+            with self._replica_lock:
                 row = {
                     "index": replica.index,
                     "alive": replica.alive,
@@ -669,6 +664,8 @@ class ShardedServer(CoreServer):
                     "weight_private_bytes": replica.info.get(
                         "weight_private_bytes", 0
                     ),
+                    "plan_steps": replica.info.get("plan_steps"),
+                    "arena_bytes": replica.info.get("arena_bytes"),
                 }
             row.update({
                 f"worker_{k}": v for k, v in replica.stats.items()
@@ -678,7 +675,7 @@ class ShardedServer(CoreServer):
             time.perf_counter() - self._serving_since
             if self._serving_since is not None else 0.0
         )
-        with self._lock:
+        with self._replica_lock:
             aggregate = {
                 "model": self.name,
                 "replicas": self.replicas,

@@ -9,8 +9,8 @@ Fig. 2 (`split`, `reorder`, `cache_read`, `bind`, `compute_at`, `inline`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 from repro.errors import ScheduleError
 from repro.graph.te_program import TENode
@@ -62,21 +62,3 @@ class TESchedule:
     @property
     def total_flops(self) -> float:
         return self.fp16_flops + self.fp32_flops
-
-    def occupancy_bytes(self) -> int:
-        """Per-block shared-memory occupancy: the ``max_occ`` contribution in
-        the paper's ``max_grid * max_occ < C`` partitioning constraint."""
-        return self.shared_mem_per_block
-
-    def with_traffic(self, load_bytes: float, store_bytes: float) -> "TESchedule":
-        """Copy with adjusted traffic (used when fusion removes accesses)."""
-        return replace(self, load_bytes=load_bytes, store_bytes=store_bytes)
-
-    def describe(self) -> str:
-        lines = [
-            f"schedule[{self.node.name}] kind={self.kind} tile={self.tile} "
-            f"grid={self.grid_blocks} threads={self.threads_per_block} "
-            f"smem={self.shared_mem_per_block}B tc={self.use_tensor_core}"
-        ]
-        lines.extend(f"  {step!r}" for step in self.steps)
-        return "\n".join(lines)

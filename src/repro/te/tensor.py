@@ -9,8 +9,8 @@ Mirrors the TVM tensor-expression API used throughout the paper (Sec. 3):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TEError
 from repro.te.expr import (
@@ -86,6 +86,11 @@ class ComputeOp:
         return ()
 
 
+# Attributes that ``tensor_inputs``, ``match_contraction`` and
+# ``lower_views`` memoise on a tensor.
+_PROCESS_MEMOS = frozenset({"_inputs", "_contraction", "_views"})
+
+
 class Tensor:
     """A named, shaped, typed tensor.
 
@@ -135,6 +140,16 @@ class Tensor:
     @property
     def size_bytes(self) -> int:
         return self.num_elements * dtype_bytes(self.dtype)
+
+    def __getstate__(self) -> dict:
+        """Pickled state without the memos passes keep on the tensor (its
+        read set, contraction and view lowerings): the lowerings hold
+        closures, which do not pickle, and all three are rebuilt on demand
+        in the process that loads the tensor."""
+        return {
+            key: value for key, value in self.__dict__.items()
+            if key not in _PROCESS_MEMOS
+        }
 
     def __getitem__(self, indices: Union[ExprLike, Tuple[ExprLike, ...]]) -> TensorRead:
         if not isinstance(indices, tuple):

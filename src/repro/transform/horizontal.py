@@ -18,7 +18,6 @@ from repro.analysis.dependence import independent, reachability_masks
 from repro.analysis.reuse import find_reuse
 from repro.graph.te_program import TENode, TEProgram
 from repro.te.expr import (
-    Const,
     Expr,
     IterVar,
     Range,
@@ -138,20 +137,6 @@ def _build_merged_op(
     if signature is not None:
         merged = Reduce(signature[0], merged, tuple(common_reduce))
     return ComputeOp(tuple(new_axes), merged)
-
-
-def _merge_members(members: List[TENode], axis: int, name: str) -> Tensor:
-    """Build the concatenated TE for a validated member group (used directly
-    by tests and by single-group callers)."""
-    first = members[0].tensor
-    bodies = []
-    for member in members:
-        assert member.tensor.op is not None
-        bodies.append(member.tensor.op.body)
-    op = _build_merged_op(members, bodies, axis, name)
-    return Tensor(
-        _merged_shape(members, axis), dtype=first.dtype, name=name, op=op
-    )
 
 
 @dataclass

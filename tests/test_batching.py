@@ -280,7 +280,7 @@ class TestSessionBatching:
 
     def test_latency_percentiles_ordered(self):
         program = mlp_program()
-        session = InferenceSession(program, latency_window=64)
+        session = InferenceSession(program)
         for feeds in request_feeds(program, 6, seed=9):
             session.run(feeds)
         p = session.latency_percentiles()

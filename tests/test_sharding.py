@@ -26,6 +26,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.graph import GraphBuilder, lower_graph
+from repro.models import TINY_MODELS
 from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import ExecutionPlan
 from repro.runtime.session import InferenceSession, PlanState
@@ -75,6 +76,14 @@ def assert_bit_identical(got_list, want_list):
     for got, want in zip(got_list, want_list):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class Unloadable:
+    """Pickles, but raises when loaded: a program carrying one ships to a
+    worker and fails there."""
+
+    def __reduce__(self):
+        return (int, ("not a program",))
 
 
 class TestDispatchPolicies:
@@ -451,16 +460,31 @@ class TestShardedServer:
         request = request_stream(program, 1, seed=29)[0]
         want = serial_reference(program, base, [request])[0]
         server = ShardedServer(graph, weights, replicas=1)
-        graph_doc = server._graph_doc
-        server._graph_doc = {}  # the worker cannot rebuild the plan
+        shipped = server.plan_state.program
+        shipped.unloadable = Unloadable()  # the worker cannot load it
         with pytest.raises(ExecutionError, match="failed to start"):
             server.start()
         segment = server.store.manifest.shm_name
         assert not os.path.exists(os.path.join("/dev/shm", segment))
-        server._graph_doc = graph_doc
+        del shipped.unloadable
         with server:
             got = server.run(request, timeout=120)
         assert_bit_identical([got], [want])
+
+
+class TestShippedProgram:
+    @pytest.mark.parametrize("model", ["bert", "lstm"])
+    def test_workers_plan_what_the_parent_plans(self, model):
+        """Every worker builds its plan from the program start() ships:
+        the same step count and arena bytes as the parent's plan."""
+        graph = TINY_MODELS[model]()
+        _, weights = split_feeds(lower_graph(graph))
+        with ShardedServer(graph, weights, replicas=2) as server:
+            rows = server.metrics(refresh=False)["per_replica"]
+        plan = server.plan_state.plan
+        assert [(row["plan_steps"], row["arena_bytes"]) for row in rows] == [
+            (plan.num_steps, plan.workspace_bytes)
+        ] * 2
 
 
 def build_server(kind, mlp_setup, **options):
@@ -475,6 +499,9 @@ def build_server(kind, mlp_setup, **options):
 
 
 class TestRequestCore:
+    """The request path ``BatchingServer`` owns and ``ShardedServer``
+    inherits: admission, the drain and the counters."""
+
     @pytest.mark.parametrize("kind", ["batching", "sharded"])
     def test_submit_racing_stop_is_served_or_refused(
         self, kind, mlp_setup, monkeypatch

@@ -1,10 +1,15 @@
 """Tests for TEProgram integrity and queries."""
 
+import pickle
+
 import pytest
 
+from repro import SouffleCompiler
 from repro.errors import AnalysisError
 from repro.graph import GraphBuilder, lower_graph
 from repro.graph.te_program import TENode, TEProgram
+from repro.models import TINY_MODELS
+from repro.runtime.executor import ExecutionPlan
 from repro.te import compute, placeholder
 
 
@@ -70,3 +75,46 @@ class TestValidation:
         nodes = [TENode(0, t1, "op", "add"), TENode(1, t1, "op", "add")]
         with pytest.raises(AnalysisError):
             TEProgram("bad", [a], nodes, [t1])
+
+
+# (steps, elided buffers, arena bytes) of the compiled programs'
+# optimized plans.
+COMPILED_PLANS = {"bert": (58, 22, 8192), "lstm": (31, 7, 2816)}
+
+
+def plan_summary(plan):
+    return (
+        plan.num_steps,
+        plan.optimization.stats.elided_buffers,
+        plan.workspace_bytes,
+    )
+
+
+class TestPickling:
+    """A pickled program is a whole program: sharded workers load one."""
+
+    @pytest.mark.parametrize("kind", ["compiled", "lowered"])
+    @pytest.mark.parametrize("model", sorted(COMPILED_PLANS))
+    def test_copy_answers_and_plans_like_the_original(self, model, kind):
+        graph = TINY_MODELS[model]()
+        if kind == "compiled":
+            program = SouffleCompiler(cache=False).compile(graph).program
+        else:
+            program = lower_graph(graph)
+        # The build memoises lowerings (closures included) on the tensors.
+        original = plan_summary(ExecutionPlan(program, optimize=True))
+        if kind == "compiled":
+            assert original == COMPILED_PLANS[model]
+        copy = pickle.loads(pickle.dumps(program))
+
+        for node, twin in zip(program.nodes, copy.nodes):
+            assert twin.name == node.name
+            assert copy.producer(twin.tensor) is twin
+        for tensor, twin in zip(program.tensors, copy.tensors):
+            producer = program.producer(tensor)
+            if producer is None:
+                assert copy.producer(twin) is None
+            assert [n.index for n in copy.consumers(twin)] == [
+                n.index for n in program.consumers(tensor)
+            ]
+        assert plan_summary(ExecutionPlan(copy, optimize=True)) == original
