@@ -111,11 +111,14 @@ class JsonStore:
             "key": key,
             "payload": payload,
         }
+        # json.dumps runs the C encoder; json.dump always runs the
+        # pure-Python one, for the same bytes.
+        text = json.dumps(envelope)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp, "w") as handle:
-                json.dump(envelope, handle)
+                handle.write(text)
             os.replace(tmp, path)  # atomic: readers never see partial writes
         except OSError:
             # An unwritable cache (read-only mount, path collision, full

@@ -61,6 +61,10 @@ class TEProgram:
         self.inputs: List[Tensor] = list(inputs)
         self.nodes: List[TENode] = list(nodes)
         self.outputs: List[Tensor] = list(outputs)
+        # Placeholder by name: how name-keyed feeds resolve.
+        self.inputs_by_name: Dict[str, Tensor] = {
+            t.name: t for t in self.inputs
+        }
 
         # Keyed by the tensors themselves, so a pickled program's indexes
         # travel with it and name the tensors its copy holds.

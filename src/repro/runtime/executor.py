@@ -29,19 +29,30 @@ step closures:
   model outputs. A build packs only the layout it serves — the program's
   for the reference plan, the plan optimizer's for an optimized one — and
   checks it once with the verifier's arena-hazard pass. The read views of
-  arena tensors are built once per :class:`Arena`, those of feeds when
-  they are bound (:class:`ReadViews`).
+  arena tensors are built once per :class:`Arena` (:class:`ReadViews`);
+  those of a feed are kept with it for as long as the caller passes the
+  same array object, bound without conversion (:meth:`ExecutionPlan.
+  bind_feeds`).
 
 Executing a request is then one flat loop over the steps, for every plan,
 optimized or not, batched or not. Results are bit-identical to the
 :class:`Evaluator` (which remains the differential-testing oracle, gathers
 and all): both paths run the same numpy kernels on the same float64
-values. Three rules keep them so. A ``sum`` piece copies each view to C
-order and sums over the TE's axes, because numpy's summation order follows
-the memory layout of what it sums; maps, max and min take raw views, whose
-values do not depend on layout. And a step cut into pieces evaluates every
-piece before its first write, since in-place elision may give its output
-the bytes of an operand it reads.
+values. Three rules keep them so. Map roots write in place: a one-piece
+map step whose root is a ufunc or intrinsic call runs it with ``out=`` set
+to its arena view (the intrinsics pass ``out=`` to their last ufunc, and
+the ``Evaluator`` calls the same functions); elementwise values do not
+depend on layout, and numpy computes an operand overlapping ``out=`` as
+if it did not. One reduction rule: every ``sum``, ``max`` and ``min``
+piece copies each view to C order over the box's axes and runs the
+ufunc's ``reduce`` over the trailing TE axes, the grid and call of the
+``Evaluator``, because numpy's reduction order follows the memory layout
+of what it reduces; the order decides a sum's rounding and which of
+-0.0 and +0.0, or which NaN, a max or min returns. And cut steps evaluate
+before they write: a step cut into pieces evaluates every piece before
+its first write, since in-place elision may give its output the bytes of
+an operand it reads (a one-piece select, bare read or constant is also
+evaluated, then copied).
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: a matmul
@@ -67,6 +78,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -78,7 +90,13 @@ import numpy as np
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.te_program import TEProgram
 from repro.runtime.memory_planner import MemoryPlan, plan_memory
-from repro.te.evaluator import _BINOP_FN, _CALL_FN, _CMP_FN, MAX_GRID_ELEMENTS
+from repro.te.evaluator import (
+    _BINOP_FN,
+    _CALL_FN,
+    _CMP_FN,
+    MAX_GRID_ELEMENTS,
+    REDUCE_FN,
+)
 from repro.te.expr import (
     BinOp,
     Call,
@@ -114,8 +132,8 @@ class PlanStep:
     """One executable step: computes a tensor into ``values[key]``.
 
     ``value_fn`` (map/const steps only) produces the step's value *without*
-    writing the arena — the raw compiled closure behind ``run``'s final
-    ``copyto``. The plan optimizer composes these to fuse step chains.
+    writing the arena, from the same compiled body ``run`` computes into
+    it. The plan optimizer composes these to fuse step chains.
     """
 
     __slots__ = ("index", "name", "kind", "key", "run", "value_fn")
@@ -230,8 +248,9 @@ class ReadViews:
     table under keys of their own (negative, so never a tensor's id).
 
     A view is built whenever the array it views is: once per
-    :class:`Arena` for arena tensors, at bind time for feeds, and per
-    request for outputs and fused interiors.
+    :class:`Arena` for arena tensors, when a feed is bound (and kept with
+    the feed, see :meth:`ExecutionPlan.bind_feeds`), and per request for
+    outputs and fused interiors.
     """
 
     __slots__ = ("lanes", "_keys", "makers", "read")
@@ -366,30 +385,12 @@ def _compile_expr(
             return env[expr.name], None
         except KeyError:
             raise ExecutionError(f"unbound variable {expr.name}") from None
-    if isinstance(expr, (BinOp, Cmp)):
-        table = _BINOP_FN if isinstance(expr, BinOp) else _CMP_FN
-        fn = table[expr.op]
-        lc, lf = sub(expr.lhs)
-        rc, rf = sub(expr.rhs)
-        if lf is None and rf is None:
-            return fn(lc, rc), None
-        if lf is None:
-            return None, lambda v, fn=fn, lc=lc, rf=rf: fn(lc, rf(v))
-        if rf is None:
-            return None, lambda v, fn=fn, lf=lf, rc=rc: fn(lf(v), rc)
-        return None, lambda v, fn=fn, lf=lf, rf=rf: fn(lf(v), rf(v))
-    if isinstance(expr, Call):
-        fn = _CALL_FN[expr.func]
-        parts = [sub(a) for a in expr.args]
+    if isinstance(expr, (BinOp, Cmp, Call)):
+        fn, operands = _operator(expr)
+        parts = [sub(e) for e in operands]
         if all(f is None for _, f in parts):
             return fn(*[c for c, _ in parts]), None
-        if len(parts) == 1:
-            (_, af), = parts
-            return None, lambda v, fn=fn, af=af: fn(af(v))
-        thunks = tuple(
-            (lambda v, c=c: c) if f is None else f for c, f in parts
-        )
-        return None, lambda v, fn=fn, thunks=thunks: fn(*[t(v) for t in thunks])
+        return None, _apply(fn, parts)
     if isinstance(expr, IfThenElse):
         parts = [sub(e) for e in (expr.cond, expr.then_value, expr.else_value)]
         if all(f is None for _, f in parts):
@@ -411,6 +412,75 @@ def _compile_expr(
         # top-level Reduce exists and the step builder peels it off.
         raise ExecutionError("nested Reduce is not supported by the executor")
     raise ExecutionError(f"cannot compile node {type(expr).__name__}")
+
+
+def _operator(expr: Expr) -> Tuple[Callable, Sequence[Expr]]:
+    """The numpy callable of a BinOp, Cmp or Call node and its operands.
+    Every one takes ``out=`` (intrinsics pass it to their last ufunc)."""
+    if isinstance(expr, BinOp):
+        return _BINOP_FN[expr.op], (expr.lhs, expr.rhs)
+    if isinstance(expr, Cmp):
+        return _CMP_FN[expr.op], (expr.lhs, expr.rhs)
+    return _CALL_FN[expr.func], expr.args
+
+
+def _apply(
+    fn: Callable,
+    parts: Sequence[_Compiled],
+    out: Optional[Callable[[Values], np.ndarray]] = None,
+) -> Callable:
+    """The closure applying ``fn`` to one or two compiled operands, not
+    all constant. With ``out`` (values table -> array) it computes into
+    that array; without, into a new one it returns."""
+    if len(parts) == 1:
+        (_, af), = parts
+        if out is None:
+            return lambda v, fn=fn, af=af: fn(af(v))
+        return lambda v, fn=fn, af=af, out=out: fn(af(v), out=out(v))
+    (lc, lf), (rc, rf) = parts
+    if out is None:
+        if lf is None:
+            return lambda v, fn=fn, lc=lc, rf=rf: fn(lc, rf(v))
+        if rf is None:
+            return lambda v, fn=fn, lf=lf, rc=rc: fn(lf(v), rc)
+        return lambda v, fn=fn, lf=lf, rf=rf: fn(lf(v), rf(v))
+    if lf is None:
+        return lambda v, fn=fn, lc=lc, rf=rf, out=out: (
+            fn(lc, rf(v), out=out(v))
+        )
+    if rf is None:
+        return lambda v, fn=fn, lf=lf, rc=rc, out=out: (
+            fn(lf(v), rc, out=out(v))
+        )
+    return lambda v, fn=fn, lf=lf, rf=rf, out=out: (
+        fn(lf(v), rf(v), out=out(v))
+    )
+
+
+def _compile_root(
+    expr: Expr,
+    env: Mapping[str, np.ndarray],
+    ndim: int,
+    batched: bool,
+    readers: _Readers,
+    out: Callable[[Values], np.ndarray],
+) -> Tuple[Optional[np.ndarray], Optional[Callable], Optional[Callable]]:
+    """Compile a map body once: ``(const, fn)`` as :func:`_compile_expr`
+    returns them, plus the closure that runs the root operation with
+    ``out=`` set to ``out(values)``, so the step writes its value once.
+    That closure is ``None`` unless the root is a ufunc or intrinsic call
+    reading data (a select, a bare read or a constant is computed first
+    and then copied)."""
+    if isinstance(expr, (BinOp, Cmp, Call)):
+        fn, operands = _operator(expr)
+        parts = [
+            _compile_expr(e, env, ndim, batched, readers) for e in operands
+        ]
+        if all(f is None for _, f in parts):
+            return fn(*[c for c, _ in parts]), None, None
+        return None, _apply(fn, parts), _apply(fn, parts, out)
+    const, fn = _compile_expr(expr, env, ndim, batched, readers)
+    return const, fn, None
 
 
 def _compile_read(
@@ -498,14 +568,26 @@ def _dense(dims: Sequence[int], strides: Sequence[int]) -> bool:
     return [s for _, s in kept] == row_major_strides([d for d, _ in kept])
 
 
+class _Piece(NamedTuple):
+    """One compiled piece of a map or reduction step."""
+
+    value: Callable[[Values], np.ndarray]   # the piece's value
+    write: Callable[[Values, np.ndarray], None]  # writes a value to the box
+    lazy: bool                # the value is a raw view of an operand
+    # Computes the value straight into the box (a map whose root is a
+    # ufunc or intrinsic call), else None.
+    into: Optional[Callable[[Values], None]]
+
+
 class _PieceCompiler:
     """Compiles the pieces of one step's :class:`ViewLowering`.
 
-    A map, max or min piece computes over its letters with raw views. A
-    sum piece computes over its box's axes instead, the grid the
-    ``Evaluator`` sums: each view is copied to C order and reshaped to
-    the axes, because numpy's summation order follows the memory layout
-    of what it sums.
+    A map piece computes over its letters with raw views. A reduction
+    piece computes over its box's axes instead, the grid the ``Evaluator``
+    reduces: each view is copied to C order and reshaped to the axes, and
+    the ufunc's ``reduce`` runs over the trailing TE axes, because numpy's
+    reduction order follows the memory layout of what it reduces (it
+    decides a sum's rounding, and which zero or NaN a max or min keeps).
     """
 
     def __init__(
@@ -519,6 +601,8 @@ class _PieceCompiler:
         self.lead = () if batch_size is None else (batch_size,)
         self.views = views
         body = tensor.op.body
+        # The reduction's kind (None for a map); a reduction piece
+        # computes over axes, a map piece over letters.
         self.kind = body.kind if isinstance(body, Reduce) else None
         self.reduce_axes = body.axes if isinstance(body, Reduce) else ()
         self.spatial = {ax.name for ax in tensor.op.axes}
@@ -595,7 +679,7 @@ class _PieceCompiler:
 
     def out(self, piece, by_axis: bool = False):
         """``(closure, whole)`` of where the piece writes: its box over
-        the spatial letters, or over the spatial axes for a sum."""
+        the spatial letters, or over the spatial axes for a reduction."""
         if by_axis:
             dims = [hi - lo for lo, hi in piece.box]
             strides = row_major_strides(self.tensor.shape)
@@ -611,50 +695,45 @@ class _PieceCompiler:
 
     # ---- pieces ------------------------------------------------------------
 
-    def compile(self, piece):
-        """``(value, write, lazy)``: the piece's value closure, the closure
-        that writes a value to its box, and whether the value is a raw
-        view of an operand."""
-        by_axis = self.kind == "sum"
+    def compile(self, piece) -> _Piece:
+        by_axis = self.kind is not None
         readers = {}
         for read, view in piece.reads:
             if view is not None:
                 readers[id(read)] = self._reader(piece, view, by_axis)
         env = self._env(piece, by_axis)
-        if by_axis:
-            grid = [hi - lo for lo, hi in piece.box] + [
-                ax.extent for ax in self.reduce_axes
-            ]
-            spatial = len(piece.box)
-        else:
-            grid = [l.extent for l in piece.letters]
-            spatial = sum(1 for l in piece.letters if l.axis in self.spatial)
-        const, fn = _compile_expr(
-            piece.body, env, len(grid), self.lanes is not None, readers
-        )
         out, _ = self.out(piece, by_axis)
-        if fn is None:
-            fn = lambda v, const=const: const  # noqa: E731
-        if self.kind is None:
+        batched = self.lanes is not None
+        if not by_axis:
+            const, fn, into = _compile_root(
+                piece.body, env, len(piece.letters), batched, readers, out
+            )
+            if fn is None:
+                fn = lambda v, const=const: const  # noqa: E731
             lazy = (isinstance(piece.body, TensorRead)
                     and id(piece.body) in readers)
 
             def write_map(v, value, out=out):
                 np.copyto(out(v), value)
 
-            return fn, write_map, lazy
+            return _Piece(fn, write_map, lazy, into)
 
+        grid = [hi - lo for lo, hi in piece.box] + [
+            ax.extent for ax in self.reduce_axes
+        ]
+        const, fn = _compile_expr(piece.body, env, len(grid), batched, readers)
+        if fn is None:
+            fn = lambda v, const=const: const  # noqa: E731
         full = self.lead + tuple(grid)
-        first = len(self.lead) + spatial
-        dims = tuple(range(first, len(full)))
-        red = {"sum": np.sum, "max": np.max, "min": np.min}[self.kind]
+        dims = tuple(range(len(self.lead) + len(piece.box), len(full)))
+        red = REDUCE_FN[self.kind].reduce
 
         def write_reduce(v, value, out=out, full=full, dims=dims, red=red):
             if value.shape != full:
                 value = np.broadcast_to(value, full)
             red(value, axis=dims, out=out(v))
 
-        return fn, write_reduce, False
+        return _Piece(fn, write_reduce, False, None)
 
 
 def _axis_dims(letters, letter_dims) -> List[int]:
@@ -669,7 +748,19 @@ def _axis_dims(letters, letter_dims) -> List[int]:
     return dims
 
 
-def _run_pieces(parts):
+def _run_piece(part: _Piece) -> Callable[[Values], None]:
+    """The run closure of a step that is one piece: its root computed
+    into the arena view where it can be, else its value written there."""
+    if part.into is not None:
+        return part.into
+
+    def run_piece(v: Values, value=part.value, write=part.write):
+        write(v, value(v))
+
+    return run_piece
+
+
+def _run_pieces(parts: Sequence[_Piece]) -> Callable[[Values], None]:
     """The run closure of a step cut into pieces.
 
     Every piece is evaluated before the first write: under in-place
@@ -679,14 +770,14 @@ def _run_pieces(parts):
     such pieces but the first written are copied first (``np.copyto``
     itself copes with a source that overlaps its destination).
     """
-    lazy = [k for k, (_, _, is_lazy) in enumerate(parts) if is_lazy]
+    lazy = [k for k, part in enumerate(parts) if part.lazy]
     order = lazy[:1] + [k for k in range(len(parts)) if k not in lazy[:1]]
     values = tuple(
-        (lambda v, fn=parts[k][0]: np.array(fn(v)))
-        if k in lazy[1:] else parts[k][0]
+        (lambda v, fn=parts[k].value: np.array(fn(v)))
+        if k in lazy[1:] else parts[k].value
         for k in order
     )
-    writes = tuple(parts[k][1] for k in order)
+    writes = tuple(parts[k].write for k in order)
 
     def run_pieces(v: Values, values=values, writes=writes):
         results = [value(v) for value in values]
@@ -758,10 +849,7 @@ def compile_plan_step(
         # (The arena view broadcasts the fold over any batch axis.)
         const, _ = _compile_expr(body, _grid_env(all_axes), len(all_axes))
         if reduce_axes:
-            red_fn = {"sum": np.sum, "max": np.max, "min": np.min}[
-                op.body.kind
-            ]
-            folded = red_fn(
+            folded = REDUCE_FN[op.body.kind].reduce(
                 np.broadcast_to(const, tuple(ax.extent for ax in all_axes)),
                 axis=tuple(range(len(spatial), len(all_axes))),
             ).astype(EXEC_DTYPE)
@@ -779,25 +867,17 @@ def compile_plan_step(
     lowering = lower_views(tensor)
     compiler = _PieceCompiler(tensor, lowering, key, batch_size, views)
     parts = [compiler.compile(piece) for piece in lowering.pieces]
-    if len(parts) == 1:
-        (value, write, _), = parts
-
-        def run_piece(v: Values, value=value, write=write):
-            write(v, value(v))
-
-        run = run_piece
-    else:
-        run = _run_pieces(parts)
+    run = _run_piece(parts[0]) if len(parts) == 1 else _run_pieces(parts)
     if compiler.kind is not None:
         return PlanStep(index, tensor.name, "reduce", key, run)
 
     if len(parts) == 1 and compiler.out(lowering.pieces[0])[1]:
-        value_fn = parts[0][0]
+        value_fn = parts[0].value
     else:
         # The value alone (for fusion): the pieces written to a new array.
         fresh = _PieceCompiler(tensor, lowering, key, batch_size, None)
         outs = tuple(fresh.out(p)[0] for p in lowering.pieces)
-        values = tuple(value for value, _, _ in parts)
+        values = tuple(part.value for part in parts)
 
         def value_fn(v: Values, shape=_batched(tensor.shape, batch_size),
                      key=key, outs=outs, values=values):
@@ -855,13 +935,13 @@ class ExecutionPlan:
             (id(t), self._batched_shape(t.shape)) for t in program.outputs
         ]
         self._output_keys: List[int] = [id(t) for t in program.outputs]
-        # Feeds and outputs whose views are built per request.
-        self._feed_view_keys = [
-            id(t) for t in program.inputs if id(t) in self.read_views.makers
-        ]
+        # Outputs, whose views are built per request.
         self._output_view_keys = [
             key for key in self._output_keys if key in self.read_views.makers
         ]
+        # Feeds bound without conversion, kept with their views while the
+        # caller passes the same array: tensor key -> (array, entries).
+        self._kept_feeds: Dict[int, Tuple[np.ndarray, Values]] = {}
         # Plan-optimizer state; optimize_plan() rewrites steps, sets the
         # arena layout and sets this (see repro.runtime.plan_opt).
         self.optimization = None
@@ -953,20 +1033,53 @@ class ExecutionPlan:
             )
         return arr
 
+    def _bind_kept(self, tensor: Tensor, value: np.ndarray) -> Values:
+        """One feed's values-table entries: the bound array (broadcast
+        over the lanes of a batched plan) and the strided views the steps
+        read of it.
+
+        A program input bound without conversion (a contiguous float64
+        array: a weight fed on every request) keeps its entries for as
+        long as the caller passes that same array object. A hit still
+        checks shape and dtype, which can be reassigned in place; the
+        kept views read the array's bytes as they are on each request.
+        A converted feed is bound afresh every time: its copy would not
+        see the caller's later writes.
+        """
+        key = id(tensor)
+        kept = self._kept_feeds.get(key)
+        if (kept is not None and kept[0] is value
+                and value.shape == tensor.shape
+                and value.dtype == EXEC_DTYPE):
+            return kept[1]
+        arr = self._bind_one(tensor, value)
+        entries: Values = {key: (
+            arr if self.batch_size is None
+            else np.broadcast_to(arr, (self.batch_size,) + arr.shape)
+        )}
+        self.read_views.build(entries, (key,))
+        if arr is value and key in self._inputs_by_id:
+            self._kept_feeds[key] = (value, entries)
+        return entries
+
+    def _check_fed(self, bound: Values) -> None:
+        """Raise unless ``bound`` feeds every placeholder a step reads."""
+        if self._used_input_ids <= bound.keys():
+            return
+        name = next(
+            t.name for t in self.program.inputs
+            if id(t) in self._used_input_ids and id(t) not in bound
+        )
+        raise ExecutionError(f"no feed provided for placeholder {name}")
+
     def bind_feeds(self, feeds: Mapping[Tensor, np.ndarray]) -> Values:
         """Validate and convert feeds to the execution representation,
-        with the strided views the steps read of them."""
-        bound: Values = {
-            id(tensor): self._bind_one(tensor, value)
-            for tensor, value in feeds.items()
-        }
-        for used in self._used_input_ids:
-            if used not in bound:
-                name = self._inputs_by_id[used].name
-                raise ExecutionError(
-                    f"no feed provided for placeholder {name}"
-                )
-        self.read_views.build(bound, self._feed_view_keys)
+        with the strided views the steps read of them (kept per array:
+        see :meth:`_bind_kept`)."""
+        bound: Values = {}
+        for tensor, value in feeds.items():
+            bound.update(self._bind_kept(tensor, value))
+        self._check_fed(bound)
         return bound
 
     def _prepare_values(self, bound: Values, arena: Arena) -> Values:
@@ -1062,7 +1175,7 @@ class BatchedExecutionPlan(ExecutionPlan):
         array object* by every request (the common case for weights) is
         validated once and broadcast as a zero-stride batch view instead
         of copied per lane — bit-identical, since every lane reads the
-        same bytes either way.
+        same bytes either way — and kept like an unbatched feed.
         """
         if len(feeds_list) != self.batch_size:
             raise ExecutionError(
@@ -1075,7 +1188,6 @@ class BatchedExecutionPlan(ExecutionPlan):
                 "requests in one batch must feed the same placeholders"
             )
         bound: Values = {}
-        batch_shape = (self.batch_size,)
         for tensor, value in first.items():
             lanes = [value]
             for feeds in feeds_list[1:]:
@@ -1087,20 +1199,13 @@ class BatchedExecutionPlan(ExecutionPlan):
                         f"placeholders ({tensor.name} missing from one)"
                     ) from None
             if all(lane is value for lane in lanes[1:]):
-                arr = self._bind_one(tensor, value)
-                stacked = np.broadcast_to(arr, batch_shape + arr.shape)
-            else:
-                stacked = np.stack(
-                    [self._bind_one(tensor, lane) for lane in lanes]
-                )
-            bound[id(tensor)] = stacked
-        for used in self._used_input_ids:
-            if used not in bound:
-                name = self._inputs_by_id[used].name
-                raise ExecutionError(
-                    f"no feed provided for placeholder {name}"
-                )
-        self.read_views.build(bound, self._feed_view_keys)
+                bound.update(self._bind_kept(tensor, value))
+                continue
+            bound[id(tensor)] = np.stack(
+                [self._bind_one(tensor, lane) for lane in lanes]
+            )
+            self.read_views.build(bound, (id(tensor),))
+        self._check_fed(bound)
         return bound
 
     def run_batch(

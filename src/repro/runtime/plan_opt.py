@@ -13,9 +13,11 @@ tests and ablation):
    closure; the intermediate is never materialised and leaves the arena.
 2. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
    elementwise step whose input buffer dies at that step writes into its
-   input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
-   fully evaluate their value into temporaries before the final ``copyto``
-   (a step cut into pieces evaluates every piece before its first write).
+   input's bytes, shrinking ``workspace_bytes``. Safe because numpy
+   computes a ``map`` step's root ufunc as if an operand overlapping its
+   ``out=`` did not, a select or bare read is evaluated before it is
+   copied, and a step cut into pieces evaluates every piece before its
+   first write.
 
 Steps keep program order: each optimized step sits at its terminal TE's
 place (a tiled chain's blocks at the chain terminal's), and the arena is

@@ -70,7 +70,7 @@ def resolve_feeds_by_name(
     program: TEProgram, feeds: Mapping[str, np.ndarray]
 ) -> Dict[Tensor, np.ndarray]:
     """Map name-keyed feeds onto the program's placeholder tensors."""
-    by_name = {t.name: t for t in program.inputs}
+    by_name = program.inputs_by_name
     resolved: Dict[Tensor, np.ndarray] = {}
     for name, value in feeds.items():
         tensor = by_name.get(name)

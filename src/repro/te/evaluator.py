@@ -11,7 +11,9 @@ predicated horizontal merges) runs as the contractions over strided views
 that :func:`~repro.te.patterns.match_contraction` lowers it to, the same
 call the execution plan makes. Only the remaining reductions — max/min, and
 sums of anything but a product of reads — add the reduce axes as extra
-broadcast dimensions and reduce at the end, under :data:`MAX_GRID_ELEMENTS`.
+broadcast dimensions and reduce at the end with the ufunc's ``reduce``,
+under :data:`MAX_GRID_ELEMENTS`; an execution plan reduces that same
+C-ordered grid with the same call.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ _BINOP_FN = {
     "pow": np.power,
 }
 
+# A reduction is its ufunc's ``reduce`` over the trailing axes of the C-
+# ordered grid; execution plans reduce the same grid with the same call.
+REDUCE_FN = {"sum": np.add, "max": np.maximum, "min": np.minimum}
+
 _CMP_FN = {
     "lt": np.less,
     "le": np.less_equal,
@@ -63,12 +69,25 @@ _CMP_FN = {
 }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+# Every intrinsic takes ``out=`` like a ufunc: a composite passes it to its
+# last ufunc, so an execution plan computes a step's root straight into its
+# arena view while this evaluator, calling the same functions, allocates.
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + _sp.erf(x / np.sqrt(2.0)))
+def _rsqrt(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.divide(1.0, np.sqrt(x), out=out)
+
+
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
+
+
+def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _gelu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.multiply(0.5 * x, 1.0 + _sp.erf(x / np.sqrt(2.0)), out=out)
 
 
 def _cast_roundtrip(dtype: type):
@@ -79,8 +98,12 @@ def _cast_roundtrip(dtype: type):
     cannot represent, then widen back — or it would be a silent identity.
     """
 
-    def cast(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=dtype).astype(np.float64)
+    def cast(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        narrow = np.asarray(x, dtype=dtype)
+        if out is None:
+            return narrow.astype(np.float64)
+        np.copyto(out, narrow)
+        return out
 
     return cast
 
@@ -89,11 +112,11 @@ _CALL_FN = {
     "exp": np.exp,
     "log": np.log,
     "sqrt": np.sqrt,
-    "rsqrt": lambda x: 1.0 / np.sqrt(x),
+    "rsqrt": _rsqrt,
     "erf": _sp.erf,
     "tanh": np.tanh,
     "sigmoid": _sigmoid,
-    "relu": lambda x: np.maximum(x, 0.0),
+    "relu": _relu,
     "gelu": _gelu,
     "abs": np.abs,
     "floor": np.floor,
@@ -191,8 +214,10 @@ class Evaluator:
         if reduce_kind is None:
             return np.array(grid, dtype=np.float64)
         reduce_dims = tuple(range(len(spatial), ndim))
-        fn = {"sum": np.sum, "max": np.max, "min": np.min}[reduce_kind]
-        return np.asarray(fn(grid, axis=reduce_dims), dtype=np.float64)
+        return np.asarray(
+            REDUCE_FN[reduce_kind].reduce(grid, axis=reduce_dims),
+            dtype=np.float64,
+        )
 
     def _eval(self, expr: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
         if isinstance(expr, Const):

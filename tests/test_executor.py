@@ -6,6 +6,7 @@ preallocated ``MemoryPlan`` arena (no per-request allocation), and unsafe
 arena layouts are rejected loudly at plan-construction time.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -16,9 +17,13 @@ from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime.executor import EXEC_ITEMSIZE, Arena, ExecutionPlan
 from repro.runtime.memory_planner import BufferAssignment, MemoryPlan, plan_memory
+from repro.graph.te_program import TENode, TEProgram
+from repro.runtime.plan_opt import step_kind
 from repro.runtime.session import InferenceSession
 from repro.te import compute, placeholder
 from repro.te.evaluator import Evaluator
+from repro.te.expr import BinOp, Call, Cmp, call
+from repro.te.patterns import lower_views, match_contraction
 from repro.transform import random_feeds
 
 
@@ -281,6 +286,198 @@ class TestSession:
         assert session.requests_per_second > 0
         report = session.profile_report()
         assert "per-step timing disabled" in report.render()
+
+
+def weight_view_program():
+    """``y = relu(x * w.T)`` with ``w`` a weight read through a transposed
+    strided view, one of the views a plan keeps for a feed."""
+    x = placeholder((4, 6), name="x")
+    w = placeholder((6, 4), name="w", role="weight")
+    y = compute(
+        (4, 6), lambda i, j: call("relu", x[i, j] * w[j, i] + 0.5), name="y"
+    )
+    return TEProgram("weight_view", [x, w], [TENode(0, y, "y", "custom")],
+                     [y]), x, w
+
+
+class TestKeptFeeds:
+    """A plan keeps a feed's bound array and views while the caller passes
+    the same array object; every request must still read that array's
+    bytes as they are then, and equal the Evaluator bit for bit."""
+
+    def check(self, session, program, feeds):
+        for got, want in zip(session.run(feeds), oracle(program, feeds)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_weight_mutated_in_place_between_requests(self):
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        rng = np.random.default_rng(0)
+        feeds = {x: rng.standard_normal(x.shape),
+                 w: rng.standard_normal(w.shape)}
+        for scale in (1.0, -2.0, 0.0, 3.0):
+            feeds[w] *= scale
+            feeds[x] = rng.standard_normal(x.shape)  # fresh per request
+            self.check(session, program, feeds)
+        # The weight's entries are the kept ones, not rebuilt.
+        first, second = (session.plan.bind_feeds(feeds) for _ in range(2))
+        kept = [k for k in first if k != id(x)]
+        assert len(kept) >= 2  # the array and its transposed view
+        assert all(second[k] is first[k] for k in kept)
+
+    def test_compiled_model_weights_mutated_in_place(self):
+        from repro import SouffleCompiler
+
+        module = SouffleCompiler().compile(TINY_MODELS["bert"]())
+        program = module.program
+        feeds = random_feeds(program, seed=4)
+        for step in range(3):
+            for tensor, value in feeds.items():
+                if tensor.role == "weight":
+                    value *= 1.0 + 0.25 * step
+            for got, want in zip(module.run(feeds),
+                                 module.run_interpreted(feeds)):
+                assert np.array_equal(got, want), step
+
+    def test_bound_weights_mutated_through_a_batching_server(self):
+        from repro.runtime.batching import BatchingServer
+
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        weight = np.random.default_rng(1).standard_normal(w.shape)
+        session.plan_state.bind_weights({"w": weight})
+        requests = [
+            {"x": np.random.default_rng(seed).standard_normal(x.shape)}
+            for seed in range(4)
+        ]
+        with BatchingServer(session, max_queue_delay_ms=20.0) as server:
+            for scale in (1.0, -0.5, 2.0):
+                weight *= scale
+                futures = [server.submit(r) for r in requests]
+                for request, future in zip(requests, futures):
+                    (want,) = oracle(program, {x: request["x"], w: weight})
+                    (got,) = future.result(timeout=60)
+                    assert np.array_equal(got, want), scale
+        assert session.arena_state.batches_executed >= 1
+
+    @pytest.mark.parametrize("layout", ["float32", "strided"])
+    def test_converted_feed_is_never_kept(self, layout):
+        """A float32 or non-contiguous feed is bound through a converted
+        copy, which would not see the caller's later writes."""
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        rng = np.random.default_rng(2)
+        if layout == "float32":
+            weight = rng.standard_normal(w.shape).astype(np.float32)
+        else:
+            weight = rng.standard_normal((6, 8))[:, ::2]
+            assert not weight.flags.c_contiguous
+        feeds = {x: rng.standard_normal(x.shape), w: weight}
+        for scale in (1.0, -3.0, 0.5):
+            weight *= scale
+            self.check(session, program, feeds)
+
+    def test_fresh_arrays_every_request(self):
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        for seed in range(5):
+            feeds = random_feeds(program, seed=seed)
+            self.check(session, program, feeds)
+
+    def test_threads_with_their_own_weights(self):
+        """Eight threads, each feeding its own weight arrays, replace one
+        another's kept entries on every request; a thread that read
+        another's views would get another's output."""
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        per_thread = [random_feeds(program, seed=10 + k) for k in range(8)]
+        expected = [oracle(program, feeds)[0] for feeds in per_thread]
+        failures = []
+        barrier = threading.Barrier(8)
+
+        def client(k):
+            barrier.wait(timeout=60)
+            for _ in range(25):
+                (got,) = session.run(per_thread[k])
+                if not np.array_equal(got, expected[k]):
+                    failures.append(k)
+
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert session.arena_state.request_count == 200
+
+    def test_shape_reassigned_in_place_is_rejected(self):
+        program, x, w = weight_view_program()
+        session = InferenceSession(program)
+        feeds = random_feeds(program, seed=0)
+        session.run(feeds)
+        feeds[w].shape = (4, 6)  # same size, another shape
+        with pytest.raises(ExecutionError, match="shape"):
+            session.run(feeds)
+
+
+def copies_left(plan):
+    """The ``np.copyto`` calls one request of ``plan`` makes: one per
+    piece of a map step cut into pieces, one for a map step whose root is
+    no ufunc or intrinsic call (a select, a bare read, a constant), and
+    one per contraction piece computed through a batched-matmul copy."""
+    count = 0
+    for group in plan.optimization.groups:
+        assert len(group.members) == 1 and not hasattr(group, "chain")
+        tensor = group.terminal.tensor
+        kind = step_kind(tensor)
+        if kind == "einsum":
+            pieces = match_contraction(tensor).pieces
+            count += sum(piece.kernel == "bmm" for piece in pieces)
+        elif kind == "const":
+            count += 1
+        elif kind == "map":
+            pieces = lower_views(tensor).pieces
+            if len(pieces) > 1 or not isinstance(
+                pieces[0].body, (BinOp, Cmp, Call)
+            ):
+                count += len(pieces)
+    return count
+
+
+class TestWritesOnce:
+    """A map step's root ufunc computes into the arena: copies are left
+    only where a value must be evaluated before it is written."""
+
+    @pytest.mark.parametrize("name", sorted(TINY_MODELS))
+    def test_copies_per_served_request(self, name, monkeypatch):
+        from repro import SouffleCompiler
+
+        module = SouffleCompiler().compile(TINY_MODELS[name]())
+        feeds = random_feeds(module.program, seed=1)
+        module.run(feeds)  # warm
+        calls = []
+        copyto = np.copyto
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return copyto(*args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting)
+        outputs = module.run(feeds)
+        monkeypatch.undo()
+        assert len(calls) == copies_left(module.session.plan)
+        pinned = {"bert": 0, "mmoe": 3}
+        if name in pinned:
+            assert len(calls) == pinned[name]
+        for got, want in zip(outputs, module.run_interpreted(feeds)):
+            assert np.array_equal(got, want)
 
 
 class TestModuleIntegration:

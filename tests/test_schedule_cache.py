@@ -219,6 +219,20 @@ class TestJsonStore:
         assert store.get("k") == {"v": 9}
         assert store.stats.memory_hits == 1
 
+    def test_stored_bytes_are_the_json_dumps_of_the_envelope(self, tmp_path):
+        """``put`` encodes with ``json.dumps`` (the C encoder); the file
+        holds exactly those bytes, nesting, floats and escapes included."""
+        store = self.make(tmp_path)
+        payload = {"v": [1, 2.5, -0.0, 1e-300], "name": "naïve \"q\"",
+                   "nested": {"a": None, "b": True, "c": []}}
+        store.put("deadbeef", payload)
+        envelope = {"format": "test-store", "version": 1, "key": "deadbeef",
+                    "payload": payload}
+        path = os.path.join(str(tmp_path), "de", "deadbeef.json")
+        with open(path) as handle:
+            assert handle.read() == json.dumps(envelope)
+        assert self.make(tmp_path).get("deadbeef") == payload
+
     def test_capacity_validated(self, tmp_path):
         with pytest.raises(ValueError):
             self.make(tmp_path, capacity=0)

@@ -16,6 +16,7 @@ Worker processes are spawned, so this module must run from a real file
 
 import gc
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -30,7 +31,11 @@ from repro.models import TINY_MODELS
 from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import ExecutionPlan
 from repro.runtime.session import InferenceSession, PlanState
-from repro.runtime.sharding import ShardedServer, pick_least_outstanding
+from repro.runtime.sharding import (
+    ShardedServer,
+    _load_program,
+    pick_least_outstanding,
+)
 from repro.runtime.weight_store import WeightStore
 from repro.transform import random_feeds
 
@@ -485,6 +490,27 @@ class TestShippedProgram:
         assert [(row["plan_steps"], row["arena_bytes"]) for row in rows] == [
             (plan.num_steps, plan.workspace_bytes)
         ] * 2
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_restores_the_collector_state(self, enabled):
+        """A worker loads the shipped program with the cyclic collector
+        paused and leaves it as it found it, whether the blob loads or
+        not."""
+        program = lower_graph(mlp_graph())
+        good = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            loaded = _load_program(good)
+            assert [n.name for n in loaded.nodes] == [
+                n.name for n in program.nodes
+            ]
+            assert gc.isenabled() is enabled
+            with pytest.raises(Exception):
+                _load_program(good[: len(good) // 2])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 def build_server(kind, mlp_setup, **options):

@@ -25,6 +25,7 @@ from repro.te import compute, placeholder
 from repro.te.evaluator import Evaluator
 from repro.te.expr import if_then_else, maximum, minimum
 from repro.te.patterns import lower_views, match_contraction
+from repro.te.tensor import max_expr, min_expr, reduce_axis
 from repro.transform import random_feeds
 
 
@@ -143,6 +144,53 @@ class TestSpecialValues:
         for lane, outputs in zip(feeds, plan.run_batch(feeds)):
             (want,) = oracle(program, lane)
             assert same_bits(outputs[0], want)
+
+
+def pool_program(kind):
+    """A 3x3 stride-2 max or min pool over a 3x9x9 input."""
+    x = placeholder((3, 9, 9), name="x")
+    r, s = reduce_axis((0, 3), "r"), reduce_axis((0, 3), "s")
+    reduce = max_expr if kind == "max" else min_expr
+    y = compute(
+        (3, 4, 4),
+        lambda c, i, j: reduce(x[c, 2 * i + r, 2 * j + s], [r, s]),
+        name=f"{kind}_pool",
+    )
+    return one_te_program(f"{kind}_pool", [x], y), x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestReductionOrder:
+    """Which of -0.0 and +0.0, or which NaN, a max or min returns depends
+    on the order numpy reduces in, and that follows the layout of what it
+    reduces: every plan must reduce the ``Evaluator``'s grid."""
+
+    SPECIAL = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+    ZEROS = np.array([-0.0, 0.0, -1.0])
+
+    def check(self, kind, values, seeds):
+        program, x = pool_program(kind)
+        plans = [ExecutionPlan(program), ExecutionPlan(program, optimize=True)]
+        bucket = BatchedExecutionPlan(program, batch_size=4, optimize=True)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            feeds = [{x: rng.choice(values, size=(3, 9, 9))} for _ in range(4)]
+            wants = [oracle(program, f)[0] for f in feeds]
+            for plan in plans:
+                assert same_bits(plan.run(feeds[0])[0], wants[0]), (kind, seed)
+            for (got,), want in zip(bucket.run_batch(feeds), wants):
+                assert same_bits(got, want), (kind, seed, "bucket 4")
+
+    @pytest.mark.parametrize("kind", ["max", "min"])
+    def test_signed_zeros_nan_and_infinities(self, kind):
+        self.check(kind, self.SPECIAL, range(30))
+
+    @pytest.mark.parametrize("kind", ["max", "min"])
+    def test_windows_of_signed_zeros(self, kind):
+        """Windows of -0.0, +0.0 and -1.0 only: where a window holds both
+        zeros, the reduction order alone picks the one a max or min
+        returns."""
+        self.check(kind, self.ZEROS, range(50))
 
 
 class TestGathersLeft:
